@@ -16,9 +16,10 @@ and one self-closing leaf element per action::
 
 Element names are the action names with the first letter uppercased, which
 is bijective because action names are lowercase identifiers.  Parameters
-become attributes, ordered by the action's schema (unknown ones follow,
-alphabetically), so the same tree always serializes to the same bytes:
-two-space indents, LF line endings, double-quoted attributes.
+become attributes in :meth:`ActionRegistry.param_order` (schema order, then
+unknown ones alphabetically), the order the frontend also uses, so the same
+tree always serializes to the same bytes: two-space indents, LF line
+endings, double-quoted attributes.
 
 Variable numbering is not stored in the XML; the reader re-assigns
 0, 1, 2, ... in document order.
@@ -88,7 +89,6 @@ def _element_name(action_name: str) -> str:
 
 
 def _ordered_params(action: ActionNode, registry: ActionRegistry) -> list[ParamNode]:
-    schema = registry.get(action.name)
     seen: set[str] = set()
     for param in action.params:
         if param.name in seen:
@@ -96,42 +96,8 @@ def _ordered_params(action: ActionNode, registry: ActionRegistry) -> list[ParamN
         seen.add(param.name)
         if not XML_NAME_RE.match(param.name):
             raise EmitError(f"parameter name {param.name!r} is not a legal XML attribute name")
-    if schema is None:
-        return sorted(action.params, key=lambda p: p.name)
-    known = [p for p in action.params if schema.param_slot(p.name) is not None]
-    unknown = [p for p in action.params if schema.param_slot(p.name) is None]
-    known.sort(key=lambda p: (schema.param_slot(p.name), p.name))
-    unknown.sort(key=lambda p: p.name)
-    return known + unknown
-
-
-@dataclass(frozen=True)
-class BtDocument:
-    """A mission tree plus the ID it will execute under."""
-
-    tree: SequenceNode
-    tree_id: str = "MainTree"
-
-    def to_xml(self, registry: ActionRegistry | None = None) -> str:
-        registry = builtin_registry() if registry is None else registry
-        lines = [
-            _XML_HEADER,
-            f"<root main_tree_to_execute={_attr(self.tree_id)}>",
-            f"  <BehaviorTree ID={_attr(self.tree_id)}>",
-        ]
-        if not self.tree.actions:
-            lines.append("    <Sequence/>")
-        else:
-            lines.append("    <Sequence>")
-            for action in self.tree.actions:
-                attrs = "".join(
-                    f" {p.name}={_attr(p.value)}" for p in _ordered_params(action, registry)
-                )
-                lines.append(f"      <{_element_name(action.name)}{attrs}/>")
-            lines.append("    </Sequence>")
-        lines.append("  </BehaviorTree>")
-        lines.append("</root>")
-        return "\n".join(lines) + "\n"
+    key = registry.param_order(action.name)
+    return sorted(action.params, key=lambda p: key(p.name))
 
 
 def emit(tree: SequenceNode, registry: ActionRegistry | None = None, tree_id: str = "MainTree") -> str:
@@ -139,11 +105,24 @@ def emit(tree: SequenceNode, registry: ActionRegistry | None = None, tree_id: st
 
     bytes: all ordering and escaping here is deterministic.
     """
-    return BtDocument(tree, tree_id).to_xml(registry)
-
-
-def _shape_error(message: str, path: str) -> XmlShapeError:
-    return XmlShapeError(message, path=path)
+    registry = builtin_registry() if registry is None else registry
+    lines = [
+        _XML_HEADER,
+        f"<root main_tree_to_execute={_attr(tree_id)}>",
+        f"  <BehaviorTree ID={_attr(tree_id)}>",
+    ]
+    if not tree.actions:
+        lines.append("    <Sequence/>")
+    else:
+        lines.append("    <Sequence>")
+        for action in tree.actions:
+            params = _ordered_params(action, registry)
+            attrs = "".join(f" {p.name}={_attr(p.value)}" for p in params)
+            lines.append(f"      <{_element_name(action.name)}{attrs}/>")
+        lines.append("    </Sequence>")
+    lines.append("  </BehaviorTree>")
+    lines.append("</root>")
+    return "\n".join(lines) + "\n"
 
 
 def parse_bt_xml(xml_text: str) -> SequenceNode:
@@ -160,41 +139,43 @@ def parse_bt_xml(xml_text: str) -> SequenceNode:
         line = exc.position[0] if getattr(exc, "position", None) else None
         raise XmlShapeError(f"not well-formed XML: {exc}", line=line) from None
     if root.tag != "root":
-        raise _shape_error(f"document element must be <root>, found <{root.tag}>", "/")
+        raise XmlShapeError(f"document element must be <root>, found <{root.tag}>", path="/")
     trees = [child for child in root if child.tag == "BehaviorTree"]
     if not trees:
-        raise _shape_error("no <BehaviorTree> element under <root>", "root")
+        raise XmlShapeError("no <BehaviorTree> element under <root>", path="root")
     target = root.get("main_tree_to_execute")
     if target is None:
         if len(trees) > 1:
-            raise _shape_error("multiple <BehaviorTree> elements but no main_tree_to_execute", "root")
+            raise XmlShapeError(
+                "multiple <BehaviorTree> elements but no main_tree_to_execute", path="root"
+            )
         bt = trees[0]
     else:
         bt = next((t for t in trees if t.get("ID") == target), None)
         if bt is None:
-            raise _shape_error(f"no <BehaviorTree> with ID {target!r}", "root")
+            raise XmlShapeError(f"no <BehaviorTree> with ID {target!r}", path="root")
     children = list(bt)
     if len(children) != 1 or children[0].tag != "Sequence":
-        raise _shape_error("<BehaviorTree> must hold exactly one <Sequence>", "BehaviorTree")
+        raise XmlShapeError("<BehaviorTree> must hold exactly one <Sequence>", path="BehaviorTree")
     actions: list[ActionNode] = []
     counter = 0
     for index, leaf in enumerate(children[0]):
         path = f"Sequence child {index} <{leaf.tag}>"
         if len(leaf):
-            raise _shape_error("action leaves may not have children", path)
+            raise XmlShapeError("action leaves may not have children", path=path)
         name = leaf.tag.lower()
         if name == RESERVED_HEAD or not IDENT_RE.match(name):
-            raise _shape_error(f"element <{leaf.tag}> does not name an action", path)
+            raise XmlShapeError(f"element <{leaf.tag}> does not name an action", path=path)
         params: list[ParamNode] = []
         for attr_name, attr_value in leaf.attrib.items():
             if not IDENT_RE.match(attr_name):
-                raise _shape_error(f"attribute {attr_name!r} is not a parameter name", path)
-            pieces = attr_value.split(" ")
-            if any(not piece or piece in ("(", ")") or "\t" in piece or "\n" in piece for piece in pieces):
-                raise _shape_error(
-                    f"attribute {attr_name!r} is not single-spaced paren-free tokens", path
-                )
-            params.append(ParamNode(attr_name, counter, attr_value))
+                raise XmlShapeError(f"attribute {attr_name!r} is not a parameter name", path=path)
+            try:
+                params.append(ParamNode(attr_name, counter, attr_value))
+            except ValueError:
+                raise XmlShapeError(
+                    f"attribute {attr_name!r} is not single-spaced paren-free tokens", path=path
+                ) from None
             counter += 1
         actions.append(ActionNode(name, tuple(params)))
     return SequenceNode(tuple(actions))

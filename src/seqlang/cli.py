@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
 from pathlib import Path
 
 from seqlang.btxml import EmitError, XmlShapeError, emit
@@ -55,10 +54,11 @@ def _load_registry_arg(path: str | None) -> ActionRegistry:
 
 
 def _load_lexicon_arg(path: str | None, registry: ActionRegistry) -> Lexicon:
-    if path is not None:
-        return load_lexicon(Path(path).read_text(encoding="utf-8"), registry)
-    text = resources.files("seqlang").joinpath("data/lexicon.txt").read_text("utf-8")
-    return load_lexicon(text, registry)
+    # load_registry only adds or replaces actions, so every registry here
+    # keeps each built-in name the shipped lexicon refers to.
+    if path is None:
+        return default_lexicon()
+    return load_lexicon(Path(path).read_text(encoding="utf-8"), registry)
 
 
 def _text_or_stdin(value: str | None) -> str:
@@ -221,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     except (LexiconError, ConfigParseError, FormatError, InsufficientSpace) as exc:
         _say(f"error: {exc}")
         return 5
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _say(f"error: {exc}")
         return 5
 

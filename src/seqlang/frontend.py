@@ -124,17 +124,6 @@ class Lexicon:
         return ()
 
 
-@dataclass(frozen=True)
-class Utterance:
-    """Raw command text plus its normalized token view."""
-
-    text: str
-
-    @property
-    def normalized(self) -> tuple[str, ...]:
-        return tuple(normalize(self.text))
-
-
 def _clean_token(token: str) -> str:
     return token.strip(_EDGE_PUNCT).translate(_INNER_PUNCT)
 
@@ -268,7 +257,7 @@ def _translate_clause(
 
 
 def translate(
-    utterance: str | Utterance,
+    utterance: str,
     lexicon: Lexicon | None = None,
     registry: ActionRegistry | None = None,
 ) -> SequenceNode:
@@ -276,25 +265,22 @@ def translate(
 
     The result always strict-validates against the registry the lexicon
     was loaded for: every action comes from a verb entry, every parameter
-    from a cue rule, parameters sit in schema order, and variables are
+    from a cue rule, parameters sit in the order the XML emitter writes
+    them (:meth:`ActionRegistry.param_order`), and variables are
     numbered globally in order.  Untranslatable input raises
     :class:`NoVerbMatch` or :class:`AmbiguousMatch`; nothing else escapes.
     """
     lexicon = default_lexicon() if lexicon is None else lexicon
     registry = builtin_registry() if registry is None else registry
-    text = utterance.text if isinstance(utterance, Utterance) else utterance
-    clauses = split_clauses(text, lexicon)
+    clauses = split_clauses(utterance, lexicon)
     if not clauses:
-        raise NoVerbMatch(0, text.strip())
+        raise NoVerbMatch(0, utterance.strip())
     actions: list[ActionNode] = []
     counter = 0
     for index, clause_tokens in enumerate(clauses):
         action_name, params = _translate_clause(index, clause_tokens, lexicon)
-        schema = registry.get(action_name)
-        if schema is not None:
-            known = [p for p in params if schema.param_slot(p[0]) is not None]
-            known.sort(key=lambda pair: schema.param_slot(pair[0]))
-            params = known + [p for p in params if schema.param_slot(p[0]) is None]
+        key = registry.param_order(action_name)
+        params.sort(key=lambda pair: key(pair[0]))
         nodes = []
         for param_name, value in params:
             nodes.append(ParamNode(param_name, counter, value))

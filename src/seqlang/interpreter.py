@@ -5,7 +5,8 @@ transcript of what ran.  Executing a mission walks the sequence left to
 right and stops at the first FAILURE, exactly like a reactive Sequence
 node would tick its children.  There is no physics: move writes axes,
 flatten levels the vehicle and sets depth, and the remaining built-ins
-record themselves and succeed.
+record themselves and succeed.  Axis slots and the set of built-ins come
+from the schemas in :mod:`seqlang.registry`, read once at import.
 
 Unknown actions are no-ops that SUCCEED with a warning flag on their
 trace entry, so missions from extended registries still run end to end.
@@ -19,14 +20,17 @@ from dataclasses import dataclass, field
 
 from seqlang.btxml import parse_bt_xml
 from seqlang.logical_form import ActionNode
+from seqlang.registry import BUILTIN_SCHEMAS
 
 SUCCESS = "SUCCESS"
 FAILURE = "FAILURE"
 
-# parameter name -> pose slot; yaw is the spoken alias for raw
-_AXES = {"x": 0, "y": 1, "z": 2, "roll": 3, "pitch": 4, "raw": 5, "yaw": 5}
+_MOVE = next(schema for schema in BUILTIN_SCHEMAS if schema.name == "move")
 
-_RECORD_ONLY = ("say", "clean", "bring", "find", "goal", "gate")
+# parameter name or alias -> pose slot
+_AXES = {name: _MOVE.param_slot(name) for name in _MOVE.params + tuple(a for a, _ in _MOVE.aliases)}
+
+_RECORD_ONLY = frozenset(schema.name for schema in BUILTIN_SCHEMAS) - {"move", "flatten"}
 
 
 @dataclass
@@ -74,10 +78,10 @@ def _apply(plant: MockPlant, action: ActionNode, params: tuple[tuple[str, str], 
                     depth = float(value)
                 except ValueError:
                     return FAILURE, False
-        plant.pose[3] = 0.0
-        plant.pose[4] = 0.0
+        plant.pose[_AXES["roll"]] = 0.0
+        plant.pose[_AXES["pitch"]] = 0.0
         if depth is not None:
-            plant.pose[2] = depth
+            plant.pose[_AXES["z"]] = depth
         plant.transcript.append((name, params))
         return SUCCESS, False
     if name in _RECORD_ONLY:

@@ -18,10 +18,10 @@ Example::
 
     ( seq ( flatten ( num ( $0 ( 2 ) ) ) ) ( goal ) )
 
-Parsing is recursive descent over a token cursor with one token of
-lookahead and no backtracking; the first problem raises a subclass of
-:class:`LogicalFormError` carrying the zero-based token position.
-:func:`render` goes the other way and always re-numbers variables
+Parsing is recursive descent over the token list, indexing forward with
+one token of lookahead and no backtracking; the first problem raises a
+subclass of :class:`LogicalFormError` carrying the zero-based token
+position.  :func:`render` goes the other way and always re-numbers variables
 0, 1, 2, ... in order of appearance, so ``render(parse_logical_form(s))``
 is the canonical spelling of ``s``.
 """
@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 VAR_RE = re.compile(r"\$(0|[1-9][0-9]*)\Z")
+# A token is a maximal run of anything but space, tab and newline.
+_TOKEN_RE = re.compile(r"[^ \t\n]+")
 
 RESERVED_HEAD = "seq"
 
@@ -101,52 +103,6 @@ class EmptyValueError(LogicalFormError):
 
 
 @dataclass(frozen=True)
-class Token:
-    """One lexeme plus its zero-based index in the token stream."""
-
-    lexeme: str
-    position: int
-
-
-def tokenize(text: str) -> list[Token]:
-    """Split ``text`` on runs of space, tab, and newline.
-
-    Tokenization never fails: any non-separator byte sequence is a token,
-    including lone parens and ``$`` fragments.  Positions count tokens,
-    not characters.
-    """
-    lexemes = [piece for piece in re.split(r"[ \t\n]+", text) if piece]
-    return [Token(lexeme, i) for i, lexeme in enumerate(lexemes)]
-
-
-@dataclass
-class TokenCursor:
-    """Read head over a token list: inspect one token, advance by one."""
-
-    tokens: list[Token]
-    index: int = 0
-
-    def current(self) -> Token | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
-
-    def peek(self, offset: int = 1) -> Token | None:
-        pos = self.index + offset
-        if pos < len(self.tokens):
-            return self.tokens[pos]
-        return None
-
-    def skip(self) -> None:
-        if self.index >= len(self.tokens):
-            raise IndexError("cursor already exhausted")
-        self.index += 1
-
-    def at_end(self) -> bool:
-        return self.index >= len(self.tokens)
-
-
-@dataclass(frozen=True)
 class ParamNode:
     """One named parameter: ``( name ( $i ( value tokens ) ) )``.
 
@@ -167,9 +123,6 @@ class ParamNode:
         pieces = self.value.split(" ") if isinstance(self.value, str) else []
         if not pieces or any(not p or p in ("(", ")") or "\t" in p or "\n" in p for p in pieces):
             raise ValueError(f"parameter value {self.value!r} is not single-spaced paren-free tokens")
-
-    def value_tokens(self) -> list[str]:
-        return self.value.split(" ")
 
 
 @dataclass(frozen=True)
@@ -201,116 +154,91 @@ class SequenceNode:
             if action.name == RESERVED_HEAD:
                 raise ValueError("actions may not be named 'seq'")
 
-    def param_count(self) -> int:
-        return sum(len(action.params) for action in self.actions)
+
+def _at(tokens: list[str], i: int, expected: str) -> str:
+    if i >= len(tokens):
+        raise FormSyntaxError(i, expected, None)
+    return tokens[i]
 
 
-def _demand(cursor: TokenCursor, expected: str) -> Token:
-    tok = cursor.current()
-    if tok is None:
-        raise FormSyntaxError(len(cursor.tokens), expected, None)
+def _expect(tokens: list[str], i: int, lexeme: str) -> int:
+    """Index just past ``lexeme``, which must be the token at ``i``."""
+    tok = _at(tokens, i, f"'{lexeme}'")
+    if tok != lexeme:
+        raise FormSyntaxError(i, f"'{lexeme}'", tok)
+    return i + 1
+
+
+def _name(tokens: list[str], i: int, expected: str) -> str:
+    tok = _at(tokens, i, expected)
+    if not IDENT_RE.match(tok):
+        raise InvalidNameError(i, tok)
     return tok
 
 
-def _expect(cursor: TokenCursor, lexeme: str) -> Token:
-    tok = _demand(cursor, f"'{lexeme}'")
-    if tok.lexeme != lexeme:
-        raise FormSyntaxError(tok.position, f"'{lexeme}'", tok.lexeme)
-    cursor.skip()
-    return tok
+def _parse_action(tokens: list[str], i: int) -> tuple[ActionNode, int]:
+    """Parse ``( name PARAM* )`` from the open paren at ``i``; returns the
 
-
-def parse_sequence(cursor: TokenCursor) -> SequenceNode:
-    """Parse ``( seq ACTION* )`` at the cursor and leave it just past the
-
-    closing paren.  A nested ``seq`` head is rejected here, before
-    descending into the action.
+    action and the index just past its closing paren.  Any lowercase
+    identifier is accepted as the name; whether it is a known action is
+    the registry's business, not the parser's.
     """
-    _expect(cursor, "(")
-    _expect(cursor, RESERVED_HEAD)
-    actions: list[ActionNode] = []
-    while True:
-        tok = _demand(cursor, "'(' or ')'")
-        if tok.lexeme == ")":
-            cursor.skip()
-            return SequenceNode(tuple(actions))
-        if tok.lexeme != "(":
-            raise FormSyntaxError(tok.position, "'(' or ')'", tok.lexeme)
-        head = cursor.peek(1)
-        if head is not None and head.lexeme == RESERVED_HEAD:
-            raise FormSyntaxError(head.position, "an action name (sequences do not nest)", head.lexeme)
-        actions.append(parse_action(cursor))
-
-
-def parse_action(cursor: TokenCursor) -> ActionNode:
-    """Parse ``( name PARAM* )``.  Any lowercase identifier is accepted as
-
-    the name; whether it is a known action is the registry's business,
-    not the parser's.
-    """
-    _expect(cursor, "(")
-    name_tok = _demand(cursor, "an action name")
-    if not IDENT_RE.match(name_tok.lexeme):
-        raise InvalidNameError(name_tok.position, name_tok.lexeme)
-    cursor.skip()
+    name = _name(tokens, i + 1, "an action name")
+    i += 2
     params: list[ParamNode] = []
-    while True:
-        tok = _demand(cursor, "'(' or ')'")
-        if tok.lexeme == ")":
-            cursor.skip()
-            return ActionNode(name_tok.lexeme, tuple(params))
-        if tok.lexeme != "(":
-            raise FormSyntaxError(tok.position, "'(' or ')'", tok.lexeme)
-        params.append(parse_parameter(cursor))
+    while (tok := _at(tokens, i, "'(' or ')'")) != ")":
+        if tok != "(":
+            raise FormSyntaxError(i, "'(' or ')'", tok)
+        param, i = _parse_parameter(tokens, i)
+        params.append(param)
+    return ActionNode(name, tuple(params)), i + 1
 
 
-def parse_parameter(cursor: TokenCursor) -> ParamNode:
-    """Parse ``( name ( $i ( value+ ) ) )``.
+def _parse_parameter(tokens: list[str], i: int) -> tuple[ParamNode, int]:
+    """Parse ``( name ( $i ( value+ ) ) )`` from the open paren at ``i``.
 
     The value is every token up to the first close paren; at least one is
     required, and an open paren inside the value group is an error.
     """
-    _expect(cursor, "(")
-    name_tok = _demand(cursor, "a parameter name")
-    if not IDENT_RE.match(name_tok.lexeme):
-        raise InvalidNameError(name_tok.position, name_tok.lexeme)
-    cursor.skip()
-    _expect(cursor, "(")
-    var_tok = _demand(cursor, "a '$' variable")
-    match = VAR_RE.match(var_tok.lexeme)
+    name = _name(tokens, i + 1, "a parameter name")
+    i = _expect(tokens, i + 2, "(")
+    var = _at(tokens, i, "a '$' variable")
+    match = VAR_RE.match(var)
     if match is None:
-        raise BadVariableError(var_tok.position, var_tok.lexeme)
-    cursor.skip()
-    _expect(cursor, "(")
-    values: list[str] = []
-    while True:
-        tok = _demand(cursor, "a value token or ')'")
-        if tok.lexeme == ")":
-            if not values:
-                raise EmptyValueError(tok.position)
-            cursor.skip()
-            break
-        if tok.lexeme == "(":
-            raise FormSyntaxError(tok.position, "a value token or ')'", tok.lexeme)
-        values.append(tok.lexeme)
-        cursor.skip()
-    _expect(cursor, ")")
-    _expect(cursor, ")")
-    return ParamNode(name_tok.lexeme, int(match.group(1)), " ".join(values))
+        raise BadVariableError(i, var)
+    start = end = _expect(tokens, i + 1, "(")
+    while (tok := _at(tokens, end, "a value token or ')'")) != ")":
+        if tok == "(":
+            raise FormSyntaxError(end, "a value token or ')'", tok)
+        end += 1
+    if end == start:
+        raise EmptyValueError(end)
+    i = _expect(tokens, end + 1, ")")
+    i = _expect(tokens, i, ")")
+    return ParamNode(name, int(match.group(1)), " ".join(tokens[start:end])), i
 
 
 def parse_logical_form(text: str) -> SequenceNode:
     """Tokenize and parse a complete logical form.
 
-    The whole input must be one sequence; anything after its closing
-    paren raises :class:`TrailingTokensError`.
+    The whole input must be one sequence; a nested ``seq`` head is
+    rejected before descending into the action, and anything after the
+    sequence's closing paren raises :class:`TrailingTokensError`.
     """
-    cursor = TokenCursor(tokenize(text))
-    tree = parse_sequence(cursor)
-    leftover = cursor.current()
-    if leftover is not None:
-        raise TrailingTokensError(leftover.position, leftover.lexeme)
-    return tree
+    tokens = _TOKEN_RE.findall(text)
+    i = _expect(tokens, 0, "(")
+    i = _expect(tokens, i, RESERVED_HEAD)
+    actions: list[ActionNode] = []
+    while (tok := _at(tokens, i, "'(' or ')'")) != ")":
+        if tok != "(":
+            raise FormSyntaxError(i, "'(' or ')'", tok)
+        if i + 1 < len(tokens) and tokens[i + 1] == RESERVED_HEAD:
+            raise FormSyntaxError(i + 1, "an action name (sequences do not nest)", RESERVED_HEAD)
+        action, i = _parse_action(tokens, i)
+        actions.append(action)
+    if i + 1 < len(tokens):
+        raise TrailingTokensError(i + 1, tokens[i + 1])
+    return SequenceNode(tuple(actions))
 
 
 def render(tree: SequenceNode) -> str:
@@ -326,9 +254,7 @@ def render(tree: SequenceNode) -> str:
         tokens.append("(")
         tokens.append(action.name)
         for param in action.params:
-            tokens.extend(("(", param.name, "(", f"${counter}", "("))
-            tokens.extend(param.value_tokens())
-            tokens.extend((")", ")", ")"))
+            tokens.extend(("(", param.name, "(", f"${counter}", "(", param.value, ")", ")", ")"))
             counter += 1
         tokens.append(")")
     tokens.append(")")

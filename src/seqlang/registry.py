@@ -17,6 +17,7 @@ raising, so callers can render warnings and count errors as they see fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from seqlang.logical_form import IDENT_RE, SequenceNode
 
@@ -71,11 +72,11 @@ class ActionSchema:
     def __post_init__(self) -> None:
         if not IDENT_RE.match(self.name):
             raise ValueError(f"action name {self.name!r} is not a lowercase identifier")
-        if len(set(self.params)) != len(self.params):
-            raise ValueError(f"duplicate parameter names in schema for '{self.name}'")
         for param in self.params:
             if not IDENT_RE.match(param):
                 raise ValueError(f"parameter name {param!r} is not a lowercase identifier")
+        if len(set(self.params)) != len(self.params):
+            raise ValueError(f"duplicate parameter names for '{self.name}'")
         for alias, target in self.aliases:
             if target not in self.params:
                 raise ValueError(f"alias {alias!r} targets unknown parameter {target!r}")
@@ -121,6 +122,22 @@ class ActionRegistry:
     def names(self) -> tuple[str, ...]:
         return tuple(schema.name for schema in self.schemas)
 
+    def param_order(self, action: str) -> Callable[[str], tuple[int, str]]:
+        """Sort key over parameter names giving an action's canonical order:
+
+        schema slot, then name; names outside the schema (or all of them,
+        for an unknown action) come last, sorted by name.
+        """
+        schema = self.get(action)
+        if schema is None:
+            return lambda name: (0, name)
+
+        def key(name: str) -> tuple[int, str]:
+            slot = schema.param_slot(name)
+            return (len(schema.params) if slot is None else slot, name)
+
+        return key
+
 
 # raw is the sixth motion axis; yaw addresses the same slot.
 BUILTIN_SCHEMAS = (
@@ -153,17 +170,12 @@ def load_registry(config: str) -> ActionRegistry:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        name, params = fields[0], fields[1:]
-        if not IDENT_RE.match(name):
-            raise ConfigParseError(lineno, f"action name {name!r} is not a lowercase identifier")
-        for param in params:
-            if not IDENT_RE.match(param):
-                raise ConfigParseError(lineno, f"parameter name {param!r} is not a lowercase identifier")
-        if len(set(params)) != len(params):
-            raise ConfigParseError(lineno, f"duplicate parameter names for '{name}'")
+        name, *params = line.split()
+        try:
+            schema = ActionSchema(name, tuple(params))
+        except ValueError as exc:
+            raise ConfigParseError(lineno, str(exc)) from None
         replacing = next((i for i, s in enumerate(schemas) if s.name == name), None)
-        schema = ActionSchema(name, tuple(params))
         if replacing is not None:
             warnings.append(
                 Diagnostic(WARNING, "shadowed-action", f"line {lineno} redefines action '{name}'")

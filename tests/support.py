@@ -12,17 +12,9 @@ from __future__ import annotations
 import random
 
 from seqlang.logical_form import ActionNode, ParamNode, SequenceNode
+from seqlang.registry import BUILTIN_SCHEMAS
 
-KNOWN_SPECS = {
-    "move": ("x", "y", "z", "roll", "pitch", "raw"),
-    "flatten": ("num",),
-    "say": ("words",),
-    "clean": ("obj",),
-    "bring": ("val",),
-    "find": ("val",),
-    "goal": (),
-    "gate": (),
-}
+KNOWN_SPECS = {schema.name: schema.params for schema in BUILTIN_SCHEMAS}
 
 # listed alphabetically so sorted picks equal emit's attribute order
 CUSTOM_SPECS = {

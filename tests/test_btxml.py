@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from seqlang.btxml import BtDocument, EmitError, XmlShapeError, emit, parse_bt_xml
+from seqlang.btxml import EmitError, XmlShapeError, emit, parse_bt_xml
 from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, parse_logical_form, render
 from seqlang.registry import builtin_registry, load_registry
 from support import random_tree
@@ -116,9 +116,9 @@ def test_emitted_documents_are_well_formed():
         assert root.tag == "root"
 
 
-def test_bt_document_wraps_emit():
+def test_emit_defaults_to_the_builtin_registry():
     tree = parse_logical_form("( seq ( goal ) )")
-    assert BtDocument(tree, "Alt").to_xml() == emit(tree, tree_id="Alt")
+    assert emit(tree, tree_id="Alt") == emit(tree, builtin_registry(), "Alt")
 
 
 # ------------------------------------------------------------------ reader

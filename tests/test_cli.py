@@ -288,6 +288,30 @@ def test_run_missing_file_exits_5(tmp_path, capsys):
     assert code == 5
 
 
+# ------------------------------------------------------------ file decoding
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "{bad}"),
+        ("compile", "goal", "--lexicon", "{bad}", "--out", "{out}"),
+        ("parse", "( seq ( goal ) )", "--registry", "{bad}"),
+        ("eval", "{bad}"),
+    ],
+    ids=["run", "compile-lexicon", "parse-registry", "eval"],
+)
+def test_non_utf8_file_exits_5(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe( seq )\n")
+    out = tmp_path / "m.xml"
+    code, stdout, stderr = invoke(capsys, *(arg.format(bad=bad, out=out) for arg in argv))
+    assert code == 5
+    assert stdout == ""
+    assert stderr.startswith("error: ") and "utf-8" in stderr
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------- repl
 
 

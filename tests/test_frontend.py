@@ -10,13 +10,13 @@ from seqlang.frontend import (
     Lexicon,
     LexiconError,
     NoVerbMatch,
-    Utterance,
     default_lexicon,
     load_lexicon,
     normalize,
     split_clauses,
     translate,
 )
+from seqlang.btxml import emit, parse_bt_xml
 from seqlang.logical_form import SequenceNode, parse_logical_form, render
 from seqlang.registry import builtin_registry, load_registry, validate
 
@@ -52,8 +52,8 @@ def test_normalize_is_idempotent():
 
 
 def test_utterance_carries_normalized_view():
-    utterance = Utterance("Find the  BUOY!")
-    assert utterance.normalized == ("find", "the", "buoy")
+    assert normalize("Find the  BUOY!") == ["find", "the", "buoy"]
+    assert lf("Find the  BUOY!") == lf("find the buoy")
 
 
 # --------------------------------------------------------------- translate
@@ -158,8 +158,20 @@ def test_translate_is_compositional_over_then():
     assert render(joined) == render(SequenceNode(left.actions + right.actions))
 
 
-def test_translate_accepts_utterance_objects():
-    assert render(translate(Utterance("goal"))) == "( seq ( goal ) )"
+def test_translate_accepts_plain_text():
+    assert render(translate("goal")) == "( seq ( goal ) )"
+
+
+def test_translate_orders_params_like_emit():
+    # yaw and raw share a schema slot; q and b are outside the schema
+    lexicon = load_lexicon(
+        "[verbs]\nmove = move\n"
+        "[params.move]\nafter x = x\nafter yaw = yaw\nafter raw = raw\nafter q = q\nafter b = b\n",
+        builtin_registry(),
+    )
+    tree = translate("move x 1 yaw 2 raw 3 q 4 b 5", lexicon)
+    assert [p.name for p in tree.actions[0].params] == ["x", "raw", "yaw", "b", "q"]
+    assert render(tree) == render(parse_bt_xml(emit(tree)))
 
 
 def test_translate_output_always_strict_validates():

@@ -15,15 +15,9 @@ from seqlang.logical_form import (
     LogicalFormError,
     ParamNode,
     SequenceNode,
-    Token,
-    TokenCursor,
     TrailingTokensError,
-    parse_action,
     parse_logical_form,
-    parse_parameter,
-    parse_sequence,
     render,
-    tokenize,
 )
 from sexpr_oracle import as_sequence, nest, split_tokens
 from support import random_messy_tree, random_tree
@@ -42,50 +36,62 @@ def as_shape(tree: SequenceNode):
 # ---------------------------------------------------------------- tokenize
 
 
+def _say_value(text):
+    """The value parsed from ``text`` as the only parameter of a say."""
+    tree = parse_logical_form(f"( seq ( say ( words ( $0 ( {text} ) ) ) ) )")
+    return tree.actions[0].params[0].value
+
+
 def test_tokenize_splits_on_blank_runs():
-    tokens = tokenize("( seq \t ( goal )\n)")
-    assert [t.lexeme for t in tokens] == ["(", "seq", "(", "goal", ")", ")"]
-    assert [t.position for t in tokens] == [0, 1, 2, 3, 4, 5]
+    assert render(parse_logical_form("( seq \t ( goal )\n)")) == "( seq ( goal ) )"
+    with pytest.raises(TrailingTokensError) as info:
+        parse_logical_form("( seq \t ( goal )\n) x")
+    assert (info.value.position, info.value.found) == (6, "x")
 
 
 def test_tokenize_matches_oracle_on_examples():
-    for text in (FLATTEN_GOAL, "( seq )", "a(b $0 ((", ""):
-        assert [t.lexeme for t in tokenize(text)] == split_tokens(text)
+    for text in (FLATTEN_GOAL, "( seq )"):
+        assert render(parse_logical_form(text)).split(" ") == split_tokens(text)
+    for text in ("a(b $0 ((", ""):
+        with pytest.raises(FormSyntaxError) as info:
+            parse_logical_form(text)
+        assert info.value.found == (split_tokens(text) or [None])[0]
+    assert _say_value("a(b $0 ((") == " ".join(split_tokens("a(b $0 (("))
 
 
 def test_tokenize_keeps_glued_parens_opaque():
-    assert [t.lexeme for t in tokenize("a(b")] == ["a(b"]
+    assert _say_value("a(b") == "a(b"
 
 
 def test_tokenize_empty_and_blank():
-    assert tokenize("") == []
-    assert tokenize(" \t\n ") == []
+    for text in ("", " \t\n "):
+        with pytest.raises(FormSyntaxError) as info:
+            parse_logical_form(text)
+        assert (info.value.position, info.value.found) == (0, None)
 
 
 @given(st.text())
 def test_tokenize_never_raises_and_lexemes_are_clean(text):
-    tokens = tokenize(text)
-    for i, tok in enumerate(tokens):
-        assert tok.position == i
-        assert tok.lexeme
-        assert not any(sep in tok.lexeme for sep in (" ", "\t", "\n"))
+    try:
+        parse_logical_form(text)
+    except LogicalFormError as exc:
+        tokens = split_tokens(text)
+        assert 0 <= exc.position <= len(tokens)
+        found = getattr(exc, "found", None)
+        if found is not None:
+            assert found == tokens[exc.position]
+            assert not any(sep in found for sep in (" ", "\t", "\n"))
 
 
-# ------------------------------------------------------------------ cursor
-
-
-def test_cursor_walks_and_stops():
-    cursor = TokenCursor(tokenize("( seq )"))
-    assert cursor.current() == Token("(", 0)
-    assert cursor.peek(1) == Token("seq", 1)
-    cursor.skip()
-    cursor.skip()
-    cursor.skip()
-    assert cursor.at_end()
-    assert cursor.current() is None
-    assert cursor.peek(1) is None
-    with pytest.raises(IndexError):
-        cursor.skip()
+def test_parser_walks_tokens_and_stops_at_the_end():
+    assert parse_logical_form("( seq )") == SequenceNode(())
+    for text, position in (("( seq", 2), ("(", 1)):
+        with pytest.raises(FormSyntaxError) as info:
+            parse_logical_form(text)
+        assert (info.value.position, info.value.found) == (position, None)
+    with pytest.raises(TrailingTokensError) as info:
+        parse_logical_form("( seq ) )")
+    assert (info.value.position, info.value.found) == (3, ")")
 
 
 # ------------------------------------------------------------------- parse
@@ -132,15 +138,13 @@ def test_parse_accepts_custom_names():
 
 
 def test_parse_parameter_standalone():
-    cursor = TokenCursor(tokenize("( x ( $3 ( -1.5 ) ) )"))
-    param = parse_parameter(cursor)
-    assert param == ParamNode("x", 3, "-1.5")
-    assert cursor.at_end()
+    tree = parse_logical_form("( seq ( move ( x ( $3 ( -1.5 ) ) ) ) )")
+    assert tree.actions[0].params == (ParamNode("x", 3, "-1.5"),)
 
 
 def test_parse_action_standalone():
-    cursor = TokenCursor(tokenize("( move ( x ( $0 ( 1.5 ) ) ) ( y ( $1 ( -2 ) ) ) )"))
-    action = parse_action(cursor)
+    tree = parse_logical_form("( seq ( move ( x ( $0 ( 1.5 ) ) ) ( y ( $1 ( -2 ) ) ) ) )")
+    (action,) = tree.actions
     assert action.name == "move"
     assert [(p.name, p.value) for p in action.params] == [("x", "1.5"), ("y", "-2")]
 
@@ -202,11 +206,10 @@ def test_syntax_error_reports_expected_and_found():
     assert info.value.found == "sequence"
 
 
-def test_parse_sequence_leaves_cursor_after_close():
-    cursor = TokenCursor(tokenize("( seq ( goal ) ) trailing"))
-    tree = parse_sequence(cursor)
-    assert [a.name for a in tree.actions] == ["goal"]
-    assert cursor.current().lexeme == "trailing"
+def test_parse_reports_the_first_token_after_the_sequence():
+    with pytest.raises(TrailingTokensError) as info:
+        parse_logical_form("( seq ( goal ) ) trailing")
+    assert (info.value.position, info.value.found) == (6, "trailing")
 
 
 # ------------------------------------------------------------------ render
