@@ -21,20 +21,23 @@ Cue meanings, applied in written order against the tokens after the
 trigger: ``after <word>`` takes the token following the first occurrence
 of that word; ``number`` takes the first numeric token; ``rest`` takes
 everything not already consumed, minus leading filler words ("the",
-"me", ...).  A cue that finds nothing contributes no parameter.
+"me", ...).  A cue that finds nothing, or whose parameter is already
+bound, binds nothing and consumes nothing.
 
-The connective "and" is special: it only splits where every resulting
-fragment still contains a verb trigger, so "bring the wrench and the
-hammer" stays one clause.  All other connectives split unconditionally,
-longest phrase first.
+The connective "and" is special: split at the leftmost "and" where both the
+part before it and everything after it contain a trigger, and so on to the
+right, so "bring the wrench and the hammer" stays one clause.  Other
+connectives split unconditionally, longest phrase first.  An n-gram trigger
+index built once per lexicon makes translation linear in utterance length.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from itertools import accumulate
 
 from seqlang.logical_form import IDENT_RE, ActionNode, ParamNode, SequenceNode
 from seqlang.registry import ActionRegistry, builtin_registry
@@ -111,17 +114,37 @@ class ParamRule:
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Verb triggers, per-action parameter cues, and connective phrases."""
+    """Verb triggers, per-action parameter cues, and connective phrases.
+
+    Built once from these: ``triggers`` maps each trigger phrase to its
+    sorted distinct actions, and each proper prefix of one to ``()`` so a
+    scan can stop at the first miss; ``cues`` maps an action to its first
+    cue list; ``splitters`` maps the first token of each connective other
+    than "and" to its phrases, longest first.
+    """
 
     verbs: tuple[tuple[tuple[str, ...], str], ...]
     params: tuple[tuple[str, tuple[ParamRule, ...]], ...] = ()
     connectives: tuple[str, ...] = DEFAULT_CONNECTIVES
+    triggers: dict[tuple[str, ...], tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    cues: dict[str, tuple[ParamRule, ...]] = field(init=False, repr=False, compare=False)
+    splitters: dict[str, tuple[tuple[str, ...], ...]] = field(init=False, repr=False, compare=False)
 
-    def rules_for(self, action: str) -> tuple[ParamRule, ...]:
-        for name, rules in self.params:
-            if name == action:
-                return rules
-        return ()
+    def __post_init__(self) -> None:
+        actions: dict[tuple[str, ...], set[str]] = {}
+        for phrase, action in self.verbs:
+            if not phrase:
+                raise ValueError(f"empty trigger phrase for '{action}'")
+            for size in range(1, len(phrase) + 1):
+                actions.setdefault(phrase[:size], set())
+            actions[phrase].add(action)
+        splitters: dict[str, tuple[tuple[str, ...], ...]] = {}
+        phrases = (tuple(c.split()) for c in self.connectives if c.strip() and c != "and")
+        for phrase in sorted(phrases, key=len, reverse=True):
+            splitters[phrase[0]] = splitters.get(phrase[0], ()) + (phrase,)
+        object.__setattr__(self, "triggers", {p: tuple(sorted(a)) for p, a in actions.items()})
+        object.__setattr__(self, "cues", dict(reversed(self.params)))
+        object.__setattr__(self, "splitters", splitters)
 
 
 def _clean_token(token: str) -> str:
@@ -138,60 +161,51 @@ def normalize(text: str) -> list[str]:
     return [tok for tok in cleaned if tok]
 
 
-def _match_candidates(tokens: list[str], lexicon: Lexicon) -> list[tuple[int, int, str]]:
-    """All trigger hits as (length, start, action), best first."""
-    hits = []
-    for phrase, action in lexicon.verbs:
-        size = len(phrase)
-        for start in range(len(tokens) - size + 1):
-            if tuple(tokens[start : start + size]) == phrase:
-                hits.append((size, start, action))
-    hits.sort(key=lambda h: (-h[0], h[1]))
-    return hits
+def _hits(tokens: list[str], lexicon: Lexicon) -> list[tuple[int, int, tuple[str, ...]]]:
+    """Every trigger hit as (start, end, actions), in start order."""
+    found = []
+    for start in range(len(tokens)):
+        for end in range(start + 1, len(tokens) + 1):
+            actions = lexicon.triggers.get(tuple(tokens[start:end]))
+            if actions is None:
+                break
+            if actions:
+                found.append((start, end, actions))
+    return found
 
 
-def _has_verb(tokens: list[str], lexicon: Lexicon) -> bool:
-    return bool(_match_candidates(tokens, lexicon))
-
-
-def _split_unconditional(tokens: list[str], connectives: tuple[str, ...]) -> list[list[str]]:
-    splitters = sorted(
-        (tuple(c.split()) for c in connectives if c != "and"), key=len, reverse=True
-    )
-    clauses: list[list[str]] = []
-    current: list[str] = []
+def _split_unconditional(tokens: list[str], lexicon: Lexicon) -> list[list[str]]:
+    """Fragments between connectives other than "and"; some may be empty."""
+    fragments: list[list[str]] = [[]]
     i = 0
     while i < len(tokens):
-        matched = None
-        for phrase in splitters:
+        for phrase in lexicon.splitters.get(tokens[i], ()):
             if tuple(tokens[i : i + len(phrase)]) == phrase:
-                matched = phrase
+                fragments.append([])
+                i += len(phrase)
                 break
-        if matched:
-            if current:
-                clauses.append(current)
-                current = []
-            i += len(matched)
         else:
-            current.append(tokens[i])
+            fragments[-1].append(tokens[i])
             i += 1
-    if current:
-        clauses.append(current)
-    return clauses
+    return fragments
 
 
 def _split_on_and(tokens: list[str], lexicon: Lexicon) -> list[list[str]]:
-    """Split at "and" only where every fragment keeps a verb trigger."""
+    """Split at each "and" with a whole trigger hit since the last split and one after it."""
+    hits = _hits(tokens, lexicon)
+    # latest[e]: largest start of a hit ending by e, else -1 (hits come by
+    # start, so the last write wins); latest[-1] is the last hit's start
+    latest = [-1] * (len(tokens) + 1)
+    for start, end, _ in hits:
+        latest[end] = start
+    latest = list(accumulate(latest, max))
+    clauses, begin = [], 0
     for i, tok in enumerate(tokens):
-        if tok != "and" or i == 0 or i == len(tokens) - 1:
-            continue
-        left, right = tokens[:i], tokens[i + 1 :]
-        if not _has_verb(left, lexicon):
-            continue
-        rest = _split_on_and(right, lexicon)
-        if all(_has_verb(fragment, lexicon) for fragment in rest):
-            return [left] + rest
-    return [tokens]
+        if tok == "and" and latest[i] >= begin and latest[-1] > i:
+            clauses.append(tokens[begin:i])
+            begin = i + 1
+    clauses.append(tokens[begin:])
+    return clauses
 
 
 def split_clauses(text: str, lexicon: Lexicon) -> list[list[str]]:
@@ -201,36 +215,30 @@ def split_clauses(text: str, lexicon: Lexicon) -> list[list[str]]:
     splits the same as "dive then say hi"; punctuation inside clauses is
     cleaned afterwards.  Empty fragments vanish.
     """
-    raw_tokens = text.lower().replace(",", " , ").split()
-    fragments = _split_unconditional(raw_tokens, lexicon.connectives)
-    cleaned = []
-    for fragment in fragments:
-        tokens = normalize(" ".join(fragment))
-        if tokens:
-            cleaned.append(tokens)
+    fragments = _split_unconditional(text.lower().replace(",", " , ").split(), lexicon)
+    cleaned = [tokens for tokens in (normalize(" ".join(f)) for f in fragments) if tokens]
     if "and" not in lexicon.connectives:
         return cleaned
-    clauses: list[list[str]] = []
-    for fragment in cleaned:
-        clauses.extend(_split_on_and(fragment, lexicon))
-    return clauses
+    return [clause for fragment in cleaned for clause in _split_on_and(fragment, lexicon)]
 
 
-def _extract_params(tail: list[str], rules: tuple[ParamRule, ...]) -> list[tuple[str, str]]:
+def _extract_params(tail: list[str], rules: tuple[ParamRule, ...]) -> dict[str, str]:
     consumed = [False] * len(tail)
-    found: list[tuple[str, str]] = []
+    found: dict[str, str] = {}
     for rule in rules:
+        if rule.param in found:
+            continue
         if rule.kind == "after":
             for i, tok in enumerate(tail[:-1]):
                 if tok == rule.keyword and not consumed[i] and not consumed[i + 1]:
                     consumed[i] = consumed[i + 1] = True
-                    found.append((rule.param, tail[i + 1]))
+                    found[rule.param] = tail[i + 1]
                     break
         elif rule.kind == "number":
             for i, tok in enumerate(tail):
                 if not consumed[i] and NUMBER_RE.match(tok):
                     consumed[i] = True
-                    found.append((rule.param, tok))
+                    found[rule.param] = tok
                     break
         elif rule.kind == "rest":
             remaining = [tok for i, tok in enumerate(tail) if not consumed[i]]
@@ -238,22 +246,19 @@ def _extract_params(tail: list[str], rules: tuple[ParamRule, ...]) -> list[tuple
                 remaining.pop(0)
             if remaining:
                 consumed = [True] * len(tail)
-                found.append((rule.param, " ".join(remaining)))
+                found[rule.param] = " ".join(remaining)
     return found
 
 
-def _translate_clause(
-    index: int, tokens: list[str], lexicon: Lexicon
-) -> tuple[str, list[tuple[str, str]]]:
-    candidates = _match_candidates(tokens, lexicon)
-    if not candidates:
+def _translate_clause(index: int, tokens: list[str], lexicon: Lexicon) -> tuple[str, dict[str, str]]:
+    hits = _hits(tokens, lexicon)
+    if not hits:
         raise NoVerbMatch(index, " ".join(tokens))
-    size, start, action = candidates[0]
-    tied = {c[2] for c in candidates if c[0] == size and c[1] == start}
-    if len(tied) > 1:
-        raise AmbiguousMatch(index, " ".join(tokens), tuple(sorted(tied)))
-    tail = tokens[start + size :]
-    return action, _extract_params(tail, lexicon.rules_for(action))
+    # longest hit wins, leftmost breaks ties
+    _, end, actions = min(hits, key=lambda hit: (hit[0] - hit[1], hit[0]))
+    if len(actions) > 1:
+        raise AmbiguousMatch(index, " ".join(tokens), actions)
+    return actions[0], _extract_params(tokens[end:], lexicon.cues.get(actions[0], ()))
 
 
 def translate(
@@ -279,13 +284,10 @@ def translate(
     counter = 0
     for index, clause_tokens in enumerate(clauses):
         action_name, params = _translate_clause(index, clause_tokens, lexicon)
-        key = registry.param_order(action_name)
-        params.sort(key=lambda pair: key(pair[0]))
-        nodes = []
-        for param_name, value in params:
-            nodes.append(ParamNode(param_name, counter, value))
-            counter += 1
-        actions.append(ActionNode(action_name, tuple(nodes)))
+        names = sorted(params, key=registry.param_order(action_name))
+        nodes = tuple(ParamNode(name, counter + k, params[name]) for k, name in enumerate(names))
+        actions.append(ActionNode(action_name, nodes))
+        counter += len(nodes)
     return SequenceNode(tuple(actions))
 
 
@@ -343,6 +345,8 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
             action = section[len("params.") :]
             if not IDENT_RE.match(right):
                 raise LexiconError(f"parameter name {right!r} is not a lowercase identifier", lineno)
+            if registry.get(action).canonical_param(right) is None:
+                raise LexiconError(f"'{action}' takes no parameter '{right}'", lineno)
             cue = left.split()
             if cue == ["number"]:
                 rule = ParamRule("number", right)

@@ -1,5 +1,7 @@
 """Normalization, clause splitting, verb matching, and translation."""
 
+from time import perf_counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from seqlang.frontend import (
     Lexicon,
     LexiconError,
     NoVerbMatch,
+    ParamRule,
     default_lexicon,
     load_lexicon,
     normalize,
@@ -163,12 +166,10 @@ def test_translate_accepts_plain_text():
 
 
 def test_translate_orders_params_like_emit():
-    # yaw and raw share a schema slot; q and b are outside the schema
-    lexicon = load_lexicon(
-        "[verbs]\nmove = move\n"
-        "[params.move]\nafter x = x\nafter yaw = yaw\nafter raw = raw\nafter q = q\nafter b = b\n",
-        builtin_registry(),
-    )
+    # yaw and raw share a schema slot; q and b are outside the schema, so
+    # only a lexicon built in code can bind them (load_lexicon refuses)
+    cues = tuple(ParamRule("after", name, name) for name in ("x", "yaw", "raw", "q", "b"))
+    lexicon = Lexicon(verbs=((("move",), "move"),), params=(("move", cues),))
     tree = translate("move x 1 yaw 2 raw 3 q 4 b 5", lexicon)
     assert [p.name for p in tree.actions[0].params] == ["x", "raw", "yaw", "b", "q"]
     assert render(tree) == render(parse_bt_xml(emit(tree)))
@@ -183,6 +184,14 @@ def test_translate_output_always_strict_validates():
     ):
         tree = translate(text)
         assert validate(tree, registry, "strict") == []
+
+
+def test_a_cue_for_a_bound_parameter_binds_nothing():
+    # "after yaw" and "after raw" both bind raw; the first cue wins and
+    # the second leaves "raw 3" unconsumed
+    tree = translate("move to yaw 2 raw 3")
+    assert validate(tree, builtin_registry(), "strict") == []
+    assert [(p.name, p.value) for p in tree.actions[0].params] == [("raw", "2")]
 
 
 def test_no_verb_match_names_the_clause():
@@ -219,6 +228,37 @@ def test_translate_is_total(text):
         return
     assert validate(tree, builtin_registry(), "strict") == []
     assert parse_logical_form(render(tree)) == tree
+
+
+# ----------------------------------------------------------------- scaling
+
+
+def _best_of_3(text):
+    times = []
+    for _ in range(3):
+        start = perf_counter()
+        translate(text)
+        times.append(perf_counter() - start)
+    return min(times)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: "say " + " and ".join(["hello"] * n),
+        lambda n: " and ".join(["say hello"] * n),
+        lambda n: "bring " + " and ".join(["the wrench"] * n),
+    ],
+    ids=["one-say-many-ands", "many-says", "one-long-value"],
+)
+def test_translate_time_at_most_triples_when_the_input_doubles(build):
+    assert _best_of_3(build(200)) <= 3 * _best_of_3(build(100))
+
+
+def test_a_400_clause_and_chain_translates():
+    tree = translate(" and ".join(["say hello"] * 400))
+    assert len(tree.actions) == 400
+    assert render(tree) == render(translate(" then ".join(["say hello"] * 400)))
 
 
 # ----------------------------------------------------------------- lexicon
@@ -291,6 +331,7 @@ def test_load_lexicon_param_rules():
         ("[params.warp]\n", 1, "unknown action"),
         ("[params.say]\nsomewhere near = words\n", 2, "unknown cue"),
         ("[params.say]\nrest = Words\n", 2, "not a lowercase identifier"),
+        ("[params.move]\nafter q = q\n", 2, "takes no parameter 'q'"),
         ("[verbs\ngoal = goal\n", 1, "unterminated"),
         ("[chapter]\n", 1, "unknown section"),
     ],
