@@ -1,0 +1,89 @@
+"""The flat logical-form parser agrees with the reference in logical_form_oracle.
+
+Agreement means an equal tree, or, when parsing fails, the same
+exception class with equal ``position``, ``expected`` and ``found`` and
+the same message.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import logical_form_oracle as oracle
+from seqlang.dataset import generate
+from seqlang.logical_form import LogicalFormError, ParamNode, parse_logical_form, render
+from support import random_messy_tree
+
+# Every token class the grammar tells apart, plus near misses of each.
+SOUP = (
+    "(", ")", "seq", "say", "goal", "words", "x", "_x", "Say", "seq2",
+    "$0", "$1", "$12", "$01", "$", "$-1", "$x", "hi", "2.5", "a(b", "()", "((", "\r", "\x0b", "é",
+)
+BLANKS = (" ", "  ", "\t", "\n", " \n\t")
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except LogicalFormError as exc:
+        fields = (getattr(exc, name, None) for name in ("position", "expected", "found"))
+        return (type(exc), *fields, str(exc))
+
+
+def assert_agrees(text):
+    assert _outcome(parse_logical_form, text) == _outcome(oracle.parse_logical_form, text)
+
+
+@given(st.lists(st.sampled_from(SOUP), max_size=40), st.randoms(use_true_random=False))
+@settings(max_examples=500, deadline=None)
+def test_agrees_on_token_soup(tokens, rng):
+    assert_agrees("".join(tok + rng.choice(BLANKS) for tok in tokens))
+
+
+@given(st.text(st.sampled_from("()$0 \tseqa\n")))
+@settings(max_examples=500, deadline=None)
+def test_agrees_on_character_soup(text):
+    assert_agrees(text)
+
+
+def test_agrees_on_the_seed_7_corpus():
+    train, _ = generate(2000, 0, seed=7)
+    for pair in train.pairs:
+        assert_agrees(pair.logical_form)
+
+
+def _mutate(tokens, rng):
+    """One or two token deletions, insertions or replacements."""
+    tokens = list(tokens)
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(tokens) + 1)
+        kind = rng.choice(("delete", "insert", "replace"))
+        if kind == "insert" or i == len(tokens):
+            tokens.insert(i, rng.choice(SOUP))
+        elif kind == "delete":
+            del tokens[i]
+        else:
+            tokens[i] = rng.choice(SOUP)
+    return tokens
+
+
+def test_agrees_on_mutated_missions():
+    rng = random.Random(5)
+    for _ in range(5000):
+        tokens = render(random_messy_tree(rng, 1, 12)).split(" ")
+        assert_agrees(" ".join(_mutate(tokens, rng)))
+
+
+def _value_outcome(value):
+    try:
+        ParamNode("words", 0, value)
+    except ValueError:
+        return False
+    return True
+
+
+@given(st.text(st.sampled_from("ab() \t\n\r")) | st.text())
+@settings(max_examples=400, deadline=None)
+def test_param_value_rule_agrees(value):
+    assert _value_outcome(value) == oracle.value_ok(value)
