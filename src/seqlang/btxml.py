@@ -30,18 +30,9 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
-from seqlang.logical_form import (
-    IDENT_RE,
-    ActionNode,
-    ParamNode,
-    RESERVED_HEAD,
-    SequenceNode,
-)
+from seqlang.logical_form import IDENT_RE, RESERVED_HEAD, ActionNode, ParamNode, SequenceNode
 from seqlang.registry import ActionRegistry, builtin_registry
-
-XML_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*\Z")
 
 _XML_HEADER = '<?xml version="1.0" encoding="UTF-8"?>'
 
@@ -77,52 +68,71 @@ class XmlShapeError(Exception):
         return " ".join(parts)
 
 
-def _attr(value: str) -> str:
-    return '"' + escape(value, {'"': "&quot;"}) + '"'
+# Attribute values are double-quoted; blanks become character references
+# because XML normalizes literal ones in attributes to spaces.
+_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
+)
+# Any character outside XML 1.0's Char production.
+_NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
-def _element_name(action_name: str) -> str:
-    name = action_name[0].upper() + action_name[1:]
-    if not XML_NAME_RE.match(name):
-        raise EmitError(f"action name {action_name!r} does not map to a legal XML element name")
-    return name
+def _leaf_template(name: str, param_names: tuple[str, ...], registry: ActionRegistry) -> tuple[str, list[int]]:
+    """The ``str.format`` template of one action's line, and the order in
 
-
-def _ordered_params(action: ActionNode, registry: ActionRegistry) -> list[ParamNode]:
+    which its parameters fill the template's slots.
+    """
     seen: set[str] = set()
-    for param in action.params:
-        if param.name in seen:
-            raise EmitError(f"duplicate parameter '{param.name}' in action '{action.name}'")
-        seen.add(param.name)
-        if not XML_NAME_RE.match(param.name):
-            raise EmitError(f"parameter name {param.name!r} is not a legal XML attribute name")
-    key = registry.param_order(action.name)
-    return sorted(action.params, key=lambda p: key(p.name))
+    for param in param_names:
+        if param in seen:
+            raise EmitError(f"duplicate parameter '{param}' in action '{name}'")
+        seen.add(param)
+    key = registry.param_order(name)
+    order = sorted(range(len(param_names)), key=lambda k: key(param_names[k]))
+    attrs = "".join(f' {param_names[k]}="{{}}"' for k in order)
+    return f"      <{name[0].upper()}{name[1:]}{attrs}/>", order
 
 
 def emit(tree: SequenceNode, registry: ActionRegistry | None = None, tree_id: str = "MainTree") -> str:
     """Serialize a mission to XML text.  Same tree, same registry, same
 
-    bytes: all ordering and escaping here is deterministic.
+    bytes: all ordering and escaping here is deterministic.  Raises
+    :class:`EmitError` for a duplicate parameter, or for a character that
+    XML 1.0 does not allow in a document.
     """
     registry = builtin_registry() if registry is None else registry
+    tree_id = tree_id.translate(_ESCAPES)
     lines = [
         _XML_HEADER,
-        f"<root main_tree_to_execute={_attr(tree_id)}>",
-        f"  <BehaviorTree ID={_attr(tree_id)}>",
+        f'<root main_tree_to_execute="{tree_id}">',
+        f'  <BehaviorTree ID="{tree_id}">',
     ]
     if not tree.actions:
         lines.append("    <Sequence/>")
     else:
         lines.append("    <Sequence>")
+        # one template per (action, parameter names) shape in this tree
+        templates: dict[tuple[str, tuple[str, ...]], tuple[str, list[int]]] = {}
         for action in tree.actions:
-            params = _ordered_params(action, registry)
-            attrs = "".join(f" {p.name}={_attr(p.value)}" for p in params)
-            lines.append(f"      <{_element_name(action.name)}{attrs}/>")
+            params = action.params
+            shape = (action.name, tuple([p.name for p in params]))
+            template = templates.get(shape)
+            if template is None:
+                template = templates[shape] = _leaf_template(*shape, registry)
+            text, order = template
+            lines.append(text.format(*[params[k].value.translate(_ESCAPES) for k in order]))
         lines.append("    </Sequence>")
     lines.append("  </BehaviorTree>")
     lines.append("</root>")
-    return "\n".join(lines) + "\n"
+    document = "\n".join(lines) + "\n"
+    bad = _NON_XML_CHAR.search(document)
+    if bad is not None:
+        raise EmitError(f"character U+{ord(bad.group()):04X} is not allowed in XML 1.0")
+    return document
+
+
+def _leaf_path(index: int, leaf: ET.Element) -> str:
+    return f"Sequence child {index} <{leaf.tag}>"
 
 
 def parse_bt_xml(xml_text: str) -> SequenceNode:
@@ -160,21 +170,23 @@ def parse_bt_xml(xml_text: str) -> SequenceNode:
     actions: list[ActionNode] = []
     counter = 0
     for index, leaf in enumerate(children[0]):
-        path = f"Sequence child {index} <{leaf.tag}>"
         if len(leaf):
-            raise XmlShapeError("action leaves may not have children", path=path)
+            raise XmlShapeError("action leaves may not have children", path=_leaf_path(index, leaf))
         name = leaf.tag.lower()
         if name == RESERVED_HEAD or not IDENT_RE.match(name):
-            raise XmlShapeError(f"element <{leaf.tag}> does not name an action", path=path)
+            raise XmlShapeError(f"element <{leaf.tag}> does not name an action", path=_leaf_path(index, leaf))
         params: list[ParamNode] = []
         for attr_name, attr_value in leaf.attrib.items():
             if not IDENT_RE.match(attr_name):
-                raise XmlShapeError(f"attribute {attr_name!r} is not a parameter name", path=path)
+                raise XmlShapeError(
+                    f"attribute {attr_name!r} is not a parameter name", path=_leaf_path(index, leaf)
+                )
             try:
                 params.append(ParamNode(attr_name, counter, attr_value))
             except ValueError:
                 raise XmlShapeError(
-                    f"attribute {attr_name!r} is not single-spaced paren-free tokens", path=path
+                    f"attribute {attr_name!r} is not single-spaced paren-free tokens",
+                    path=_leaf_path(index, leaf),
                 ) from None
             counter += 1
         actions.append(ActionNode(name, tuple(params)))

@@ -151,6 +151,11 @@ def _clean_token(token: str) -> str:
     return token.strip(_EDGE_PUNCT).translate(_INNER_PUNCT)
 
 
+def _is_normalized(token: str) -> bool:
+    """True when :func:`normalize` leaves ``token`` as it is."""
+    return token == token.lower() and token == _clean_token(token)
+
+
 def normalize(text: str) -> list[str]:
     """Lowercase, split on whitespace, and shed punctuation.
 
@@ -295,8 +300,10 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
     """Parse lexicon text (format in the module docstring).
 
     Every referenced action must exist in ``registry``; triggers must be
-    1-3 tokens and unique.  Raises :class:`LexiconError` with the line
-    number otherwise.
+    1-3 tokens and unique.  Triggers and ``after`` keywords must be text
+    :func:`normalize` leaves unchanged, and connectives text that
+    lowercasing and comma isolation leave unchanged, so that no entry is
+    dead.  Raises :class:`LexiconError` with the line number otherwise.
     """
     verbs: list[tuple[tuple[str, ...], str]] = []
     params: dict[str, list[ParamRule]] = {}
@@ -323,6 +330,9 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
         if section is None:
             raise LexiconError("entry before any section header", lineno)
         if section == "connectives":
+            # connectives match raw tokens, lowercased with commas apart
+            if line != line.lower() or line.replace(",", " , ").split() != line.split():
+                raise LexiconError(f"connective '{line}' is not normalized lowercase text", lineno)
             connectives.append(line)
             continue
         if "=" not in line:
@@ -334,7 +344,7 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
             phrase = tuple(left.split())
             if not 1 <= len(phrase) <= 3:
                 raise LexiconError(f"trigger '{left}' must be 1-3 tokens", lineno)
-            if any(p != _clean_token(p) or p != p.lower() for p in phrase):
+            if not all(map(_is_normalized, phrase)):
                 raise LexiconError(f"trigger '{left}' is not normalized lowercase text", lineno)
             if right not in registry:
                 raise LexiconError(f"unknown action '{right}'", lineno)
@@ -353,6 +363,8 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
             elif cue == ["rest"]:
                 rule = ParamRule("rest", right)
             elif len(cue) == 2 and cue[0] == "after":
+                if not _is_normalized(cue[1]):
+                    raise LexiconError(f"cue keyword '{cue[1]}' is not normalized lowercase text", lineno)
                 rule = ParamRule("after", right, cue[1])
             else:
                 raise LexiconError(f"unknown cue '{left}' (want 'after <word>', 'number', or 'rest')", lineno)

@@ -28,7 +28,7 @@ FAILURE = "FAILURE"
 _MOVE = next(schema for schema in BUILTIN_SCHEMAS if schema.name == "move")
 
 # parameter name or alias -> pose slot
-_AXES = {name: _MOVE.param_slot(name) for name in _MOVE.params + tuple(a for a, _ in _MOVE.aliases)}
+_AXES = _MOVE.slots
 
 _RECORD_ONLY = frozenset(schema.name for schema in BUILTIN_SCHEMAS) - {"move", "flatten"}
 
@@ -101,7 +101,7 @@ def run(xml_text: str, plant: MockPlant | None = None) -> tuple[list[TraceEntry]
     plant = MockPlant() if plant is None else plant
     trace: list[TraceEntry] = []
     for step, action in enumerate(tree.actions):
-        params = tuple((p.name, p.value) for p in action.params)
+        params = tuple([(p.name, p.value) for p in action.params])
         if step in plant.fail_injections:
             trace.append(TraceEntry(step, action.name, params, FAILURE))
             return trace, FAILURE

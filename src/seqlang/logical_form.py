@@ -18,12 +18,12 @@ Example::
 
     ( seq ( flatten ( num ( $0 ( 2 ) ) ) ) ( goal ) )
 
-Parsing is recursive descent over the token list, indexing forward with
-one token of lookahead and no backtracking; the first problem raises a
-subclass of :class:`LogicalFormError` carrying the zero-based token
-position.  :func:`render` goes the other way and always re-numbers variables
-0, 1, 2, ... in order of appearance, so ``render(parse_logical_form(s))``
-is the canonical spelling of ``s``.
+Parsing is one flat loop that indexes forward over the token list, with
+an end-of-input sentinel, one token of lookahead and no backtracking;
+the first problem raises a subclass of :class:`LogicalFormError`
+carrying the zero-based token position.  :func:`render` goes the other
+way and always re-numbers variables 0, 1, 2, ... in order of appearance,
+so ``render(parse_logical_form(s))`` is the canonical spelling of ``s``.
 """
 
 from __future__ import annotations
@@ -120,8 +120,10 @@ class ParamNode:
             raise ValueError(f"parameter name {self.name!r} is not a lowercase identifier")
         if not isinstance(self.var_index, int) or self.var_index < 0:
             raise ValueError(f"variable index {self.var_index!r} must be a non-negative int")
-        pieces = self.value.split(" ") if isinstance(self.value, str) else []
-        if not pieces or any(not p or p in ("(", ")") or "\t" in p or "\n" in p for p in pieces):
+        # Padded with a space each side, a single-spaced value has no
+        # double space, and a paren token shows as " ( " or " ) ".
+        padded = f" {self.value} " if isinstance(self.value, str) else "  "
+        if "  " in padded or " ( " in padded or " ) " in padded or "\t" in padded or "\n" in padded:
             raise ValueError(f"parameter value {self.value!r} is not single-spaced paren-free tokens")
 
 
@@ -135,7 +137,8 @@ class ActionNode:
     def __post_init__(self) -> None:
         if not IDENT_RE.match(self.name):
             raise ValueError(f"action name {self.name!r} is not a lowercase identifier")
-        object.__setattr__(self, "params", tuple(self.params))
+        if type(self.params) is not tuple:
+            object.__setattr__(self, "params", tuple(self.params))
 
 
 @dataclass(frozen=True)
@@ -149,94 +152,82 @@ class SequenceNode:
     actions: tuple[ActionNode, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "actions", tuple(self.actions))
+        if type(self.actions) is not tuple:
+            object.__setattr__(self, "actions", tuple(self.actions))
         for action in self.actions:
             if action.name == RESERVED_HEAD:
                 raise ValueError("actions may not be named 'seq'")
-
-
-def _at(tokens: list[str], i: int, expected: str) -> str:
-    if i >= len(tokens):
-        raise FormSyntaxError(i, expected, None)
-    return tokens[i]
-
-
-def _expect(tokens: list[str], i: int, lexeme: str) -> int:
-    """Index just past ``lexeme``, which must be the token at ``i``."""
-    tok = _at(tokens, i, f"'{lexeme}'")
-    if tok != lexeme:
-        raise FormSyntaxError(i, f"'{lexeme}'", tok)
-    return i + 1
-
-
-def _name(tokens: list[str], i: int, expected: str) -> str:
-    tok = _at(tokens, i, expected)
-    if not IDENT_RE.match(tok):
-        raise InvalidNameError(i, tok)
-    return tok
-
-
-def _parse_action(tokens: list[str], i: int) -> tuple[ActionNode, int]:
-    """Parse ``( name PARAM* )`` from the open paren at ``i``; returns the
-
-    action and the index just past its closing paren.  Any lowercase
-    identifier is accepted as the name; whether it is a known action is
-    the registry's business, not the parser's.
-    """
-    name = _name(tokens, i + 1, "an action name")
-    i += 2
-    params: list[ParamNode] = []
-    while (tok := _at(tokens, i, "'(' or ')'")) != ")":
-        if tok != "(":
-            raise FormSyntaxError(i, "'(' or ')'", tok)
-        param, i = _parse_parameter(tokens, i)
-        params.append(param)
-    return ActionNode(name, tuple(params)), i + 1
-
-
-def _parse_parameter(tokens: list[str], i: int) -> tuple[ParamNode, int]:
-    """Parse ``( name ( $i ( value+ ) ) )`` from the open paren at ``i``.
-
-    The value is every token up to the first close paren; at least one is
-    required, and an open paren inside the value group is an error.
-    """
-    name = _name(tokens, i + 1, "a parameter name")
-    i = _expect(tokens, i + 2, "(")
-    var = _at(tokens, i, "a '$' variable")
-    match = VAR_RE.match(var)
-    if match is None:
-        raise BadVariableError(i, var)
-    start = end = _expect(tokens, i + 1, "(")
-    while (tok := _at(tokens, end, "a value token or ')'")) != ")":
-        if tok == "(":
-            raise FormSyntaxError(end, "a value token or ')'", tok)
-        end += 1
-    if end == start:
-        raise EmptyValueError(end)
-    i = _expect(tokens, end + 1, ")")
-    i = _expect(tokens, i, ")")
-    return ParamNode(name, int(match.group(1)), " ".join(tokens[start:end])), i
 
 
 def parse_logical_form(text: str) -> SequenceNode:
     """Tokenize and parse a complete logical form.
 
     The whole input must be one sequence; a nested ``seq`` head is
-    rejected before descending into the action, and anything after the
-    sequence's closing paren raises :class:`TrailingTokensError`.
+    rejected before reading the action, and anything after the
+    sequence's closing paren raises :class:`TrailingTokensError`.  Any
+    lowercase identifier is accepted as an action or parameter name;
+    whether it is known is the registry's business, not the parser's.
+    A parameter's value is every token up to the first close paren; at
+    least one is required, and an open paren inside it is an error.
     """
-    tokens = _TOKEN_RE.findall(text)
-    i = _expect(tokens, 0, "(")
-    i = _expect(tokens, i, RESERVED_HEAD)
+    tokens: list[str | None] = _TOKEN_RE.findall(text)
+    size = len(tokens)
+    # The sentinel reads as "found end of input" wherever the grammar
+    # wants a token; no index below runs more than one past a real token.
+    tokens.append(None)
+    if tokens[0] != "(":
+        raise FormSyntaxError(0, "'('", tokens[0])
+    if tokens[1] != RESERVED_HEAD:
+        raise FormSyntaxError(1, f"'{RESERVED_HEAD}'", tokens[1])
+    ident = IDENT_RE.match
+    variable = VAR_RE.match
     actions: list[ActionNode] = []
-    while (tok := _at(tokens, i, "'(' or ')'")) != ")":
+    i = 2
+    while (tok := tokens[i]) != ")":
         if tok != "(":
             raise FormSyntaxError(i, "'(' or ')'", tok)
-        if i + 1 < len(tokens) and tokens[i + 1] == RESERVED_HEAD:
+        name = tokens[i + 1]
+        if name == RESERVED_HEAD:
             raise FormSyntaxError(i + 1, "an action name (sequences do not nest)", RESERVED_HEAD)
-        action, i = _parse_action(tokens, i)
-        actions.append(action)
-    if i + 1 < len(tokens):
+        if name is None:
+            raise FormSyntaxError(i + 1, "an action name", None)
+        if not ident(name):
+            raise InvalidNameError(i + 1, name)
+        i += 2
+        params: list[ParamNode] = []
+        while (tok := tokens[i]) != ")":
+            if tok != "(":
+                raise FormSyntaxError(i, "'(' or ')'", tok)
+            param = tokens[i + 1]
+            if param is None:
+                raise FormSyntaxError(i + 1, "a parameter name", None)
+            if not ident(param):
+                raise InvalidNameError(i + 1, param)
+            if tokens[i + 2] != "(":
+                raise FormSyntaxError(i + 2, "'('", tokens[i + 2])
+            var = tokens[i + 3]
+            if var is None:
+                raise FormSyntaxError(i + 3, "a '$' variable", None)
+            if not variable(var):
+                raise BadVariableError(i + 3, var)
+            if tokens[i + 4] != "(":
+                raise FormSyntaxError(i + 4, "'('", tokens[i + 4])
+            start = end = i + 5
+            while (tok := tokens[end]) != ")":
+                if tok is None or tok == "(":
+                    raise FormSyntaxError(end, "a value token or ')'", tok)
+                end += 1
+            if end == start:
+                raise EmptyValueError(end)
+            if tokens[end + 1] != ")":
+                raise FormSyntaxError(end + 1, "')'", tokens[end + 1])
+            if tokens[end + 2] != ")":
+                raise FormSyntaxError(end + 2, "')'", tokens[end + 2])
+            params.append(ParamNode(param, int(var[1:]), " ".join(tokens[start:end])))
+            i = end + 3
+        actions.append(ActionNode(name, tuple(params)))
+        i += 1
+    if i + 1 < size:
         raise TrailingTokensError(i + 1, tokens[i + 1])
     return SequenceNode(tuple(actions))
 

@@ -16,7 +16,7 @@ raising, so callers can render warnings and count errors as they see fit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from seqlang.logical_form import IDENT_RE, SequenceNode
@@ -62,12 +62,16 @@ class Diagnostic:
 class ActionSchema:
     """One action's name, parameter names (in canonical order), and any
 
-    alias spellings that address an existing parameter.
+    alias spellings that address an existing parameter.  ``slots``, built
+    once, maps each parameter name and alias to its canonical position; a
+    parameter name shadows an alias of the same spelling, and the first
+    of two equal aliases wins.
     """
 
     name: str
     params: tuple[str, ...] = ()
     aliases: tuple[tuple[str, str], ...] = ()
+    slots: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not IDENT_RE.match(self.name):
@@ -77,47 +81,45 @@ class ActionSchema:
                 raise ValueError(f"parameter name {param!r} is not a lowercase identifier")
         if len(set(self.params)) != len(self.params):
             raise ValueError(f"duplicate parameter names for '{self.name}'")
+        slots = {param: slot for slot, param in enumerate(self.params)}
         for alias, target in self.aliases:
-            if target not in self.params:
+            if target not in slots:
                 raise ValueError(f"alias {alias!r} targets unknown parameter {target!r}")
+            slots.setdefault(alias, slots[target])
+        object.__setattr__(self, "slots", slots)
 
     def canonical_param(self, name: str) -> str | None:
         """Resolve a written parameter name to its schema name, or None."""
-        if name in self.params:
-            return name
-        for alias, target in self.aliases:
-            if alias == name:
-                return target
-        return None
+        slot = self.slots.get(name)
+        return None if slot is None else self.params[slot]
 
     def param_slot(self, name: str) -> int | None:
         """Position of the (resolved) parameter in canonical order."""
-        canonical = self.canonical_param(name)
-        if canonical is None:
-            return None
-        return self.params.index(canonical)
+        return self.slots.get(name)
 
 
 @dataclass(frozen=True)
 class ActionRegistry:
-    """Immutable set of action schemas plus any load-time warnings."""
+    """Immutable set of action schemas plus any load-time warnings.
+
+    ``by_name``, built once, maps each action name to its schema.
+    """
 
     schemas: tuple[ActionSchema, ...]
     warnings: tuple[Diagnostic, ...] = ()
+    by_name: dict[str, ActionSchema] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [schema.name for schema in self.schemas]
-        if len(set(names)) != len(names):
+        by_name = {schema.name: schema for schema in self.schemas}
+        if len(by_name) != len(self.schemas):
             raise ValueError("duplicate action names in registry")
+        object.__setattr__(self, "by_name", by_name)
 
     def get(self, name: str) -> ActionSchema | None:
-        for schema in self.schemas:
-            if schema.name == name:
-                return schema
-        return None
+        return self.by_name.get(name)
 
     def __contains__(self, name: str) -> bool:
-        return self.get(name) is not None
+        return name in self.by_name
 
     def names(self) -> tuple[str, ...]:
         return tuple(schema.name for schema in self.schemas)
@@ -128,15 +130,11 @@ class ActionRegistry:
         schema slot, then name; names outside the schema (or all of them,
         for an unknown action) come last, sorted by name.
         """
-        schema = self.get(action)
+        schema = self.by_name.get(action)
         if schema is None:
             return lambda name: (0, name)
-
-        def key(name: str) -> tuple[int, str]:
-            slot = schema.param_slot(name)
-            return (len(schema.params) if slot is None else slot, name)
-
-        return key
+        slots, unknown = schema.slots, len(schema.params)
+        return lambda name: (slots.get(name, unknown), name)
 
 
 # raw is the sixth motion axis; yaw addresses the same slot.
@@ -220,7 +218,7 @@ def validate(tree: SequenceNode, registry: ActionRegistry, mode: str = "strict")
                     )
                 )
             seen.add(param.name)
-            if schema is not None and schema.canonical_param(param.name) is None:
+            if schema is not None and param.name not in schema.slots:
                 diagnostics.append(
                     Diagnostic(
                         name_severity,

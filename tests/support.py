@@ -4,12 +4,14 @@ random_tree() produces structurally valid sequences whose parameter
 order matches what the XML emitter would choose (schema order for known
 actions, alphabetical for unknown ones), so emit round trips are exact.
 random_messy_tree() relaxes ordering and mixes custom parameters into
-known actions; only the parse/render laws hold for those.
+known actions; only the parse/render laws hold for those.  best_of_3()
+times a call for the size-scaling tests.
 """
 
 from __future__ import annotations
 
 import random
+from time import perf_counter
 
 from seqlang.logical_form import ActionNode, ParamNode, SequenceNode
 from seqlang.registry import BUILTIN_SCHEMAS
@@ -74,3 +76,13 @@ def random_messy_tree(rng: random.Random, min_actions: int = 0, max_actions: int
             counter += 1
         actions.append(ActionNode(name, tuple(params)))
     return SequenceNode(tuple(actions))
+
+
+def best_of_3(fn, *args) -> float:
+    """The shortest of three timed calls of ``fn(*args)``, in seconds."""
+    times = []
+    for _ in range(3):
+        start = perf_counter()
+        fn(*args)
+        times.append(perf_counter() - start)
+    return min(times)

@@ -4,11 +4,13 @@ import random
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seqlang.btxml import EmitError, XmlShapeError, emit, parse_bt_xml
 from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, parse_logical_form, render
 from seqlang.registry import builtin_registry, load_registry
-from support import random_tree
+from support import best_of_3, random_tree
 
 FLATTEN_GOAL_XML = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -91,6 +93,41 @@ def test_emit_custom_tree_id_is_escaped_everywhere():
     xml = emit(SequenceNode(()), tree_id='Survey "A"')
     assert 'main_tree_to_execute="Survey &quot;A&quot;"' in xml
     assert 'ID="Survey &quot;A&quot;"' in xml
+
+
+def test_emit_writes_blanks_as_character_references():
+    tree = SequenceNode((ActionNode("say", (ParamNode("words", 0, "a\rb"),)),))
+    xml = emit(tree, tree_id="A\tB\nC\rD")
+    assert 'words="a&#13;b"' in xml
+    assert 'ID="A&#9;B&#10;C&#13;D"' in xml
+    assert parse_bt_xml(xml) == tree
+
+
+@pytest.mark.parametrize("value", ["a\x0bb", "\x00", "a\ufffeb", "x\ud800"])
+def test_emit_rejects_characters_xml_forbids(value):
+    tree = SequenceNode((ActionNode("say", (ParamNode("words", 0, value),)),))
+    with pytest.raises(EmitError) as info:
+        emit(tree)
+    assert "not allowed in XML 1.0" in str(info.value)
+    with pytest.raises(EmitError):
+        emit(SequenceNode(()), tree_id=value)
+
+
+_ANY_CHAR = st.characters(min_codepoint=0, max_codepoint=0x10FFFF, blacklist_categories=())
+
+
+@given(st.text(_ANY_CHAR) | st.text(st.sampled_from("a &<>\"'\r\x00\x0b\x7f\x85\ud800\ufffe\U00010000")))
+@settings(max_examples=500, deadline=None)
+def test_emitted_values_round_trip_or_raise(value):
+    try:
+        tree = SequenceNode((ActionNode("say", (ParamNode("words", 0, value),)),))
+    except ValueError:
+        assume(False)
+    try:
+        xml = emit(tree)
+    except EmitError:
+        return
+    assert parse_bt_xml(xml) == tree
 
 
 def test_emit_rejects_duplicate_params():
@@ -216,3 +253,10 @@ def test_reader_and_renderer_agree_on_canonical_forms():
     for _ in range(100):
         tree = random_tree(rng)
         assert render(parse_bt_xml(emit(tree))) == render(tree)
+
+
+def test_parse_bt_xml_time_at_most_triples_when_the_input_doubles():
+    tree = random_tree(random.Random(81), 1000, 1000)
+    small = emit(tree)
+    large = emit(SequenceNode(tree.actions * 2))
+    assert best_of_3(parse_bt_xml, large) <= 3 * best_of_3(parse_bt_xml, small)

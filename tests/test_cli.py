@@ -123,6 +123,13 @@ def test_parse_syntax_error_exits_4(capsys):
     assert "error:" in stderr
 
 
+def test_parse_unrepresentable_value_exits_4(capsys):
+    code, stdout, stderr = invoke(capsys, "parse", "( seq ( say ( words ( $0 ( a\x0bb ) ) ) ) )")
+    assert code == 4
+    assert stdout == ""
+    assert "error:" in stderr
+
+
 def test_parse_strict_rejects_unknown_actions(capsys):
     code, stdout, stderr = invoke(capsys, "parse", "( seq ( warp ) )", "--strict")
     assert code == 3

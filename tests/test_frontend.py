@@ -1,7 +1,5 @@
 """Normalization, clause splitting, verb matching, and translation."""
 
-from time import perf_counter
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +20,7 @@ from seqlang.frontend import (
 from seqlang.btxml import emit, parse_bt_xml
 from seqlang.logical_form import SequenceNode, parse_logical_form, render
 from seqlang.registry import builtin_registry, load_registry, validate
+from support import best_of_3
 
 
 def lf(text):
@@ -233,15 +232,6 @@ def test_translate_is_total(text):
 # ----------------------------------------------------------------- scaling
 
 
-def _best_of_3(text):
-    times = []
-    for _ in range(3):
-        start = perf_counter()
-        translate(text)
-        times.append(perf_counter() - start)
-    return min(times)
-
-
 @pytest.mark.parametrize(
     "build",
     [
@@ -252,7 +242,7 @@ def _best_of_3(text):
     ids=["one-say-many-ands", "many-says", "one-long-value"],
 )
 def test_translate_time_at_most_triples_when_the_input_doubles(build):
-    assert _best_of_3(build(200)) <= 3 * _best_of_3(build(100))
+    assert best_of_3(translate, build(200)) <= 3 * best_of_3(translate, build(100))
 
 
 def test_a_400_clause_and_chain_translates():
@@ -332,6 +322,11 @@ def test_load_lexicon_param_rules():
         ("[params.say]\nsomewhere near = words\n", 2, "unknown cue"),
         ("[params.say]\nrest = Words\n", 2, "not a lowercase identifier"),
         ("[params.move]\nafter q = q\n", 2, "takes no parameter 'q'"),
+        ("[params.move]\nafter X = x\n", 2, "not normalized"),
+        ("[params.move]\nafter x, = x\n", 2, "not normalized"),
+        ("[connectives]\nThen\n", 2, "not normalized"),
+        ("[connectives]\nthen,\n", 2, "not normalized"),
+        ("[connectives]\nand, then\n", 2, "not normalized"),
         ("[verbs\ngoal = goal\n", 1, "unterminated"),
         ("[chapter]\n", 1, "unknown section"),
     ],

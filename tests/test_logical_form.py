@@ -20,7 +20,7 @@ from seqlang.logical_form import (
     render,
 )
 from sexpr_oracle import as_sequence, nest, split_tokens
-from support import random_messy_tree, random_tree
+from support import best_of_3, random_messy_tree, random_tree
 
 FLATTEN_GOAL = "( seq ( flatten ( num ( $0 ( 2 ) ) ) ) ( goal ) )"
 
@@ -348,3 +348,10 @@ def test_render_is_deterministic():
     for _ in range(50):
         tree = random_tree(rng)
         assert render(tree) == render(tree)
+
+
+def test_parse_time_at_most_triples_when_the_input_doubles():
+    tree = random_messy_tree(random.Random(6), 1000, 1000)
+    small = render(tree)
+    large = render(SequenceNode(tree.actions * 2))
+    assert best_of_3(parse_logical_form, large) <= 3 * best_of_3(parse_logical_form, small)
