@@ -21,6 +21,13 @@ unknown ones alphabetically), the order the frontend also uses, so the same
 tree always serializes to the same bytes: two-space indents, LF line
 endings, double-quoted attributes.
 
+In attribute values (and the tree ID) ``&``, ``<``, ``>`` and ``"`` are
+written as entity references, and tab, LF and CR as character references
+(``&#9;``, ``&#10;``, ``&#13;``), because an XML reader turns literal
+ones into spaces; so the reader gets every value back exactly.  A
+character XML 1.0 does not allow at all, such as ``\x0b`` or a lone
+surrogate, raises :class:`EmitError`, as does a duplicate parameter.
+
 Variable numbering is not stored in the XML; the reader re-assigns
 0, 1, 2, ... in document order.
 """

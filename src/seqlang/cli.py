@@ -148,10 +148,11 @@ def cmd_repl(args: argparse.Namespace) -> int:
             continue
         try:
             tree = translate(text, lexicon, registry)
-        except (NoVerbMatch, AmbiguousMatch) as exc:
+            xml = emit(tree, registry)
+        except (NoVerbMatch, AmbiguousMatch, EmitError) as exc:
             _say(f"error: {exc}")
             continue
-        Path(args.out).write_text(emit(tree, registry), encoding="utf-8")
+        Path(args.out).write_text(xml, encoding="utf-8")
         print(render(tree))
         print(args.out)
     return 0

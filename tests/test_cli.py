@@ -343,6 +343,17 @@ def test_repl_compiles_each_line(tmp_path, capsys, monkeypatch):
     assert "<Goal/>" in out.read_text(encoding="utf-8")
 
 
+def test_repl_reports_an_unrepresentable_line_and_goes_on(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "m.xml"
+    monkeypatch.setattr("sys.stdin", io.StringIO("say a\x01b\nsay hi\n"))
+    code = main(["repl", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines() == ["( seq ( say ( words ( $0 ( hi ) ) ) ) )", str(out)]
+    assert "error: character U+0001" in captured.err
+    assert 'words="hi"' in out.read_text(encoding="utf-8")
+
+
 # ------------------------------------------------------------------ parsing
 
 
