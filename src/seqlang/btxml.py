@@ -142,13 +142,46 @@ def _leaf_path(index: int, leaf: ET.Element) -> str:
     return f"Sequence child {index} <{leaf.tag}>"
 
 
+# XML's white space; anything else between tags is stray text.
+_BLANKS = " \t\n\r"
+
+
+def _reject_stray_text(root: ET.Element) -> None:
+    """Raise :class:`XmlShapeError` at the first element, in document
+
+    order, with non-blank text inside it or right after it.
+    """
+    if not "".join(root.itertext()).strip(_BLANKS):
+        return
+    parents: dict[ET.Element, tuple[ET.Element, int]] = {}
+    for element in root.iter():
+        for index, child in enumerate(element):
+            parents[child] = (element, index)
+        if element.text and element.text.strip(_BLANKS):
+            where = "inside"
+        elif element.tail and element.tail.strip(_BLANKS):
+            where = "after"
+        else:
+            continue
+        steps = []
+        node = element
+        while node is not root:
+            parent, index = parents[node]
+            steps.append(f" child {index} <{node.tag}>")
+            node = parent
+        path = "root" + "".join(reversed(steps))
+        raise XmlShapeError(f"text {where} <{element.tag}> is not allowed", path=path)
+
+
 def parse_bt_xml(xml_text: str) -> SequenceNode:
     """Read a mission document back into a sequence.
 
     Accepts anything :func:`emit` produces, or structurally identical
-    documents.  Attribute order becomes parameter order; variables are
-    re-numbered 0, 1, 2, ... in document order.  Everything else raises
-    :class:`XmlShapeError`.
+    documents: ``<root>`` holds only ``<BehaviorTree>`` elements, the
+    ``<Sequence>`` has no attributes, and there is no text outside
+    attribute values other than white space.  Attribute order becomes
+    parameter order; variables are re-numbered 0, 1, 2, ... in document
+    order.  Everything else raises :class:`XmlShapeError`.
     """
     try:
         root = ET.fromstring(xml_text)
@@ -157,7 +190,14 @@ def parse_bt_xml(xml_text: str) -> SequenceNode:
         raise XmlShapeError(f"not well-formed XML: {exc}", line=line) from None
     if root.tag != "root":
         raise XmlShapeError(f"document element must be <root>, found <{root.tag}>", path="/")
-    trees = [child for child in root if child.tag == "BehaviorTree"]
+    trees = list(root)
+    for index, child in enumerate(trees):
+        if child.tag != "BehaviorTree":
+            raise XmlShapeError(
+                f"<root> may hold only <BehaviorTree> elements, found <{child.tag}>",
+                path=f"root child {index} <{child.tag}>",
+            )
+    _reject_stray_text(root)
     if not trees:
         raise XmlShapeError("no <BehaviorTree> element under <root>", path="root")
     target = root.get("main_tree_to_execute")
@@ -174,26 +214,26 @@ def parse_bt_xml(xml_text: str) -> SequenceNode:
     children = list(bt)
     if len(children) != 1 or children[0].tag != "Sequence":
         raise XmlShapeError("<BehaviorTree> must hold exactly one <Sequence>", path="BehaviorTree")
+    sequence = children[0]
+    if sequence.attrib:
+        raise XmlShapeError("<Sequence> may not have attributes", path="Sequence")
     actions: list[ActionNode] = []
     counter = 0
-    for index, leaf in enumerate(children[0]):
+    for index, leaf in enumerate(sequence):
         if len(leaf):
             raise XmlShapeError("action leaves may not have children", path=_leaf_path(index, leaf))
         name = leaf.tag.lower()
         if name == RESERVED_HEAD or not IDENT_RE.match(name):
             raise XmlShapeError(f"element <{leaf.tag}> does not name an action", path=_leaf_path(index, leaf))
         params: list[ParamNode] = []
-        for attr_name, attr_value in leaf.attrib.items():
-            if not IDENT_RE.match(attr_name):
-                raise XmlShapeError(
-                    f"attribute {attr_name!r} is not a parameter name", path=_leaf_path(index, leaf)
-                )
+        for attr_name, attr_value in leaf.items():
             try:
                 params.append(ParamNode(attr_name, counter, attr_value))
             except ValueError:
+                # ParamNode checks the name first; say which of the two failed.
+                problem = "single-spaced paren-free tokens" if IDENT_RE.match(attr_name) else "a parameter name"
                 raise XmlShapeError(
-                    f"attribute {attr_name!r} is not single-spaced paren-free tokens",
-                    path=_leaf_path(index, leaf),
+                    f"attribute {attr_name!r} is not {problem}", path=_leaf_path(index, leaf)
                 ) from None
             counter += 1
         actions.append(ActionNode(name, tuple(params)))

@@ -149,7 +149,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
         try:
             tree = translate(text, lexicon, registry)
             xml = emit(tree, registry)
-        except (NoVerbMatch, AmbiguousMatch, EmitError) as exc:
+        except (NoVerbMatch, AmbiguousMatch) as exc:
             _say(f"error: {exc}")
             continue
         Path(args.out).write_text(xml, encoding="utf-8")

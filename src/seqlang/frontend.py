@@ -47,7 +47,12 @@ NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
 # Stripped from token edges; parens and quotes are additionally removed
 # from token interiors so values stay renderable.
 _EDGE_PUNCT = "\"'!?.,;:()[]"
-_INNER_PUNCT = str.maketrans("", "", "()[]\"'")
+# Deleted everywhere in a token: those parens and quotes, and every code
+# point XML 1.0 forbids that str.split() does not already treat as a
+# blank, so any value normalize keeps can go into a mission file.
+_DELETED = dict.fromkeys(
+    [*map(ord, "()[]\"'"), *range(0x00, 0x09), *range(0x0E, 0x1C), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF]
+)
 
 SKIP_WORDS = ("the", "a", "an", "me", "to", "at", "out", "up", "for")
 
@@ -148,7 +153,8 @@ class Lexicon:
 
 
 def _clean_token(token: str) -> str:
-    return token.strip(_EDGE_PUNCT).translate(_INNER_PUNCT)
+    # Deleting first lets the strip see the edges that deletion uncovers.
+    return token.translate(_DELETED).strip(_EDGE_PUNCT)
 
 
 def _is_normalized(token: str) -> bool:

@@ -5,7 +5,8 @@ transcript of what ran.  Executing a mission walks the sequence left to
 right and stops at the first FAILURE, exactly like a reactive Sequence
 node would tick its children.  There is no physics: move writes axes,
 flatten levels the vehicle and sets depth, and the remaining built-ins
-record themselves and succeed.  Axis slots and the set of built-ins come
+record themselves and succeed.  Move and flatten FAIL, changing nothing,
+on a value that is not a finite number (``nan`` and ``inf`` included).  Axis slots and the set of built-ins come
 from the schemas in :mod:`seqlang.registry`, read once at import.
 
 Unknown actions are no-ops that SUCCEED with a warning flag on their
@@ -17,6 +18,7 @@ indices (the handler is skipped entirely).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 from seqlang.btxml import parse_bt_xml
 from seqlang.logical_form import ActionNode
@@ -42,7 +44,7 @@ class MockPlant:
     fail_injections: set[int] = field(default_factory=set)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     """One executed leaf: step index, action, its params, and status."""
 
@@ -51,6 +53,15 @@ class TraceEntry:
     params: tuple[tuple[str, str], ...]
     status: str
     warning: bool = False
+
+
+def _number(value: str) -> float | None:
+    """The finite number ``value`` spells, or None."""
+    try:
+        number = float(value)
+    except ValueError:
+        return None
+    return number if isfinite(number) else None
 
 
 def _apply(plant: MockPlant, action: ActionNode, params: tuple[tuple[str, str], ...]) -> tuple[str, bool]:
@@ -62,10 +73,10 @@ def _apply(plant: MockPlant, action: ActionNode, params: tuple[tuple[str, str], 
             slot = _AXES.get(param_name)
             if slot is None:
                 continue
-            try:
-                updates[slot] = float(value)
-            except ValueError:
+            number = _number(value)
+            if number is None:
                 return FAILURE, False
+            updates[slot] = number
         for slot, number in updates.items():
             plant.pose[slot] = number
         plant.transcript.append((name, params))
@@ -74,9 +85,8 @@ def _apply(plant: MockPlant, action: ActionNode, params: tuple[tuple[str, str], 
         depth = None
         for param_name, value in params:
             if param_name == "num":
-                try:
-                    depth = float(value)
-                except ValueError:
+                depth = _number(value)
+                if depth is None:
                     return FAILURE, False
         plant.pose[_AXES["roll"]] = 0.0
         plant.pose[_AXES["pitch"]] = 0.0

@@ -33,8 +33,6 @@ from dataclasses import dataclass
 
 IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 VAR_RE = re.compile(r"\$(0|[1-9][0-9]*)\Z")
-# A token is a maximal run of anything but space, tab and newline.
-_TOKEN_RE = re.compile(r"[^ \t\n]+")
 
 RESERVED_HEAD = "seq"
 
@@ -102,7 +100,12 @@ class EmptyValueError(LogicalFormError):
         return f"empty parameter value at token {self.position}"
 
 
-@dataclass(frozen=True)
+# Frozen dataclasses forbid plain assignment; each node's __init__ stores
+# its checked fields through this instead.
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True)
 class ParamNode:
     """One named parameter: ``( name ( $i ( value tokens ) ) )``.
 
@@ -115,33 +118,36 @@ class ParamNode:
     var_index: int
     value: str
 
-    def __post_init__(self) -> None:
-        if not IDENT_RE.match(self.name):
-            raise ValueError(f"parameter name {self.name!r} is not a lowercase identifier")
-        if not isinstance(self.var_index, int) or self.var_index < 0:
-            raise ValueError(f"variable index {self.var_index!r} must be a non-negative int")
+    def __init__(self, name: str, var_index: int, value: str) -> None:
+        if not IDENT_RE.match(name):
+            raise ValueError(f"parameter name {name!r} is not a lowercase identifier")
+        if not isinstance(var_index, int) or var_index < 0:
+            raise ValueError(f"variable index {var_index!r} must be a non-negative int")
         # Padded with a space each side, a single-spaced value has no
         # double space, and a paren token shows as " ( " or " ) ".
-        padded = f" {self.value} " if isinstance(self.value, str) else "  "
+        padded = f" {value} " if isinstance(value, str) else "  "
         if "  " in padded or " ( " in padded or " ) " in padded or "\t" in padded or "\n" in padded:
-            raise ValueError(f"parameter value {self.value!r} is not single-spaced paren-free tokens")
+            raise ValueError(f"parameter value {value!r} is not single-spaced paren-free tokens")
+        _set(self, "name", name)
+        _set(self, "var_index", var_index)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionNode:
     """One action invocation with its parameters in written order."""
 
     name: str
     params: tuple[ParamNode, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not IDENT_RE.match(self.name):
-            raise ValueError(f"action name {self.name!r} is not a lowercase identifier")
-        if type(self.params) is not tuple:
-            object.__setattr__(self, "params", tuple(self.params))
+    def __init__(self, name: str, params: tuple[ParamNode, ...] = ()) -> None:
+        if not IDENT_RE.match(name):
+            raise ValueError(f"action name {name!r} is not a lowercase identifier")
+        _set(self, "name", name)
+        _set(self, "params", params if type(params) is tuple else tuple(params))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequenceNode:
     """A whole mission: actions run left to right, no nesting.
 
@@ -151,12 +157,13 @@ class SequenceNode:
 
     actions: tuple[ActionNode, ...] = ()
 
-    def __post_init__(self) -> None:
-        if type(self.actions) is not tuple:
-            object.__setattr__(self, "actions", tuple(self.actions))
-        for action in self.actions:
+    def __init__(self, actions: tuple[ActionNode, ...] = ()) -> None:
+        if type(actions) is not tuple:
+            actions = tuple(actions)
+        for action in actions:
             if action.name == RESERVED_HEAD:
                 raise ValueError("actions may not be named 'seq'")
+        _set(self, "actions", actions)
 
 
 def parse_logical_form(text: str) -> SequenceNode:
@@ -170,7 +177,8 @@ def parse_logical_form(text: str) -> SequenceNode:
     A parameter's value is every token up to the first close paren; at
     least one is required, and an open paren inside it is an error.
     """
-    tokens: list[str | None] = _TOKEN_RE.findall(text)
+    # A token is a maximal run of anything but space, tab and newline.
+    tokens: list[str | None] = list(filter(None, text.replace("\t", " ").replace("\n", " ").split(" ")))
     size = len(tokens)
     # The sentinel reads as "found end of input" wherever the grammar
     # wants a token; no index below runs more than one past a real token.

@@ -25,6 +25,14 @@ FLATTEN_GOAL_XML = (
 )
 
 
+# Text, a <Sequence> attribute and a foreign element, which the reader once
+# ignored to give ( seq ( goal ) ).
+JUNK_XML = (
+    '<root><BehaviorTree><Sequence foo="1">junk<Goal>text</Goal>tail</Sequence>'
+    "</BehaviorTree><Other/></root>"
+)
+
+
 def test_emit_flatten_goal_bytes():
     tree = parse_logical_form("( seq ( flatten ( num ( $0 ( 2 ) ) ) ) ( goal ) )")
     assert emit(tree) == FLATTEN_GOAL_XML
@@ -226,6 +234,15 @@ def test_parse_bt_xml_accepts_single_tree_without_selector():
             '<root><BehaviorTree><Sequence><Say words="( x )"/></Sequence></BehaviorTree></root>',
             "single-spaced",
         ),
+        (JUNK_XML, "may hold only <BehaviorTree>"),
+        ("<root><Other/></root>", "may hold only <BehaviorTree>"),
+        ('<root><BehaviorTree><Sequence foo="1"><Goal/></Sequence></BehaviorTree></root>', "may not have attributes"),
+        ("<root><BehaviorTree><Sequence>junk<Goal/></Sequence></BehaviorTree></root>", "text inside <Sequence>"),
+        ("<root><BehaviorTree><Sequence><Goal>text</Goal></Sequence></BehaviorTree></root>", "text inside <Goal>"),
+        ("<root><BehaviorTree><Sequence><Goal/>tail</Sequence></BehaviorTree></root>", "text after <Goal>"),
+        ("<root>x<BehaviorTree><Sequence/></BehaviorTree></root>", "text inside <root>"),
+        ("<root><BehaviorTree><Sequence/>x</BehaviorTree></root>", "text after <Sequence>"),
+        ("<root><BehaviorTree><Sequence/></BehaviorTree>&#160;</root>", "text after <BehaviorTree>"),
     ],
 )
 def test_parse_bt_xml_shape_errors(xml, needle):
@@ -239,6 +256,33 @@ def test_malformed_xml_reports_a_line():
     with pytest.raises(XmlShapeError) as info:
         parse_bt_xml(bad)
     assert info.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "xml, path",
+    [
+        (JUNK_XML, "root child 1 <Other>"),
+        ('<root><BehaviorTree><Sequence foo="1"/></BehaviorTree></root>', "Sequence"),
+        (
+            "<root><BehaviorTree><Sequence><Goal/><Gate>x</Gate></Sequence></BehaviorTree></root>",
+            "root child 0 <BehaviorTree> child 0 <Sequence> child 1 <Gate>",
+        ),
+        (
+            '<root main_tree_to_execute="A"><BehaviorTree ID="A"><Sequence/></BehaviorTree>'
+            '<BehaviorTree ID="B"><Fallback><X/></Fallback>tail</BehaviorTree></root>',
+            "root child 1 <BehaviorTree> child 0 <Fallback>",
+        ),
+    ],
+)
+def test_stray_content_errors_name_where_it_is(xml, path):
+    with pytest.raises(XmlShapeError) as info:
+        parse_bt_xml(xml)
+    assert info.value.path == path
+
+
+def test_blank_text_between_elements_is_accepted():
+    xml = "<root>\n <BehaviorTree>\r\n\t<Sequence> <Goal> </Goal>&#13;\n</Sequence> </BehaviorTree>\n</root>"
+    assert parse_bt_xml(xml) == SequenceNode((ActionNode("goal"),))
 
 
 def test_shape_errors_name_the_offending_child():

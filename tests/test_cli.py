@@ -47,6 +47,13 @@ def test_compile_unmatched_verb_exits_2(tmp_path, capsys):
     assert not (tmp_path / "m.xml").exists()
 
 
+def test_compile_deletes_characters_xml_forbids(tmp_path, capsys):
+    out = tmp_path / "m.xml"
+    code, stdout, stderr = invoke(capsys, "compile", "say a\x01b\x1b\ud800", "--out", str(out))
+    assert (code, stdout, stderr) == (0, "( seq ( say ( words ( $0 ( ab ) ) ) ) )\n", "")
+    assert 'words="ab"' in out.read_text(encoding="utf-8")
+
+
 def test_compile_empty_stdin_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     code, _, stderr = invoke(capsys, "compile", "--out", str(tmp_path / "m.xml"))
@@ -343,14 +350,19 @@ def test_repl_compiles_each_line(tmp_path, capsys, monkeypatch):
     assert "<Goal/>" in out.read_text(encoding="utf-8")
 
 
-def test_repl_reports_an_unrepresentable_line_and_goes_on(tmp_path, capsys, monkeypatch):
+def test_repl_deletes_characters_xml_forbids(tmp_path, capsys, monkeypatch):
     out = tmp_path / "m.xml"
     monkeypatch.setattr("sys.stdin", io.StringIO("say a\x01b\nsay hi\n"))
     code = main(["repl", "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 0
-    assert captured.out.splitlines() == ["( seq ( say ( words ( $0 ( hi ) ) ) ) )", str(out)]
-    assert "error: character U+0001" in captured.err
+    assert captured.out.splitlines() == [
+        "( seq ( say ( words ( $0 ( ab ) ) ) ) )",
+        str(out),
+        "( seq ( say ( words ( $0 ( hi ) ) ) ) )",
+        str(out),
+    ]
+    assert captured.err == ""
     assert 'words="hi"' in out.read_text(encoding="utf-8")
 
 

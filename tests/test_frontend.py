@@ -1,5 +1,7 @@
 """Normalization, clause splitting, verb matching, and translation."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +53,25 @@ def test_normalize_is_idempotent():
     for text in ("Say 'hello'!", "Move to 1.5, 2", "GO, go, GO!"):
         once = normalize(text)
         assert normalize(" ".join(once)) == once
+
+
+_ANY_CHAR = st.characters(min_codepoint=0, max_codepoint=0x10FFFF, blacklist_categories=())
+# Code points XML 1.0 forbids, and the ones str.split() treats as blanks.
+_FORBIDDEN = re.compile("[^\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]|\\s")
+# Edge punctuation next to characters normalize deletes, and blanks.
+_TRICKY = st.sampled_from("aB1.!(\"' \t\x00\x01\x08\x0b\x0e\x1b\x1c\x7f\x85\xa0\ud800\udfff\ufffe\uffff\u0130")
+
+
+@given(st.text(_ANY_CHAR) | st.text(_TRICKY))
+@settings(max_examples=400, deadline=None)
+def test_normalize_is_idempotent_over_any_text(text):
+    once = normalize(text)
+    assert normalize(" ".join(once)) == once
+    assert all(tok and not _FORBIDDEN.search(tok) for tok in once)
+
+
+def test_normalize_deletes_characters_xml_forbids():
+    assert normalize("Say a\x01b\x1b!\x00 c\ud800\uffff") == ["say", "ab", "c"]
 
 
 def test_utterance_carries_normalized_view():
@@ -227,6 +248,16 @@ def test_translate_is_total(text):
         return
     assert validate(tree, builtin_registry(), "strict") == []
     assert parse_logical_form(render(tree)) == tree
+
+
+@given(st.sampled_from(["", "say ", "find the ", "move to x "]), st.text(_ANY_CHAR, max_size=40) | st.text(_TRICKY))
+@settings(max_examples=400, deadline=None)
+def test_translated_trees_always_become_missions(prefix, text):
+    try:
+        tree = translate(prefix + text)
+    except FrontendError:
+        return
+    assert parse_bt_xml(emit(tree)) == tree
 
 
 # ----------------------------------------------------------------- scaling

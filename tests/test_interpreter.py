@@ -1,5 +1,7 @@
 """Mock-plant execution of emitted missions."""
 
+import pytest
+
 from seqlang.btxml import emit
 from seqlang.frontend import translate
 from seqlang.interpreter import (
@@ -75,6 +77,17 @@ def test_move_rejects_non_numeric_values_atomically():
     assert trace[-1].status == FAILURE
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "NaN", "1e999"])
+def test_move_rejects_non_finite_values_atomically(value):
+    plant = MockPlant()
+    plant.pose = [1.0, 2.0, 3.0, 0.1, 0.2, 0.3]
+    trace, status = run(mission(act("move", ("x", "5"), ("y", value))), plant)
+    assert status == FAILURE
+    assert plant.pose == [1.0, 2.0, 3.0, 0.1, 0.2, 0.3]
+    assert plant.transcript == []
+    assert trace[-1].status == FAILURE
+
+
 def test_move_ignores_unknown_attribute_names():
     plant = MockPlant()
     _, status = run(mission(act("move", ("x", "1"), ("extra", "jets"))), plant)
@@ -106,6 +119,17 @@ def test_flatten_rejects_bad_number_atomically():
     _, status = run(mission(act("flatten", ("num", "deep"))), plant)
     assert status == FAILURE
     assert plant.pose == [0.0, 0.0, 9.0, 0.3, -0.2, 0.0]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_flatten_rejects_non_finite_numbers_atomically(value):
+    plant = MockPlant()
+    plant.pose = [0.0, 0.0, 9.0, 0.3, -0.2, 0.0]
+    trace, status = run(mission(act("flatten", ("num", value))), plant)
+    assert status == FAILURE
+    assert plant.pose == [0.0, 0.0, 9.0, 0.3, -0.2, 0.0]
+    assert plant.transcript == []
+    assert trace[-1].status == FAILURE
 
 
 # -------------------------------------------------------- record-only leaves

@@ -295,8 +295,24 @@ _value_tokens = st.text(
 )
 
 
+def _constructs(value: str) -> bool:
+    try:
+        ParamNode("words", 0, value)
+    except ValueError:
+        return False
+    return True
+
+
+# Every code point, surrogates included, and a mix rich in blanks that
+# str.split() would split on but the grammar keeps inside a token.
+_unicode_values = (
+    st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF, blacklist_categories=()), min_size=1)
+    | st.text(st.sampled_from("a ()$\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000"), min_size=1)
+).filter(_constructs)
+
+
 @st.composite
-def trees(draw):
+def trees(draw, values=None):
     n_actions = draw(st.integers(0, 7))
     actions = []
     counter = 0
@@ -305,7 +321,10 @@ def trees(draw):
         params = []
         for _ in range(draw(st.integers(0, 3))):
             pname = draw(_identifiers)
-            value = " ".join(draw(st.lists(_value_tokens, min_size=1, max_size=3)))
+            if values is None:
+                value = " ".join(draw(st.lists(_value_tokens, min_size=1, max_size=3)))
+            else:
+                value = draw(values)
             params.append(ParamNode(pname, counter, value))
             counter += 1
         actions.append(ActionNode(name, tuple(params)))
@@ -315,6 +334,12 @@ def trees(draw):
 @given(trees())
 @settings(max_examples=200)
 def test_round_trip_tree_to_text_to_tree(tree):
+    assert parse_logical_form(render(tree)) == tree
+
+
+@given(trees(_unicode_values))
+@settings(max_examples=300, deadline=None)
+def test_round_trip_over_full_unicode_values(tree):
     assert parse_logical_form(render(tree)) == tree
 
 

@@ -1,9 +1,14 @@
-"""The package's compatibility surface: its exported names."""
+"""The package's compatibility surface: its exported names and node behaviour."""
 
+import copy
+import dataclasses
 import inspect
+import pickle
+
+import pytest
 
 import seqlang
-from seqlang import default_lexicon
+from seqlang import ActionNode, ParamNode, SequenceNode, TraceEntry, default_lexicon
 
 PUBLIC_NAMES = {
     "ActionNode",
@@ -54,3 +59,133 @@ def test_split_clauses_takes_text_and_lexicon():
         ["say", "hi"],
         ["score", "a", "goal"],
     ]
+
+
+# Node semantics: what a caller may rely on, whatever the node's layout.
+
+PARAM = ParamNode("words", 0, "hi there")
+ACTION = ActionNode("say", (PARAM,))
+SEQUENCE = SequenceNode((ACTION, ActionNode("goal")))
+ENTRY = TraceEntry(0, "say", (("words", "hi there"),), "SUCCESS")
+NODES = [PARAM, ACTION, SEQUENCE, ENTRY]
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+def test_nodes_are_frozen(node):
+    first = dataclasses.fields(node)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(node, first, getattr(node, first))
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+def test_equal_arguments_give_equal_nodes_and_hashes(node):
+    args = [getattr(node, f.name) for f in dataclasses.fields(node)]
+    twin = type(node)(*args)
+    assert twin == node and twin is not node
+    assert hash(twin) == hash(node)
+    assert type(node)(**{f.name: getattr(node, f.name) for f in dataclasses.fields(node)}) == node
+    assert node != dataclasses.replace(node, **{dataclasses.fields(node)[0].name: _other(node)})
+
+
+def _other(node):
+    """A legal value for the node's first field that differs from its own."""
+    return {ParamNode: "num", ActionNode: "gate", SequenceNode: (), TraceEntry: 1}[type(node)]
+
+
+def test_node_reprs_are_exact():
+    assert repr(PARAM) == "ParamNode(name='words', var_index=0, value='hi there')"
+    assert repr(ActionNode("goal")) == "ActionNode(name='goal', params=())"
+    assert repr(ACTION) == (
+        "ActionNode(name='say', params=(ParamNode(name='words', var_index=0, value='hi there'),))"
+    )
+    assert repr(SequenceNode()) == "SequenceNode(actions=())"
+    assert repr(SequenceNode((ActionNode("goal"),))) == "SequenceNode(actions=(ActionNode(name='goal', params=()),))"
+    assert repr(ENTRY) == (
+        "TraceEntry(step=0, action='say', params=(('words', 'hi there'),), status='SUCCESS', warning=False)"
+    )
+
+
+def test_node_fields_are_named_in_order():
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(ParamNode) == ["name", "var_index", "value"]
+    assert names(ActionNode) == ["name", "params"]
+    assert names(SequenceNode) == ["actions"]
+    assert names(TraceEntry) == ["step", "action", "params", "status", "warning"]
+    assert dataclasses.asdict(ACTION) == {
+        "name": "say",
+        "params": ({"name": "words", "var_index": 0, "value": "hi there"},),
+    }
+
+
+@pytest.mark.parametrize(
+    "node, changes, message",
+    [
+        (PARAM, {"name": "Words"}, "parameter name 'Words' is not a lowercase identifier"),
+        (PARAM, {"var_index": -1}, "variable index -1 must be a non-negative int"),
+        (PARAM, {"value": "a  b"}, "parameter value 'a  b' is not single-spaced paren-free tokens"),
+        (ACTION, {"name": "Say"}, "action name 'Say' is not a lowercase identifier"),
+        (SEQUENCE, {"actions": (ActionNode("seq"),)}, "actions may not be named 'seq'"),
+    ],
+)
+def test_replace_runs_the_constructor_checks(node, changes, message):
+    with pytest.raises(ValueError) as info:
+        dataclasses.replace(node, **changes)
+    assert str(info.value) == message
+    assert dataclasses.replace(node) == node
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+def test_nodes_survive_deepcopy_and_pickle(node):
+    for twin in (copy.deepcopy(node), copy.copy(node), pickle.loads(pickle.dumps(node))):
+        assert twin == node
+        assert hash(twin) == hash(node)
+        assert repr(twin) == repr(node)
+
+
+def test_list_arguments_become_tuples():
+    action = ActionNode("say", [PARAM])
+    assert type(action.params) is tuple and action == ACTION
+    assert type(ActionNode("say", iter([PARAM])).params) is tuple
+    sequence = SequenceNode([ACTION, ActionNode("goal")])
+    assert type(sequence.actions) is tuple and sequence == SEQUENCE
+    assert type(dataclasses.replace(ACTION, params=[PARAM]).params) is tuple
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ParamNode("Num", 0, "2"), "parameter name 'Num' is not a lowercase identifier"),
+        (lambda: ParamNode("", 0, "2"), "parameter name '' is not a lowercase identifier"),
+        (lambda: ParamNode("num", -1, "2"), "variable index -1 must be a non-negative int"),
+        (lambda: ParamNode("num", 1.0, "2"), "variable index 1.0 must be a non-negative int"),
+        (lambda: ParamNode("num", "0", "2"), "variable index '0' must be a non-negative int"),
+        (lambda: ParamNode("num", 0, ""), "parameter value '' is not single-spaced paren-free tokens"),
+        (lambda: ParamNode("num", 0, " a"), "parameter value ' a' is not single-spaced paren-free tokens"),
+        (lambda: ParamNode("num", 0, "a ) b"), "parameter value 'a ) b' is not single-spaced paren-free tokens"),
+        (lambda: ParamNode("num", 0, "("), "parameter value '(' is not single-spaced paren-free tokens"),
+        (lambda: ParamNode("num", 0, "a\nb"), "parameter value 'a\\nb' is not single-spaced paren-free tokens"),
+        (lambda: ParamNode("num", 0, 2), "parameter value 2 is not single-spaced paren-free tokens"),
+        # the checks run in field order: the name is reported first
+        (lambda: ParamNode("Num", -1, ""), "parameter name 'Num' is not a lowercase identifier"),
+        (lambda: ParamNode("num", -1, ""), "variable index -1 must be a non-negative int"),
+        (lambda: ActionNode("Flatten"), "action name 'Flatten' is not a lowercase identifier"),
+        (lambda: ActionNode("3d", [PARAM]), "action name '3d' is not a lowercase identifier"),
+        (lambda: SequenceNode([ActionNode("goal"), ActionNode("seq")]), "actions may not be named 'seq'"),
+    ],
+)
+def test_node_constructor_messages(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_name_checks_accept_only_lowercase_identifiers():
+    assert ParamNode("a_1", 0, "x").name == "a_1"
+    assert ActionNode("seq").name == "seq"  # reserved only inside a sequence
+    for bad in ("a-b", "a\n", "é", "_a"):
+        with pytest.raises(ValueError):
+            ParamNode(bad, 0, "x")
+        with pytest.raises(ValueError):
+            ActionNode(bad)
