@@ -47,12 +47,11 @@ NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
 # Stripped from token edges; parens and quotes are additionally removed
 # from token interiors so values stay renderable.
 _EDGE_PUNCT = "\"'!?.,;:()[]"
-# Deleted everywhere in a token: those parens and quotes, and every code
-# point XML 1.0 forbids that str.split() does not already treat as a
-# blank, so any value normalize keeps can go into a mission file.
-_DELETED = dict.fromkeys(
-    [*map(ord, "()[]\"'"), *range(0x00, 0x09), *range(0x0E, 0x1C), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF]
-)
+_INNER_PUNCT = str.maketrans("", "", "()[]\"'")
+# Every code point XML 1.0 forbids that str.split() does not already treat
+# as a blank; deleted so that any value normalize keeps can go into a
+# mission file.
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0e-\x1b\ud800-\udfff\ufffe\uffff]")
 
 SKIP_WORDS = ("the", "a", "an", "me", "to", "at", "out", "up", "for")
 
@@ -152,23 +151,21 @@ class Lexicon:
         object.__setattr__(self, "splitters", splitters)
 
 
-def _clean_token(token: str) -> str:
-    # Deleting first lets the strip see the edges that deletion uncovers.
-    return token.translate(_DELETED).strip(_EDGE_PUNCT)
-
-
 def _is_normalized(token: str) -> bool:
     """True when :func:`normalize` leaves ``token`` as it is."""
-    return token == token.lower() and token == _clean_token(token)
+    return normalize(token) == [token]
 
 
 def normalize(text: str) -> list[str]:
-    """Lowercase, split on whitespace, and shed punctuation.
+    """Lowercase, delete what XML forbids, split on whitespace, and shed
 
-    Numbers keep their minus signs and decimal points; tokens that were
-    pure punctuation disappear.  Idempotent over its own output.
+    punctuation.  Numbers keep their minus signs and decimal points;
+    tokens that were pure punctuation disappear.  Idempotent over its
+    own output.
     """
-    cleaned = (_clean_token(tok) for tok in text.lower().split())
+    # Deleting before the split lets the strip see the edges deletion uncovers.
+    text = _XML_FORBIDDEN.sub("", text.lower())
+    cleaned = (tok.strip(_EDGE_PUNCT).translate(_INNER_PUNCT) for tok in text.split())
     return [tok for tok in cleaned if tok]
 
 

@@ -6,8 +6,9 @@ right and stops at the first FAILURE, exactly like a reactive Sequence
 node would tick its children.  There is no physics: move writes axes,
 flatten levels the vehicle and sets depth, and the remaining built-ins
 record themselves and succeed.  Move and flatten FAIL, changing nothing,
-on a value that is not a finite number (``nan`` and ``inf`` included).  Axis slots and the set of built-ins come
-from the schemas in :mod:`seqlang.registry`, read once at import.
+on a value that is not a finite number (``nan`` and ``inf`` included).
+Axis slots and the set of built-ins come from the schemas in
+:mod:`seqlang.registry`, read once at import.
 
 Unknown actions are no-ops that SUCCEED with a warning flag on their
 trace entry, so missions from extended registries still run end to end.

@@ -10,8 +10,10 @@ parameters bound to numbered variables.
 
 ``name`` is a lowercase identifier (``[a-z][a-z0-9_]*``), the variable is a
 dollar sign glued to a decimal index (``$0``, ``$1``, ...), and VALUE is one
-or more arbitrary tokens other than parens.  Parens are tokens of their own
-and must be surrounded by whitespace; there is no escaping, no comments, and
+or more arbitrary tokens other than parens.  Space, tab and newline are the
+only separators; any other character, carriage return and Unicode blanks
+included, is part of a token.  Parens are tokens of their own and must be
+separated from their neighbours; there is no escaping, no comments, and
 sequences do not nest.
 
 Example::
