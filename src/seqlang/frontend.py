@@ -44,14 +44,13 @@ from seqlang.registry import ActionRegistry, builtin_registry
 
 NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
 
-# Stripped from token edges; parens and quotes are additionally removed
-# from token interiors so values stay renderable.
+# Stripped from token edges.
 _EDGE_PUNCT = "\"'!?.,;:()[]"
-_INNER_PUNCT = str.maketrans("", "", "()[]\"'")
-# Every code point XML 1.0 forbids that str.split() does not already treat
-# as a blank; deleted so that any value normalize keeps can go into a
-# mission file.
-_XML_FORBIDDEN = re.compile("[\x00-\x08\x0e-\x1b\ud800-\udfff\ufffe\uffff]")
+# Deleted everywhere: parens and quotes, so values stay renderable, and
+# the code points XML 1.0 forbids that str.split() does not treat as
+# blanks, so every value can go into a mission file.  The last of those,
+# lone surrogates, normalize deletes by encoding.
+_DELETED = dict.fromkeys([*map(ord, "()[]\"'"), *range(0x00, 0x09), *range(0x0E, 0x1C), 0xFFFE, 0xFFFF])
 
 SKIP_WORDS = ("the", "a", "an", "me", "to", "at", "out", "up", "for")
 
@@ -163,9 +162,10 @@ def normalize(text: str) -> list[str]:
     tokens that were pure punctuation disappear.  Idempotent over its
     own output.
     """
-    # Deleting before the split lets the strip see the edges deletion uncovers.
-    text = _XML_FORBIDDEN.sub("", text.lower())
-    cleaned = (tok.strip(_EDGE_PUNCT).translate(_INNER_PUNCT) for tok in text.split())
+    # Deleting first lets the strip see the edges deletion uncovers; no
+    # UTF-8 encoder takes a lone surrogate, so "ignore" deletes those.
+    text = text.lower().translate(_DELETED).encode("utf-8", "ignore").decode("utf-8")
+    cleaned = (tok.strip(_EDGE_PUNCT) for tok in text.split())
     return [tok for tok in cleaned if tok]
 
 
