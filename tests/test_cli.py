@@ -369,6 +369,34 @@ def test_repl_deletes_characters_xml_forbids(tmp_path, capsys, monkeypatch):
 # ------------------------------------------------------------------ parsing
 
 
+def test_reserved_head_in_a_registry_file_exits_5(tmp_path, capsys):
+    (tmp_path / "actions.txt").write_text("seq a\n", encoding="utf-8")
+    (tmp_path / "lex.txt").write_text("[verbs]\ngo = seq\n", encoding="utf-8")
+    code, stdout, stderr = invoke(
+        capsys,
+        "compile",
+        "go",
+        "--registry",
+        str(tmp_path / "actions.txt"),
+        "--lexicon",
+        str(tmp_path / "lex.txt"),
+        "--out",
+        str(tmp_path / "m.xml"),
+    )
+    assert code == 5
+    assert stdout == ""
+    assert stderr.startswith("error: registry config line 1")
+
+
+@pytest.mark.parametrize("flag", ["--train", "--test"])
+def test_generate_refuses_negative_counts_as_a_usage_error(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as info:
+        main(["generate", flag, "-1", "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert "-1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_subcommand_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["transmogrify"])

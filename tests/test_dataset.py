@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqlang.dataset import (
     Corpus,
@@ -187,6 +189,45 @@ def test_read_tsv_does_not_parse_the_forms():
 def test_corpus_pair_rejects_unserializable_fields(utterance, form):
     with pytest.raises(ValueError):
         CorpusPair(utterance, form)
+
+
+# Every character str.splitlines() ends a line at.
+_LINE_BREAKS = [c for c in map(chr, range(0x3000)) if len(f"a{c}b".splitlines()) == 2]
+
+
+@pytest.mark.parametrize("char", _LINE_BREAKS, ids=[f"U+{ord(c):04X}" for c in _LINE_BREAKS])
+def test_corpus_pair_rejects_every_line_break(char):
+    with pytest.raises(ValueError):
+        CorpusPair(f"say a{char}b", "( seq ( goal ) )")
+    with pytest.raises(ValueError):
+        CorpusPair("say ab", f"( seq{char}( goal ) )")
+
+
+def _pair_or_nothing(utterance, form):
+    try:
+        return CorpusPair(utterance, form)
+    except ValueError:
+        return None
+
+
+_ANY_TEXT = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF, blacklist_categories=()), max_size=12)
+_TSV_CHARS = st.text(st.sampled_from(["a", " ", "\t", *_LINE_BREAKS]), max_size=6)
+
+
+_FIELD = _ANY_TEXT | _TSV_CHARS
+
+
+@given(st.lists(st.builds(_pair_or_nothing, _FIELD, _FIELD), max_size=6))
+@settings(max_examples=300)
+def test_read_tsv_inverts_write_tsv(pairs):
+    # every pair that constructs, so every corpus that does
+    corpus = Corpus(tuple(pair for pair in pairs if pair is not None), "eval")
+    assert read_tsv(write_tsv(corpus), split="eval") == corpus
+
+
+def test_read_tsv_accepts_crlf_line_ends():
+    corpus = read_tsv("say hi\t( seq ( say ( words ( $0 ( hi ) ) ) ) )\r\ngoal\t( seq ( goal ) )\r\n")
+    assert [pair.utterance for pair in corpus] == ["say hi", "goal"]
 
 
 # ------------------------------------------------------------- vocab stats

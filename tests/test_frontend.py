@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlang.frontend import (
+    DEFAULT_CONNECTIVES,
     AmbiguousMatch,
     FrontendError,
     Lexicon,
@@ -23,6 +24,7 @@ from seqlang.btxml import emit, parse_bt_xml
 from seqlang.logical_form import SequenceNode, parse_logical_form, render
 from seqlang.registry import builtin_registry, load_registry, validate
 from support import best_of_3
+from test_frontend_oracle import NOUNS, NUMBERS, RIGGED
 
 
 def lf(text):
@@ -68,6 +70,12 @@ def test_normalize_is_idempotent_over_any_text(text):
     once = normalize(text)
     assert normalize(" ".join(once)) == once
     assert all(tok and not _FORBIDDEN.search(tok) for tok in once)
+
+
+def test_normalize_splits_at_inner_commas():
+    # translate has always seen "a,b" as "a , b"; normalize now says so too
+    assert normalize("a,b") == ["a", "b"]
+    assert normalize("1,5, go") == ["1", "5", "go"]
 
 
 def test_normalize_deletes_characters_xml_forbids():
@@ -145,6 +153,15 @@ def test_translate_connective_spellings(text, expected_clauses):
     assert len(tree.actions) == expected_clauses
     assert tree.actions[0].name == "say"
     assert tree.actions[-1].name == "goal"
+
+
+@pytest.mark.parametrize("connective", DEFAULT_CONNECTIVES)
+@pytest.mark.parametrize("spelling", ["{}!", '"{}"', "{}.", "({});"], ids=["bang", "quoted", "stop", "parens"])
+def test_connectives_with_punctuation_split_like_bare_ones(connective, spelling):
+    # words are stripped of punctuation before connectives are matched
+    tree = translate(f"say hi {spelling.format(connective)} say ho")
+    assert tree == translate(f"say hi {connective} say ho")
+    assert [p.value for a in tree.actions for p in a.params] == ["hi", "ho"]
 
 
 def test_and_splits_only_between_parseable_clauses():
@@ -260,6 +277,29 @@ def test_translated_trees_always_become_missions(prefix, text):
     assert parse_bt_xml(emit(tree)) == tree
 
 
+# Stripped from token edges or deleted; "," is a connective, so not here.
+_PUNCT = st.text(st.sampled_from("\"'!?.;:()[]"), max_size=2)
+
+
+def _outcome(text, lexicon):
+    try:
+        return translate(text, lexicon)
+    except FrontendError as exc:
+        return type(exc), exc.clause_index
+
+
+@pytest.mark.parametrize("lexicon", [default_lexicon(), RIGGED], ids=["shipped", "rigged"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_edge_punctuation_changes_nothing(lexicon, data):
+    words = {token for phrase, _ in lexicon.verbs for token in phrase}
+    words.update(token for connective in lexicon.connectives for token in connective.split())
+    words.update(rule.keyword for _, rules in lexicon.params for rule in rules if rule.keyword)
+    tokens = data.draw(st.lists(st.sampled_from(sorted(words | {"and", *NOUNS, *NUMBERS})), max_size=16))
+    punctuated = [data.draw(_PUNCT) + token + data.draw(_PUNCT) for token in tokens]
+    assert _outcome(" ".join(punctuated), lexicon) == _outcome(" ".join(tokens), lexicon)
+
+
 # ----------------------------------------------------------------- scaling
 
 
@@ -358,6 +398,9 @@ def test_load_lexicon_param_rules():
         ("[connectives]\nThen\n", 2, "not normalized"),
         ("[connectives]\nthen,\n", 2, "not normalized"),
         ("[connectives]\nand, then\n", 2, "not normalized"),
+        ("[connectives]\nthen!\n", 2, "not normalized"),
+        ("[verbs]\na,b = goal\n", 2, "not normalized"),
+        ("[params.move]\nafter a,b = x\n", 2, "not normalized"),
         ("[verbs\ngoal = goal\n", 1, "unterminated"),
         ("[chapter]\n", 1, "unknown section"),
     ],

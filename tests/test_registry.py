@@ -88,6 +88,7 @@ def test_load_registry_warns_on_user_redefinition():
         ("ping Freq\n", 1),
         ("ok\n\nsample depth depth\n", 3),
         ("9lives\n", 1),
+        ("ok\nseq a\n", 2),
     ],
 )
 def test_load_registry_rejects_malformed_lines(config, line):
@@ -95,6 +96,15 @@ def test_load_registry_rejects_malformed_lines(config, line):
         load_registry(config)
     assert info.value.line == line
     assert str(info.value).startswith(f"registry config line {line}")
+
+
+def test_the_reserved_head_names_no_action():
+    with pytest.raises(ValueError, match="'seq'"):
+        ActionSchema("seq")
+
+
+def test_builtin_registry_is_built_once():
+    assert builtin_registry() is builtin_registry()
 
 
 # ---------------------------------------------------------------- validate
