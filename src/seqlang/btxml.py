@@ -153,24 +153,19 @@ def _reject_stray_text(root: ET.Element) -> None:
     """
     if not "".join(root.itertext()).strip(_BLANKS):
         return
-    parents: dict[ET.Element, tuple[ET.Element, int]] = {}
-    for element in root.iter():
-        for index, child in enumerate(element):
-            parents[child] = (element, index)
-        if element.text and element.text.strip(_BLANKS):
-            where = "inside"
-        elif element.tail and element.tail.strip(_BLANKS):
-            where = "after"
-        else:
-            continue
-        steps = []
-        node = element
-        while node is not root:
-            parent, index = parents[node]
-            steps.append(f" child {index} <{node.tag}>")
-            node = parent
-        path = "root" + "".join(reversed(steps))
-        raise XmlShapeError(f"text {where} <{element.tag}> is not allowed", path=path)
+    # Walk in document order, keeping the path down to the element at
+    # hand; the check above means the walk raises before it runs out.
+    element, steps, pending = root, ["root"], [enumerate(root)]
+    while True:
+        for where, text in (("inside", element.text), ("after", element.tail)):
+            if text and text.strip(_BLANKS):
+                raise XmlShapeError(f"text {where} <{element.tag}> is not allowed", path="".join(steps))
+        while (step := next(pending[-1], None)) is None:
+            pending.pop()
+            steps.pop()
+        index, element = step
+        pending.append(enumerate(element))
+        steps.append(f" child {index} <{element.tag}>")
 
 
 def parse_bt_xml(xml_text: str) -> SequenceNode:

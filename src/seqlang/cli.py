@@ -7,14 +7,8 @@ against a corpus file, ``run`` executes mission XML on the mock plant,
 and ``repl`` compiles stdin lines interactively.
 
 stdout carries only data (logical forms, XML, corpus summaries, traces,
-reports); everything else goes to stderr.  Exit codes:
-
-    0  success (for eval: accuracy met the threshold)
-    1  eval accuracy below threshold
-    2  no verb trigger matched (or an ambiguous match)
-    3  validation errors
-    4  logical-form syntax or XML shape errors
-    5  file problems (unreadable, malformed config/corpus)
+reports); everything else goes to stderr.  README.md's exit-code table
+is the one list of exit codes; :func:`main` returns them.
 """
 
 from __future__ import annotations
@@ -59,6 +53,17 @@ def _load_lexicon_arg(path: str | None, registry: ActionRegistry) -> Lexicon:
     if path is None:
         return default_lexicon()
     return load_lexicon(Path(path).read_text(encoding="utf-8"), registry)
+
+
+def _count(text: str) -> int:
+    """argparse type for a pair count: a whole number, 0 or more."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, found {text!r}")
+    return count
 
 
 def _text_or_stdin(value: str | None) -> str:
@@ -180,8 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parse_p.set_defaults(func=cmd_parse)
 
     gen_p = sub.add_parser("generate", help="write seeded train/test corpora")
-    gen_p.add_argument("--train", type=int, default=1000, metavar="N")
-    gen_p.add_argument("--test", type=int, default=250, metavar="N")
+    gen_p.add_argument("--train", type=_count, default=1000, metavar="N")
+    gen_p.add_argument("--test", type=_count, default=250, metavar="N")
     gen_p.add_argument("--seed", type=int, default=7)
     gen_p.add_argument("--registry", metavar="FILE")
     gen_p.add_argument("--out", default=".", metavar="DIR", help="directory for train.tsv/test.tsv")

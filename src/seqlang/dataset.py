@@ -29,6 +29,10 @@ SAY_PHRASES = ("hello", "hello there", "mission complete", "all clear", "ready",
 
 CONNECTIVES = (" then ", " and then ", " after that ", " and ", ", ")
 
+# Every character str.splitlines() ends a line at, so read_tsv's line
+# split; CRLF is two of them, and reads as one line end.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
 
 @dataclass(eq=False)
 class FormatError(Exception):
@@ -60,7 +64,7 @@ class InsufficientSpace(Exception):
 
 @dataclass(frozen=True)
 class CorpusPair:
-    """One utterance and its gold logical form; tab- and newline-free."""
+    """One utterance and its gold logical form; free of tabs and LINE_BREAKS."""
 
     utterance: str
     logical_form: str
@@ -69,8 +73,8 @@ class CorpusPair:
         for label, value in (("utterance", self.utterance), ("logical form", self.logical_form)):
             if not value:
                 raise ValueError(f"{label} must be non-empty")
-            if "\t" in value or "\n" in value:
-                raise ValueError(f"{label} may not contain tabs or newlines")
+            if any(char in value for char in "\t" + LINE_BREAKS):
+                raise ValueError(f"{label} may not contain tabs or line breaks")
 
 
 @dataclass(frozen=True)
@@ -247,6 +251,7 @@ def write_tsv(corpus: Corpus) -> str:
 def read_tsv(text: str, split: str = "train") -> Corpus:
     """Parse corpus text; the exact inverse of :func:`write_tsv`.
 
+    Any of ``LINE_BREAKS``, or CRLF, ends a line, so CRLF files read too.
     Raises :class:`FormatError` with a 1-based line number for a line
     whose tab count is not exactly one or whose fields are empty.
     """

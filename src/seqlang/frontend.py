@@ -1,10 +1,11 @@
 """Deterministic lexicon frontend: command text in, logical form out.
 
-No statistics, no learned weights.  An utterance is split into clauses on
-connective phrases, each clause is matched against verb triggers (longest
-trigger wins, leftmost breaks ties), and the clause's remaining tokens are
-mined for parameter values by small per-action cue rules.  Same text, same
-lexicon, same tree, every time.
+No statistics, no learned weights.  An utterance is tokenized once
+(lowercased, edge punctuation shed, each comma a token of its own) and
+split into clauses on connective phrases, each clause is matched against
+verb triggers (longest trigger wins, leftmost breaks ties), and the
+clause's remaining tokens are mined for parameter values by small
+per-action cue rules.  Same text, same lexicon, same tree, every time.
 
 Lexicon file format (``#`` starts a comment anywhere)::
 
@@ -44,8 +45,8 @@ from seqlang.registry import ActionRegistry, builtin_registry
 
 NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
 
-# Stripped from token edges.
-_EDGE_PUNCT = "\"'!?.,;:()[]"
+# Stripped from token edges, after commas are split off.
+_EDGE_PUNCT = "!?.;:"
 # Deleted everywhere: parens and quotes, so values stay renderable, and
 # the code points XML 1.0 forbids that str.split() does not treat as
 # blanks, so every value can go into a mission file.  The last of those,
@@ -150,40 +151,34 @@ class Lexicon:
         object.__setattr__(self, "splitters", splitters)
 
 
-def _is_normalized(token: str) -> bool:
-    """True when :func:`normalize` leaves ``token`` as it is."""
-    return normalize(token) == [token]
+def _tokens(text: str) -> list[str]:
+    """Lowercase, delete what XML forbids, split on whitespace and at each
 
-
-def normalize(text: str) -> list[str]:
-    """Lowercase, delete what XML forbids, split on whitespace, and shed
-
-    punctuation.  Numbers keep their minus signs and decimal points;
-    tokens that were pure punctuation disappear.  Idempotent over its
-    own output.
+    comma, keeping it as a token, and shed edge punctuation.  Numbers keep
+    their minus signs and decimal points; pure punctuation disappears.
     """
     # Deleting first lets the strip see the edges deletion uncovers; no
     # UTF-8 encoder takes a lone surrogate, so "ignore" deletes those.
     text = text.lower().translate(_DELETED).encode("utf-8", "ignore").decode("utf-8")
-    cleaned = (tok.strip(_EDGE_PUNCT) for tok in text.split())
+    cleaned = (tok.strip(_EDGE_PUNCT) for tok in text.replace(",", " , ").split())
     return [tok for tok in cleaned if tok]
 
 
-def _hits(tokens: list[str], lexicon: Lexicon) -> list[tuple[int, int, tuple[str, ...]]]:
-    """Every trigger hit as (start, end, actions), in start order."""
-    found = []
-    for start in range(len(tokens)):
-        for end in range(start + 1, len(tokens) + 1):
-            actions = lexicon.triggers.get(tuple(tokens[start:end]))
-            if actions is None:
-                break
-            if actions:
-                found.append((start, end, actions))
-    return found
+def normalize(text: str) -> list[str]:
+    """The utterance's tokens without commas: the words triggers and cues
+
+    match.  Idempotent over its own output.
+    """
+    return [tok for tok in _tokens(text) if tok != ","]
 
 
-def _split_unconditional(tokens: list[str], lexicon: Lexicon) -> list[list[str]]:
-    """Fragments between connectives other than "and"; some may be empty."""
+def _clauses(text: str, lexicon: Lexicon) -> list[tuple[list[str], list[str], tuple[str, ...]]]:
+    """(tokens, tail after the winning trigger, its actions or ``()``) per
+
+    clause.  Commas no connective takes are dropped; each fragment between
+    connectives is scanned for trigger hits once.
+    """
+    tokens = _tokens(text)
     fragments: list[list[str]] = [[]]
     i = 0
     while i < len(tokens):
@@ -193,41 +188,52 @@ def _split_unconditional(tokens: list[str], lexicon: Lexicon) -> list[list[str]]
                 i += len(phrase)
                 break
         else:
-            fragments[-1].append(tokens[i])
+            if tokens[i] != ",":
+                fragments[-1].append(tokens[i])
             i += 1
-    return fragments
-
-
-def _split_on_and(tokens: list[str], lexicon: Lexicon) -> list[list[str]]:
-    """Split at each "and" with a whole trigger hit since the last split and one after it."""
-    hits = _hits(tokens, lexicon)
-    # latest[e]: largest start of a hit ending by e, else -1 (hits come by
-    # start, so the last write wins); latest[-1] is the last hit's start
-    latest = [-1] * (len(tokens) + 1)
-    for start, end, _ in hits:
-        latest[end] = start
-    latest = list(accumulate(latest, max))
-    clauses, begin = [], 0
-    for i, tok in enumerate(tokens):
-        if tok == "and" and latest[i] >= begin and latest[-1] > i:
-            clauses.append(tokens[begin:i])
-            begin = i + 1
-    clauses.append(tokens[begin:])
+    clauses = []
+    for fragment in filter(None, fragments):
+        hits = []  # (start, end, actions) in start order
+        for start in range(len(fragment)):
+            for end in range(start + 1, len(fragment) + 1):
+                actions = lexicon.triggers.get(tuple(fragment[start:end]))
+                if actions is None:
+                    break
+                if actions:
+                    hits.append((start, end, actions))
+        # cut at each "and" with a whole hit since the last cut and one after
+        # it; latest[e] is the largest start of a hit ending by e, else -1
+        cuts = [-1]
+        if "and" in lexicon.connectives:
+            latest = [-1] * (len(fragment) + 1)
+            for start, end, _ in hits:
+                latest[end] = start
+            latest = list(accumulate(latest, max))
+            for i, tok in enumerate(fragment):
+                if tok == "and" and latest[i] > cuts[-1] and latest[-1] > i:
+                    cuts.append(i)
+        cuts.append(len(fragment))
+        # longest hit inside a clause wins, leftmost breaks ties; hits across
+        # a cut are dropped
+        best = [(0, 0, ())] * (len(cuts) - 1)
+        k = 0
+        for hit in hits:
+            while cuts[k + 1] < hit[0]:
+                k += 1
+            if hit[1] <= cuts[k + 1] and hit[1] - hit[0] > best[k][1] - best[k][0]:
+                best[k] = hit
+        for k, (_, end, actions) in enumerate(best):
+            clauses.append((fragment[cuts[k] + 1 : cuts[k + 1]], fragment[end : cuts[k + 1]], actions))
     return clauses
 
 
 def split_clauses(text: str, lexicon: Lexicon) -> list[list[str]]:
-    """Clause token lists for an utterance, in order.
+    """Clause token lists for an utterance, in order; empty fragments vanish.
 
-    Commas are isolated before anything else so "dive, then say hi"
-    splits the same as "dive then say hi"; punctuation inside clauses is
-    cleaned afterwards.  Empty fragments vanish.
+    "dive, then say hi" splits the same as "dive then say hi", and so
+    does "dive. then! say hi".
     """
-    fragments = _split_unconditional(text.lower().replace(",", " , ").split(), lexicon)
-    cleaned = [tokens for tokens in (normalize(" ".join(f)) for f in fragments) if tokens]
-    if "and" not in lexicon.connectives:
-        return cleaned
-    return [clause for fragment in cleaned for clause in _split_on_and(fragment, lexicon)]
+    return [clause for clause, _, _ in _clauses(text, lexicon)]
 
 
 def _extract_params(tail: list[str], rules: tuple[ParamRule, ...]) -> dict[str, str]:
@@ -258,17 +264,6 @@ def _extract_params(tail: list[str], rules: tuple[ParamRule, ...]) -> dict[str, 
     return found
 
 
-def _translate_clause(index: int, tokens: list[str], lexicon: Lexicon) -> tuple[str, dict[str, str]]:
-    hits = _hits(tokens, lexicon)
-    if not hits:
-        raise NoVerbMatch(index, " ".join(tokens))
-    # longest hit wins, leftmost breaks ties
-    _, end, actions = min(hits, key=lambda hit: (hit[0] - hit[1], hit[0]))
-    if len(actions) > 1:
-        raise AmbiguousMatch(index, " ".join(tokens), actions)
-    return actions[0], _extract_params(tokens[end:], lexicon.cues.get(actions[0], ()))
-
-
 def translate(
     utterance: str,
     lexicon: Lexicon | None = None,
@@ -285,16 +280,20 @@ def translate(
     """
     lexicon = default_lexicon() if lexicon is None else lexicon
     registry = builtin_registry() if registry is None else registry
-    clauses = split_clauses(utterance, lexicon)
+    clauses = _clauses(utterance, lexicon)
     if not clauses:
         raise NoVerbMatch(0, utterance.strip())
     actions: list[ActionNode] = []
     counter = 0
-    for index, clause_tokens in enumerate(clauses):
-        action_name, params = _translate_clause(index, clause_tokens, lexicon)
-        names = sorted(params, key=registry.param_order(action_name))
+    for index, (clause, tail, matched) in enumerate(clauses):
+        if not matched:
+            raise NoVerbMatch(index, " ".join(clause))
+        if len(matched) > 1:
+            raise AmbiguousMatch(index, " ".join(clause), matched)
+        params = _extract_params(tail, lexicon.cues.get(matched[0], ()))
+        names = sorted(params, key=registry.param_order(matched[0]))
         nodes = tuple(ParamNode(name, counter + k, params[name]) for k, name in enumerate(names))
-        actions.append(ActionNode(action_name, nodes))
+        actions.append(ActionNode(matched[0], nodes))
         counter += len(nodes)
     return SequenceNode(tuple(actions))
 
@@ -303,10 +302,10 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
     """Parse lexicon text (format in the module docstring).
 
     Every referenced action must exist in ``registry``; triggers must be
-    1-3 tokens and unique.  Triggers and ``after`` keywords must be text
-    :func:`normalize` leaves unchanged, and connectives text that
-    lowercasing and comma isolation leave unchanged, so that no entry is
-    dead.  Raises :class:`LexiconError` with the line number otherwise.
+    1-3 tokens and unique.  Triggers, ``after`` keywords and connectives
+    must be text the tokenizer leaves unchanged, and only a connective may
+    hold a ``,`` token, so that no entry is dead.  Raises
+    :class:`LexiconError` with the line number otherwise.
     """
     verbs: list[tuple[tuple[str, ...], str]] = []
     params: dict[str, list[ParamRule]] = {}
@@ -333,8 +332,7 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
         if section is None:
             raise LexiconError("entry before any section header", lineno)
         if section == "connectives":
-            # connectives match raw tokens, lowercased with commas apart
-            if line != line.lower() or line.replace(",", " , ").split() != line.split():
+            if _tokens(line) != line.split():
                 raise LexiconError(f"connective '{line}' is not normalized lowercase text", lineno)
             connectives.append(line)
             continue
@@ -347,7 +345,7 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
             phrase = tuple(left.split())
             if not 1 <= len(phrase) <= 3:
                 raise LexiconError(f"trigger '{left}' must be 1-3 tokens", lineno)
-            if not all(map(_is_normalized, phrase)):
+            if normalize(left) != list(phrase):
                 raise LexiconError(f"trigger '{left}' is not normalized lowercase text", lineno)
             if right not in registry:
                 raise LexiconError(f"unknown action '{right}'", lineno)
@@ -366,7 +364,7 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
             elif cue == ["rest"]:
                 rule = ParamRule("rest", right)
             elif len(cue) == 2 and cue[0] == "after":
-                if not _is_normalized(cue[1]):
+                if normalize(cue[1]) != cue[1:]:
                     raise LexiconError(f"cue keyword '{cue[1]}' is not normalized lowercase text", lineno)
                 rule = ParamRule("after", right, cue[1])
             else:

@@ -17,9 +17,10 @@ raising, so callers can render warnings and count errors as they see fit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
-from seqlang.logical_form import IDENT_RE, SequenceNode
+from seqlang.logical_form import IDENT_RE, RESERVED_HEAD, SequenceNode
 
 ERROR = "error"
 WARNING = "warning"
@@ -76,6 +77,8 @@ class ActionSchema:
     def __post_init__(self) -> None:
         if not IDENT_RE.match(self.name):
             raise ValueError(f"action name {self.name!r} is not a lowercase identifier")
+        if self.name == RESERVED_HEAD:
+            raise ValueError(f"actions may not be named '{RESERVED_HEAD}'")
         for param in self.params:
             if not IDENT_RE.match(param):
                 raise ValueError(f"parameter name {param!r} is not a lowercase identifier")
@@ -150,8 +153,9 @@ BUILTIN_SCHEMAS = (
 )
 
 
+@lru_cache(maxsize=1)
 def builtin_registry() -> ActionRegistry:
-    """The stock registry with the eight built-in actions."""
+    """The stock registry with the eight built-in actions, built once."""
     return ActionRegistry(BUILTIN_SCHEMAS)
 
 

@@ -6,9 +6,15 @@ is quadratic or worse in utterance length, but its rules are written out
 in the most direct way.  The library's indexed, single-pass version must
 agree with it on every input.
 
-The one deliberate difference from the original is in
-``_extract_params``: a cue whose parameter is already bound binds
-nothing and consumes nothing, which is the library's documented rule.
+Two rules differ from the original on purpose, each the library's
+documented rule:
+
+- in ``_extract_params``, a cue whose parameter is already bound binds
+  nothing and consumes nothing;
+- in ``split_clauses``, connectives are matched on normalized words,
+  with each comma kept as a word of its own, not on raw lowercased
+  words, so "then!" is the connective "then".
+
 Only ``normalize``, the exception types and the registry's parameter
 order are shared with the library.
 """
@@ -88,9 +94,15 @@ def _split_on_and(tokens, lexicon):
     return [tokens]
 
 
+def _words_and_commas(text):
+    words = []
+    for index, piece in enumerate(text.split(",")):
+        words += [","] * (index > 0) + normalize(piece)
+    return words
+
+
 def split_clauses(text, lexicon):
-    raw_tokens = text.lower().replace(",", " , ").split()
-    fragments = _split_unconditional(raw_tokens, lexicon.connectives)
+    fragments = _split_unconditional(_words_and_commas(text), lexicon.connectives)
     cleaned = []
     for fragment in fragments:
         tokens = normalize(" ".join(fragment))
