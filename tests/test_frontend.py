@@ -340,6 +340,22 @@ def test_split_clauses_drops_empty_fragments():
     assert split_clauses("then say hi then", lexicon) == [["say", "hi"]]
 
 
+def test_a_trigger_across_an_and_split_matches_in_neither_clause():
+    # RIGGED's "rock and roll" is longer than "say", but its "and" is a split
+    assert split_clauses("say rock and roll find", RIGGED) == [["say", "rock"], ["roll", "find"]]
+    tree = translate("say rock and roll find", RIGGED)
+    assert render(tree) == "( seq ( say ( words ( $0 ( rock ) ) ) ) ( find ) )"
+
+
+def test_commas_no_connective_takes_are_dropped():
+    say = Lexicon(verbs=((("say",), "say"),), connectives=("then", "and , then"))
+    assert split_clauses("say hi, there then say a, and , then say b", say) == [
+        ["say", "hi", "there"],
+        ["say", "a"],
+        ["say", "b"],
+    ]
+
+
 def test_load_lexicon_minimal_file():
     registry = load_registry("ping\n")
     lexicon = load_lexicon(
