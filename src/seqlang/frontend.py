@@ -50,7 +50,7 @@ _EDGE_PUNCT = "!?.;:"
 # Deleted everywhere: parens and quotes, so values stay renderable, and
 # the code points XML 1.0 forbids that str.split() does not treat as
 # blanks, so every value can go into a mission file.  The last of those,
-# lone surrogates, normalize deletes by encoding.
+# lone surrogates, _tokens deletes by encoding.
 _DELETED = dict.fromkeys([*map(ord, "()[]\"'"), *range(0x00, 0x09), *range(0x0E, 0x1C), 0xFFFE, 0xFFFF])
 
 SKIP_WORDS = ("the", "a", "an", "me", "to", "at", "out", "up", "for")

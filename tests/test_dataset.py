@@ -212,8 +212,6 @@ def _pair_or_nothing(utterance, form):
 
 _ANY_TEXT = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF, blacklist_categories=()), max_size=12)
 _TSV_CHARS = st.text(st.sampled_from(["a", " ", "\t", *_LINE_BREAKS]), max_size=6)
-
-
 _FIELD = _ANY_TEXT | _TSV_CHARS
 
 

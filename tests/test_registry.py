@@ -44,6 +44,8 @@ def test_schema_guards():
         ActionSchema("move", ("x", "x"))
     with pytest.raises(ValueError):
         ActionSchema("Move", ("x",))
+    with pytest.raises(ValueError, match="'seq'"):
+        ActionSchema("seq")
     with pytest.raises(ValueError):
         ActionSchema("move", ("x",), (("yaw", "nope"),))
     with pytest.raises(ValueError):
@@ -96,11 +98,6 @@ def test_load_registry_rejects_malformed_lines(config, line):
         load_registry(config)
     assert info.value.line == line
     assert str(info.value).startswith(f"registry config line {line}")
-
-
-def test_the_reserved_head_names_no_action():
-    with pytest.raises(ValueError, match="'seq'"):
-        ActionSchema("seq")
 
 
 def test_builtin_registry_is_built_once():
