@@ -5,7 +5,8 @@ order matches what the XML emitter would choose (schema order for known
 actions, alphabetical for unknown ones), so emit round trips are exact.
 random_messy_tree() relaxes ordering and mixes custom parameters into
 known actions; only the parse/render laws hold for those.  best_of_3()
-times a call for the size-scaling tests.
+times a call for the size-scaling tests.  rebuild() copies a tree node
+by node through the checked constructors.
 """
 
 from __future__ import annotations
@@ -76,6 +77,19 @@ def random_messy_tree(rng: random.Random, min_actions: int = 0, max_actions: int
             counter += 1
         actions.append(ActionNode(name, tuple(params)))
     return SequenceNode(tuple(actions))
+
+
+def rebuild(tree: SequenceNode) -> SequenceNode:
+    """``tree`` rebuilt through the public node constructors, which check
+
+    every field; equal to ``tree`` only if each node held what they allow.
+    """
+    return SequenceNode(
+        tuple(
+            ActionNode(action.name, tuple(ParamNode(p.name, p.var_index, p.value) for p in action.params))
+            for action in tree.actions
+        )
+    )
 
 
 def best_of_3(fn, *args) -> float:

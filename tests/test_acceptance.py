@@ -10,6 +10,7 @@ import random
 import time
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
+from functools import partial
 from importlib import resources
 
 import pytest
@@ -200,6 +201,24 @@ def _dup_param_tree():
     )
 
 
+MALFORMED_XML = [
+    ("xml not well-formed", "<root>"),
+    ("xml wrong root", "<tree/>"),
+    ("xml no behavior tree", '<root main_tree_to_execute="M"/>'),
+    ("xml nested leaf", (
+        '<root main_tree_to_execute="M"><BehaviorTree ID="M"><Sequence>'
+        "<Goal><Gate/></Goal></Sequence></BehaviorTree></root>"
+    )),
+    ("xml bare paren token in attribute", (
+        '<root main_tree_to_execute="M"><BehaviorTree ID="M"><Sequence>'
+        '<Say words="( hi )"/></Sequence></BehaviorTree></root>'
+    )),
+    ("xml bad leaf after a move", (
+        '<root main_tree_to_execute="M"><BehaviorTree ID="M"><Sequence>'
+        '<Move x="1" z="2"/><Say words="a  b"/></Sequence></BehaviorTree></root>'
+    )),
+]
+
 MALFORMED = [
     ("empty form", lambda: parse_logical_form(""), FormSyntaxError),
     ("bare word", lambda: parse_logical_form("seq"), FormSyntaxError),
@@ -216,17 +235,7 @@ MALFORMED = [
     ("capitalized registry name", lambda: load_registry("Bad\n"), ConfigParseError),
     ("registry duplicate param", lambda: load_registry("move x x\n"), ConfigParseError),
     ("emit duplicate param", lambda: emit(_dup_param_tree()), EmitError),
-    ("xml not well-formed", lambda: parse_bt_xml("<root>"), XmlShapeError),
-    ("xml wrong root", lambda: parse_bt_xml("<tree/>"), XmlShapeError),
-    ("xml no behavior tree", lambda: parse_bt_xml('<root main_tree_to_execute="M"/>'), XmlShapeError),
-    ("xml nested leaf", lambda: parse_bt_xml(
-        '<root main_tree_to_execute="M"><BehaviorTree ID="M"><Sequence>'
-        "<Goal><Gate/></Goal></Sequence></BehaviorTree></root>"
-    ), XmlShapeError),
-    ("xml bare paren token in attribute", lambda: parse_bt_xml(
-        '<root main_tree_to_execute="M"><BehaviorTree ID="M"><Sequence>'
-        '<Say words="( hi )"/></Sequence></BehaviorTree></root>'
-    ), XmlShapeError),
+    *[(label, partial(parse_bt_xml, xml), XmlShapeError) for label, xml in MALFORMED_XML],
     ("unmatched utterance", lambda: translate("transmogrify the widget"), NoVerbMatch),
     ("ambiguous trigger", lambda: translate(
         "dive", Lexicon(verbs=((("dive",), "move"), (("dive",), "flatten")))
@@ -249,6 +258,15 @@ def test_malformed_inputs_raise_structured_errors():
             with pytest.raises(expected):
                 attempt()
                 pytest.fail(f"{label}: no error raised")
+        # run refuses each bad document as the reader does, with the plant untouched
+        for label, xml in MALFORMED_XML:
+            with pytest.raises(XmlShapeError) as read:
+                parse_bt_xml(xml)
+            plant = MockPlant()
+            with pytest.raises(XmlShapeError) as ran:
+                run(xml, plant)
+            assert str(ran.value) == str(read.value), label
+            assert plant.pose == [0.0] * 6 and plant.transcript == [], label
 
 
 # 7 ----------------------------------------------------------------------

@@ -2,15 +2,25 @@
 
 import random
 import xml.etree.ElementTree as ET
+from string import ascii_letters, ascii_lowercase
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqlang.btxml import EmitError, XmlShapeError, emit, parse_bt_xml
-from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, parse_logical_form, render
+from seqlang.interpreter import MockPlant, run
+from seqlang.logical_form import (
+    ActionNode,
+    LogicalFormError,
+    ParamNode,
+    SequenceNode,
+    parse_logical_form,
+    render,
+)
 from seqlang.registry import builtin_registry, load_registry
-from support import best_of_3, random_tree
+from support import best_of_3, random_tree, rebuild
+from test_logical_form_oracle import identifiers, shaped_soup
 
 FLATTEN_GOAL_XML = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -234,6 +244,19 @@ def test_parse_bt_xml_accepts_single_tree_without_selector():
             '<root><BehaviorTree><Sequence><Say words="( x )"/></Sequence></BehaviorTree></root>',
             "single-spaced",
         ),
+        # a leaf that would move the plant comes before the bad one
+        (
+            '<root><BehaviorTree><Sequence><Move x="1"/><Say WORDS="hi"/></Sequence></BehaviorTree></root>',
+            "not a parameter name",
+        ),
+        (
+            '<root><BehaviorTree><Sequence><Flatten num="2"/><Say words="a  b"/></Sequence></BehaviorTree></root>',
+            "single-spaced",
+        ),
+        (
+            '<root><BehaviorTree><Sequence><Move x="1"/><Goal><Gate/></Goal></Sequence></BehaviorTree></root>',
+            "may not have children",
+        ),
         (JUNK_XML, "may hold only <BehaviorTree>"),
         ("<root><Other/></root>", "may hold only <BehaviorTree>"),
         ('<root><BehaviorTree><Sequence foo="1"><Goal/></Sequence></BehaviorTree></root>', "may not have attributes"),
@@ -249,6 +272,13 @@ def test_parse_bt_xml_shape_errors(xml, needle):
     with pytest.raises(XmlShapeError) as info:
         parse_bt_xml(xml)
     assert needle in str(info.value)
+    # run refuses the same document in the same words, before ticking any leaf
+    plant = MockPlant()
+    with pytest.raises(XmlShapeError) as ran:
+        run(xml, plant)
+    assert str(ran.value) == str(info.value)
+    assert plant.pose == [0.0] * 6
+    assert plant.transcript == []
 
 
 def test_malformed_xml_reports_a_line():
@@ -297,6 +327,44 @@ def test_reader_and_renderer_agree_on_canonical_forms():
     for _ in range(100):
         tree = random_tree(rng)
         assert render(parse_bt_xml(emit(tree))) == render(tree)
+
+
+@given(shaped_soup())
+@settings(max_examples=200, deadline=None)
+def test_read_trees_of_emitted_forms_pass_the_constructor_checks(text):
+    try:
+        xml = emit(parse_logical_form(text))
+    except (LogicalFormError, EmitError):
+        return
+    tree = parse_bt_xml(xml)
+    assert rebuild(tree) == tree
+
+
+# Values the reader accepts, written in every way XML allows, and near misses.
+ATTR_VALUES = ("hi", "a b", "1.5", "a(b", "&#9;", "a&#10;b", "&#13;", "&amp;", "é", "", "a  b", "( x )", "\r")
+
+
+@given(
+    st.lists(
+        st.tuples(
+            identifiers(ascii_letters),
+            st.dictionaries(identifiers(ascii_lowercase), st.sampled_from(ATTR_VALUES), max_size=3),
+        ),
+        max_size=5,
+    ),
+    st.sampled_from(("", " ", "\n\t")),
+)
+@settings(max_examples=200, deadline=None)
+def test_read_trees_of_drawn_documents_pass_the_constructor_checks(leaves, blank):
+    body = "".join(
+        f"{blank}<{tag}" + "".join(f' {name}="{value}"' for name, value in attrs.items()) + "/>"
+        for tag, attrs in leaves
+    )
+    try:
+        tree = parse_bt_xml(f"<root><BehaviorTree><Sequence>{body}</Sequence></BehaviorTree></root>")
+    except XmlShapeError:
+        return
+    assert rebuild(tree) == tree
 
 
 def test_parse_bt_xml_time_at_most_triples_when_the_input_doubles():

@@ -5,7 +5,9 @@ exception class with equal ``position``, ``expected`` and ``found`` and
 the same message.
 """
 
+import operator
 import random
+from string import ascii_lowercase, digits
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 import logical_form_oracle as oracle
 from seqlang.dataset import generate
 from seqlang.logical_form import LogicalFormError, ParamNode, parse_logical_form, render
-from support import random_messy_tree
+from support import random_messy_tree, rebuild
 
 # Every token class the grammar tells apart, plus near misses of each.
 SOUP = (
@@ -52,6 +54,40 @@ def test_agrees_on_the_seed_7_corpus():
     train, _ = generate(2000, 0, seed=7)
     for pair in train.pairs:
         assert_agrees(pair.logical_form)
+
+
+def identifiers(letters):
+    """Words of ``letters``, digits and ``_`` that start with a letter."""
+    return st.builds(operator.add, st.sampled_from(letters), st.text(letters + digits + "_", max_size=5))
+
+
+@st.composite
+def shaped_soup(draw):
+    """A sequence of well-formed names and variables whose values are
+
+    soup tokens or any text, so that most of the texts parse.
+    """
+    name = identifiers(ascii_lowercase)
+    variable = st.integers(0).map(lambda index: f"${index}")
+    tokens = ["(", "seq"]
+    for _ in range(draw(st.integers(0, 4))):
+        tokens += ["(", draw(name)]
+        for _ in range(draw(st.integers(0, 3))):
+            value = draw(st.lists(st.sampled_from(SOUP) | st.text(min_size=1, max_size=6), min_size=1, max_size=3))
+            tokens += ["(", draw(name), "(", draw(variable), "(", *value, ")", ")", ")"]
+        tokens.append(")")
+    tokens.append(")")
+    return "".join(tok + draw(st.sampled_from(BLANKS)) for tok in tokens)
+
+
+@given(shaped_soup())
+@settings(max_examples=200, deadline=None)
+def test_parsed_trees_pass_the_constructor_checks(text):
+    try:
+        tree = parse_logical_form(text)
+    except LogicalFormError:
+        return
+    assert rebuild(tree) == tree
 
 
 def _mutate(tokens, rng):
