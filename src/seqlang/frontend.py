@@ -7,7 +7,8 @@ verb triggers (longest trigger wins, leftmost breaks ties), and the
 clause's remaining tokens are mined for parameter values by small
 per-action cue rules.  Same text, same lexicon, same tree, every time.
 
-Lexicon file format (``#`` starts a comment anywhere)::
+Lexicon file format (``#`` starts a comment anywhere; only LF ends a line,
+and CR and the other line breaks are blanks, or comment text)::
 
     [verbs]
     move to = move          # trigger phrase (1-3 tokens) = action name
@@ -312,7 +313,7 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
     connectives: list[str] = []
     saw_connectives = False
     section: str | None = None
-    for lineno, raw_line in enumerate(text.splitlines(), 1):
+    for lineno, raw_line in enumerate(text.split("\n"), 1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -4,7 +4,8 @@ The eight built-in actions cover a small underwater robot: six-axis motion,
 depth levelling, and a handful of record-and-succeed tasks.  A registry is
 immutable once built; user config can add actions or shadow built-ins.
 
-Config format, one action per line::
+Config format, one action per line; ``#`` starts a comment, and only LF
+ends a line (CR and the other line breaks are blanks, or comment text)::
 
     # name followed by its parameter names
     sample depth rate
@@ -168,7 +169,7 @@ def load_registry(config: str) -> ActionRegistry:
     """
     schemas = list(BUILTIN_SCHEMAS)
     warnings: list[Diagnostic] = []
-    for lineno, raw_line in enumerate(config.splitlines(), 1):
+    for lineno, raw_line in enumerate(config.split("\n"), 1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -21,6 +21,7 @@ from seqlang.frontend import (
     translate,
 )
 from seqlang.btxml import emit, parse_bt_xml
+from seqlang.dataset import LINE_BREAKS
 from seqlang.logical_form import SequenceNode, parse_logical_form, render
 from seqlang.registry import builtin_registry, load_registry, validate
 from support import best_of_3
@@ -426,3 +427,13 @@ def test_load_lexicon_rejects_malformed_files(text, line, needle):
         load_lexicon(text, builtin_registry())
     assert info.value.line == line
     assert needle in str(info.value)
+
+
+# LF is the one line end; every other break is a blank or comment text.
+@pytest.mark.parametrize("brk", [brk for brk in LINE_BREAKS if brk != "\n"])
+def test_load_lexicon_ends_lines_only_at_lf(brk):
+    lexicon = load_lexicon(f"[verbs] # x{brk}go = gate\r\ngoal = goal{brk}\n", builtin_registry())
+    assert lexicon.verbs == ((("goal",), "goal"),)
+    with pytest.raises(LexiconError) as info:
+        load_lexicon(f"[verbs] # x{brk}go = gate\nGoal = goal\n", builtin_registry())
+    assert info.value.line == 2

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from seqlang.dataset import LINE_BREAKS
 from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, parse_logical_form
 from seqlang.registry import (
     ActionRegistry,
@@ -98,6 +99,16 @@ def test_load_registry_rejects_malformed_lines(config, line):
         load_registry(config)
     assert info.value.line == line
     assert str(info.value).startswith(f"registry config line {line}")
+
+
+# LF is the one line end; every other break is a blank or comment text.
+@pytest.mark.parametrize("brk", [brk for brk in LINE_BREAKS if brk != "\n"])
+def test_load_registry_ends_lines_only_at_lf(brk):
+    registry = load_registry(f"ok # x{brk}tail\r\nping{brk}\n")
+    assert registry.names()[-2:] == ("ok", "ping")
+    with pytest.raises(ConfigParseError) as info:
+        load_registry(f"ok # x{brk}tail\nBad\n")
+    assert info.value.line == 2
 
 
 def test_builtin_registry_is_built_once():
