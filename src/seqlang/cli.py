@@ -122,6 +122,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     registry = _load_registry_arg(args.registry)
     lexicon = _load_lexicon_arg(args.lexicon, registry)
     corpus = read_tsv(Path(args.corpus).read_text(encoding="utf-8"), split="eval")
+    # A gold form that does not parse makes the corpus malformed; read_tsv
+    # gives one pair per line, so the pair's number is its line.
+    for lineno, pair in enumerate(corpus.pairs, 1):
+        try:
+            parse_logical_form(pair.logical_form)
+        except LogicalFormError as exc:
+            raise FormatError(lineno, f"gold logical form does not parse: {exc}") from None
     report = evaluate(lambda text: translate(text, lexicon, registry), corpus)
     if args.lines:
         for line in report_lines(report):

@@ -255,6 +255,15 @@ def test_eval_malformed_corpus_exits_5(tmp_path, capsys):
     assert "line 1" in stderr
 
 
+def test_eval_gold_form_that_does_not_parse_exits_5(tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("goal\t( seq ( goal ) )\nsay hi\t( seq ( say\n", encoding="utf-8")
+    code, stdout, stderr = invoke(capsys, "eval", str(corpus))
+    assert code == 5
+    assert stdout == ""
+    assert stderr.startswith("error: corpus line 2: gold logical form does not parse: syntax error at token 4")
+
+
 def test_eval_missing_corpus_exits_5(tmp_path, capsys):
     code, _, _ = invoke(capsys, "eval", str(tmp_path / "nope.tsv"))
     assert code == 5
