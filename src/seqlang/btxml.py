@@ -29,7 +29,11 @@ character XML 1.0 does not allow at all, such as ``\x0b`` or a lone
 surrogate, raises :class:`EmitError`, as does a duplicate parameter.
 
 Variable numbering is not stored in the XML; the reader re-assigns
-0, 1, 2, ... in document order.
+0, 1, 2, ... in document order.  All of the reader's checks run in one
+pass that returns the action leaves: :func:`parse_bt_xml` builds a tree
+from them, and :func:`seqlang.interpreter.run` ticks them as they are,
+so it refuses exactly what :func:`parse_bt_xml` refuses without
+building a tree.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
-from seqlang.logical_form import IDENT_RE, RESERVED_HEAD, ActionNode, ParamNode, SequenceNode
+from seqlang.logical_form import IDENT_RE, RESERVED_HEAD, SequenceNode, _action, _param, _sequence, is_param_value
 from seqlang.registry import ActionRegistry, builtin_registry
 
 _XML_HEADER = '<?xml version="1.0" encoding="UTF-8"?>'
@@ -178,6 +182,19 @@ def parse_bt_xml(xml_text: str) -> SequenceNode:
     parameter order; variables are re-numbered 0, 1, 2, ... in document
     order.  Everything else raises :class:`XmlShapeError`.
     """
+    actions = []
+    counter = 0
+    for name, params in _read_leaves(xml_text):
+        actions.append(_action(name, tuple([_param(k, counter + j, v) for j, (k, v) in enumerate(params)])))
+        counter += len(params)
+    return _sequence(tuple(actions))
+
+
+def _read_leaves(xml_text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]]:
+    """Check a document as :func:`parse_bt_xml` describes, and return its
+
+    leaves in order as ``(action name, ((param, value), ...))``.
+    """
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
@@ -212,24 +229,21 @@ def parse_bt_xml(xml_text: str) -> SequenceNode:
     sequence = children[0]
     if sequence.attrib:
         raise XmlShapeError("<Sequence> may not have attributes", path="Sequence")
-    actions: list[ActionNode] = []
-    counter = 0
+    leaves = []
     for index, leaf in enumerate(sequence):
         if len(leaf):
             raise XmlShapeError("action leaves may not have children", path=_leaf_path(index, leaf))
         name = leaf.tag.lower()
         if name == RESERVED_HEAD or not IDENT_RE.match(name):
             raise XmlShapeError(f"element <{leaf.tag}> does not name an action", path=_leaf_path(index, leaf))
-        params: list[ParamNode] = []
-        for attr_name, attr_value in leaf.items():
-            try:
-                params.append(ParamNode(attr_name, counter, attr_value))
-            except ValueError:
-                # ParamNode checks the name first; say which of the two failed.
-                problem = "single-spaced paren-free tokens" if IDENT_RE.match(attr_name) else "a parameter name"
-                raise XmlShapeError(
-                    f"attribute {attr_name!r} is not {problem}", path=_leaf_path(index, leaf)
-                ) from None
-            counter += 1
-        actions.append(ActionNode(name, tuple(params)))
-    return SequenceNode(tuple(actions))
+        params = tuple(leaf.items())
+        for attr_name, attr_value in params:
+            if not IDENT_RE.match(attr_name):
+                problem = "a parameter name"
+            elif not is_param_value(attr_value):
+                problem = "single-spaced paren-free tokens"
+            else:
+                continue
+            raise XmlShapeError(f"attribute {attr_name!r} is not {problem}", path=_leaf_path(index, leaf))
+        leaves.append((name, params))
+    return leaves

@@ -8,7 +8,11 @@ flatten levels the vehicle and sets depth, and the remaining built-ins
 record themselves and succeed.  Move and flatten FAIL, changing nothing,
 on a value that is not a finite number (``nan`` and ``inf`` included).
 Axis slots and the set of built-ins come from the schemas in
-:mod:`seqlang.registry`, read once at import.
+:mod:`seqlang.registry`, read once at import.  The document goes through
+all of :func:`seqlang.btxml.parse_bt_xml`'s checks, and a document it
+refuses raises the same error before the plant is touched; but no tree
+is built, as each checked leaf's (name, value) pairs are already what
+its trace entry holds.
 
 Unknown actions are no-ops that SUCCEED with a warning flag on their
 trace entry, so missions from extended registries still run end to end.
@@ -21,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isfinite
 
-from seqlang.btxml import parse_bt_xml
-from seqlang.logical_form import ActionNode
+from seqlang.btxml import _read_leaves
 from seqlang.registry import BUILTIN_SCHEMAS
 
 SUCCESS = "SUCCESS"
@@ -65,9 +68,8 @@ def _number(value: str) -> float | None:
     return number if isfinite(number) else None
 
 
-def _apply(plant: MockPlant, action: ActionNode, params: tuple[tuple[str, str], ...]) -> tuple[str, bool]:
+def _apply(plant: MockPlant, name: str, params: tuple[tuple[str, str], ...]) -> tuple[str, bool]:
     """Run one action against the plant; returns (status, warning)."""
-    name = action.name
     if name == "move":
         updates = {}
         for param_name, value in params:
@@ -80,9 +82,7 @@ def _apply(plant: MockPlant, action: ActionNode, params: tuple[tuple[str, str], 
             updates[slot] = number
         for slot, number in updates.items():
             plant.pose[slot] = number
-        plant.transcript.append((name, params))
-        return SUCCESS, False
-    if name == "flatten":
+    elif name == "flatten":
         depth = None
         for param_name, value in params:
             if param_name == "num":
@@ -93,12 +93,10 @@ def _apply(plant: MockPlant, action: ActionNode, params: tuple[tuple[str, str], 
         plant.pose[_AXES["pitch"]] = 0.0
         if depth is not None:
             plant.pose[_AXES["z"]] = depth
-        plant.transcript.append((name, params))
-        return SUCCESS, False
-    if name in _RECORD_ONLY:
-        plant.transcript.append((name, params))
-        return SUCCESS, False
-    return SUCCESS, True
+    elif name not in _RECORD_ONLY:
+        return SUCCESS, True
+    plant.transcript.append((name, params))
+    return SUCCESS, False
 
 
 def run(xml_text: str, plant: MockPlant | None = None) -> tuple[list[TraceEntry], str]:
@@ -108,16 +106,15 @@ def run(xml_text: str, plant: MockPlant | None = None) -> tuple[list[TraceEntry]
     FAILURE the remaining actions never appear.  Overall status is
     SUCCESS only if every leaf succeeded.
     """
-    tree = parse_bt_xml(xml_text)
+    leaves = _read_leaves(xml_text)
     plant = MockPlant() if plant is None else plant
     trace: list[TraceEntry] = []
-    for step, action in enumerate(tree.actions):
-        params = tuple([(p.name, p.value) for p in action.params])
+    for step, (name, params) in enumerate(leaves):
         if step in plant.fail_injections:
-            trace.append(TraceEntry(step, action.name, params, FAILURE))
+            trace.append(TraceEntry(step, name, params, FAILURE))
             return trace, FAILURE
-        status, warning = _apply(plant, action, params)
-        trace.append(TraceEntry(step, action.name, params, status, warning))
+        status, warning = _apply(plant, name, params)
+        trace.append(TraceEntry(step, name, params, status, warning))
         if status == FAILURE:
             return trace, FAILURE
     return trace, SUCCESS

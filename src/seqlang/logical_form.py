@@ -102,9 +102,17 @@ class EmptyValueError(LogicalFormError):
         return f"empty parameter value at token {self.position}"
 
 
-# Frozen dataclasses forbid plain assignment; each node's __init__ stores
-# its checked fields through this instead.
+# Frozen dataclasses forbid plain assignment; each node's __init__, and
+# each unchecked builder below, stores its fields through this instead.
 _set = object.__setattr__
+
+
+def is_param_value(value: object) -> bool:
+    """Whether ``value`` may be a :class:`ParamNode` value."""
+    # Padded with a space each side, a single-spaced value has no
+    # double space, and a paren token shows as " ( " or " ) ".
+    padded = f" {value} " if isinstance(value, str) else "  "
+    return not ("  " in padded or " ( " in padded or " ) " in padded or "\t" in padded or "\n" in padded)
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,10 +133,7 @@ class ParamNode:
             raise ValueError(f"parameter name {name!r} is not a lowercase identifier")
         if not isinstance(var_index, int) or var_index < 0:
             raise ValueError(f"variable index {var_index!r} must be a non-negative int")
-        # Padded with a space each side, a single-spaced value has no
-        # double space, and a paren token shows as " ( " or " ) ".
-        padded = f" {value} " if isinstance(value, str) else "  "
-        if "  " in padded or " ( " in padded or " ) " in padded or "\t" in padded or "\n" in padded:
+        if not is_param_value(value):
             raise ValueError(f"parameter value {value!r} is not single-spaced paren-free tokens")
         _set(self, "name", name)
         _set(self, "var_index", var_index)
@@ -166,6 +171,30 @@ class SequenceNode:
             if action.name == RESERVED_HEAD:
                 raise ValueError("actions may not be named 'seq'")
         _set(self, "actions", actions)
+
+
+# Unchecked builders, for readers that have already checked all that the
+# constructors check: names match IDENT_RE, indices are ints >= 0, values
+# pass is_param_value, no action is named RESERVED_HEAD; tuples throughout.
+def _param(name: str, var_index: int, value: str) -> ParamNode:
+    node = object.__new__(ParamNode)
+    _set(node, "name", name)
+    _set(node, "var_index", var_index)
+    _set(node, "value", value)
+    return node
+
+
+def _action(name: str, params: tuple[ParamNode, ...]) -> ActionNode:
+    node = object.__new__(ActionNode)
+    _set(node, "name", name)
+    _set(node, "params", params)
+    return node
+
+
+def _sequence(actions: tuple[ActionNode, ...]) -> SequenceNode:
+    node = object.__new__(SequenceNode)
+    _set(node, "actions", actions)
+    return node
 
 
 def parse_logical_form(text: str) -> SequenceNode:
@@ -233,13 +262,13 @@ def parse_logical_form(text: str) -> SequenceNode:
                 raise FormSyntaxError(end + 1, "')'", tokens[end + 1])
             if tokens[end + 2] != ")":
                 raise FormSyntaxError(end + 2, "')'", tokens[end + 2])
-            params.append(ParamNode(param, int(var[1:]), " ".join(tokens[start:end])))
+            params.append(_param(param, int(var[1:]), " ".join(tokens[start:end])))
             i = end + 3
-        actions.append(ActionNode(name, tuple(params)))
+        actions.append(_action(name, tuple(params)))
         i += 1
     if i + 1 < size:
         raise TrailingTokensError(i + 1, tokens[i + 1])
-    return SequenceNode(tuple(actions))
+    return _sequence(tuple(actions))
 
 
 def render(tree: SequenceNode) -> str:
