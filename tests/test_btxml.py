@@ -228,6 +228,8 @@ def test_parse_bt_xml_accepts_single_tree_without_selector():
         ),
         ("<root><BehaviorTree><Sequence><_goal/></Sequence></BehaviorTree></root>", "does not name an action"),
         ("<root><BehaviorTree><Sequence><Seq/></Sequence></BehaviorTree></root>", "does not name an action"),
+        # seq is a legal attribute name, but never an action name
+        ('<root><BehaviorTree><Sequence><Say seq="1"/><Seq/></Sequence></BehaviorTree></root>', "does not name an action"),
         (
             '<root><BehaviorTree><Sequence><Say WORDS="hi"/></Sequence></BehaviorTree></root>',
             "not a parameter name",
@@ -322,6 +324,24 @@ def test_shape_errors_name_the_offending_child():
     assert info.value.path == "Sequence child 1 <_x>"
 
 
+@pytest.mark.parametrize(
+    "leaves, needle, path",
+    [
+        ('<Say seq="1"/><Seq/>', "element <Seq> does not name an action", "Sequence child 1 <Seq>"),
+        ("<Goal/><Goal/><_goal/>", "element <_goal> does not name an action", "Sequence child 2 <_goal>"),
+        ('<Say words="a"/><Say words="b" WORDS="c"/>', "'WORDS' is not a parameter name", "Sequence child 1 <Say>"),
+        ('<Say words="a"/><Goal words="b"/><Say words="a  b"/>', "'words' is not single-spaced", "Sequence child 2 <Say>"),
+    ],
+)
+def test_a_name_read_before_does_not_hide_a_bad_one(leaves, needle, path):
+    xml = f"<root><BehaviorTree><Sequence>{leaves}</Sequence></BehaviorTree></root>"
+    for read in (parse_bt_xml, run):
+        with pytest.raises(XmlShapeError) as info:
+            read(xml)
+        assert needle in str(info.value)
+        assert info.value.path == path
+
+
 def test_reader_and_renderer_agree_on_canonical_forms():
     rng = random.Random(80)
     for _ in range(100):
@@ -344,24 +364,30 @@ def test_read_trees_of_emitted_forms_pass_the_constructor_checks(text):
 ATTR_VALUES = ("hi", "a b", "1.5", "a(b", "&#9;", "a&#10;b", "&#13;", "&amp;", "é", "", "a  b", "( x )", "\r")
 
 
-@given(
-    st.lists(
-        st.tuples(
-            identifiers(ascii_letters),
-            st.dictionaries(identifiers(ascii_lowercase), st.sampled_from(ATTR_VALUES), max_size=3),
-        ),
-        max_size=5,
-    ),
-    st.sampled_from(("", " ", "\n\t")),
-)
-@settings(max_examples=200, deadline=None)
-def test_read_trees_of_drawn_documents_pass_the_constructor_checks(leaves, blank):
+def _document(leaves, blank):
     body = "".join(
         f"{blank}<{tag}" + "".join(f' {name}="{value}"' for name, value in attrs.items()) + "/>"
         for tag, attrs in leaves
     )
+    return f"<root><BehaviorTree><Sequence>{body}</Sequence></BehaviorTree></root>"
+
+
+def drawn_documents():
+    """Mission documents of drawn leaves: any tags, the plant's own ones
+
+    among them, each with drawn attributes set to ``ATTR_VALUES``.
+    """
+    tags = identifiers(ascii_letters) | st.sampled_from(("Move", "Flatten", "Say", "Seq"))
+    names = identifiers(ascii_lowercase) | st.sampled_from(("x", "yaw", "num", "seq"))
+    leaves = st.lists(st.tuples(tags, st.dictionaries(names, st.sampled_from(ATTR_VALUES), max_size=3)), max_size=5)
+    return st.builds(_document, leaves, st.sampled_from(("", " ", "\n\t")))
+
+
+@given(drawn_documents())
+@settings(max_examples=200, deadline=None)
+def test_read_trees_of_drawn_documents_pass_the_constructor_checks(xml):
     try:
-        tree = parse_bt_xml(f"<root><BehaviorTree><Sequence>{body}</Sequence></BehaviorTree></root>")
+        tree = parse_bt_xml(xml)
     except XmlShapeError:
         return
     assert rebuild(tree) == tree

@@ -1,11 +1,20 @@
 """End-to-end command-line behavior: output streams and exit codes."""
 
 import io
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from seqlang.btxml import parse_bt_xml
+from seqlang.btxml import emit, parse_bt_xml
 from seqlang.cli import main
+from seqlang.dataset import generate, write_tsv
+from seqlang.frontend import translate
 from seqlang.logical_form import render
 
 
@@ -420,3 +429,66 @@ def test_render_and_compile_agree(tmp_path, capsys):
     assert code == 0
     tree = parse_bt_xml(out.read_text(encoding="utf-8"))
     assert stdout.strip() == render(tree)
+
+
+# ------------------------------------------------------------------ fuzzing
+
+README_EXIT_CODES = {
+    int(code) for code in re.findall(r"^\| (\d+) \|", Path(__file__).parents[1].joinpath("README.md").read_text(), re.M)
+}
+
+FILES = ("a", "b.xml", "c.tsv")
+# Contents that get past the readers, so that drawn argv reaches each command.
+_MISSION = "say all clear then flatten out at 2 then move to x 1"
+SAMPLES = (
+    emit(translate(_MISSION)).encode(),
+    write_tsv(generate(3, 0, seed=5)[0]).encode(),
+    b"sample depth rate\nping\n",
+    Path(__file__).parents[1].joinpath("src/seqlang/data/lexicon.txt").read_bytes(),
+)
+# A token is anything an OS argv can hold but '/', so that every path it
+# names stays in the example's directory; three characters at most, so
+# that a count it spells stays small.
+TOKENS = st.text(st.characters(blacklist_characters="\x00/", blacklist_categories=("Cs",)), max_size=3)
+COMMANDS = st.sampled_from(("compile", "parse", "generate", "eval", "run", "repl"))
+FLAGS = st.sampled_from(
+    ("--lexicon", "--registry", "--out", "--strict", "--train", "--test", "--seed")
+    + ("--threshold", "--lines", "--fail-at", "-h", "--", "-")
+)
+WORDS = st.one_of(
+    COMMANDS,
+    FLAGS,
+    st.sampled_from(FILES + (".", "missing")),
+    st.integers(-3, 40).map(str),
+    st.floats().map(str),
+    TOKENS,
+    st.sampled_from((_MISSION, render(translate(_MISSION)))),
+)
+# Mostly a command, an argument and flags with values, so that most draws
+# get past argparse; any list of words besides.
+ARGV = st.builds(
+    lambda command, argument, options: [command, *argument, *[word for option in options for word in option]],
+    COMMANDS,
+    st.lists(WORDS, max_size=1),
+    st.lists(st.tuples(FLAGS, WORDS) | st.tuples(FLAGS), max_size=3),
+) | st.lists(WORDS, max_size=8)
+
+
+@given(
+    argv=ARGV,
+    contents=st.tuples(*[st.sampled_from(SAMPLES) | st.binary(max_size=64) for _ in FILES]),
+    stdin=st.text(max_size=40) | st.just(_MISSION + "\n" + _MISSION),
+)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_main_returns_a_documented_exit_code_for_any_argv(tmp_path, monkeypatch, argv, contents, stdin):
+    monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
+    for name, content in zip(FILES, contents):
+        Path(name).write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), mock.patch("sys.stdin", io.StringIO(stdin)):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code in (0, 2), err.getvalue()
+            return
+    assert code in README_EXIT_CODES

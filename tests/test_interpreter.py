@@ -1,8 +1,12 @@
 """Mock-plant execution of emitted missions."""
 
-import pytest
+import dataclasses
 
-from seqlang.btxml import emit
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from seqlang.btxml import XmlShapeError, emit
 from seqlang.frontend import translate
 from seqlang.interpreter import (
     FAILURE,
@@ -13,6 +17,7 @@ from seqlang.interpreter import (
     run,
 )
 from seqlang.logical_form import ActionNode, ParamNode, SequenceNode
+from test_btxml import drawn_documents
 
 
 def mission(*actions):
@@ -262,3 +267,19 @@ def test_format_trace_marks_failures():
     plant.fail_injections.add(0)
     trace, _ = run(mission(act("gate")), plant)
     assert format_trace(trace) == ["0\tgate\t\tFAILURE"]
+
+
+@given(drawn_documents(), st.sets(st.integers(0, 5), max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_trace_entries_equal_entries_built_through_the_constructor(xml, fail_at):
+    for injections in (set(), fail_at):
+        try:
+            trace, _ = run(xml, MockPlant(fail_injections=set(injections)))
+        except XmlShapeError:
+            return
+        for entry in trace:
+            twin = TraceEntry(entry.step, entry.action, entry.params, entry.status, entry.warning)
+            assert entry == twin
+            assert hash(entry) == hash(twin)
+            assert repr(entry) == repr(twin)
+            assert dataclasses.replace(entry) == entry

@@ -184,6 +184,12 @@ def test_parse_agrees_with_oracle_on_random_trees():
         ("( seq ( say ( words ( $0 ( a ( b ) ) ) ) ) )", FormSyntaxError, 10),
         ("( seq ( flatten ( num 2 ) ) )", FormSyntaxError, 6),
         ("( seq goal )", FormSyntaxError, 2),
+        # seq is a legal parameter name, but never an action name
+        ("( seq ( say ( seq ( $0 ( x ) ) ) ) ( seq ) )", FormSyntaxError, 15),
+        # a name seen before does not hide a bad one after it
+        ("( seq ( say ( words ( $0 ( a ) ) ) ) ( say ( words ( $1 ( b ) ) ) ( Words ( $2 ( c ) ) ) ) )", InvalidNameError, 26),
+        ("( seq ( goal ) ( goal ) ( Goal ) )", InvalidNameError, 9),
+        ("( seq ( say ( goal ( $0 ( x ) ) ) ) ( goal ) ( 9 ) )", InvalidNameError, 18),
     ],
 )
 def test_malformed_input_positions(text, error, position):
