@@ -18,7 +18,16 @@ import sys
 from pathlib import Path
 
 from seqlang.btxml import EmitError, XmlShapeError, emit
-from seqlang.dataset import Corpus, FormatError, InsufficientSpace, generate, read_tsv, vocab_stats, write_tsv
+from seqlang.dataset import (
+    Corpus,
+    FormatError,
+    InsufficientSpace,
+    TemplateError,
+    generate,
+    read_tsv,
+    vocab_stats,
+    write_tsv,
+)
 from seqlang.evaluation import evaluate, format_report, report_lines
 from seqlang.frontend import (
     AmbiguousMatch,
@@ -231,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     except (LogicalFormError, XmlShapeError, EmitError) as exc:
         _say(f"error: {exc}")
         return 4
-    except (LexiconError, ConfigParseError, FormatError, InsufficientSpace) as exc:
+    except (LexiconError, ConfigParseError, FormatError, InsufficientSpace, TemplateError) as exc:
         _say(f"error: {exc}")
         return 5
     except (OSError, UnicodeDecodeError) as exc:

@@ -62,6 +62,10 @@ class InsufficientSpace(Exception):
         )
 
 
+class TemplateError(ValueError):
+    """A template made a logical form that fails strict validation."""
+
+
 @dataclass(frozen=True)
 class CorpusPair:
     """One utterance and its gold logical form; free of tabs and LINE_BREAKS."""
@@ -209,9 +213,9 @@ def generate(
     the two splits.  Each split of seven or more pairs starts with one
     mission of every length 1..7 so all lengths are always represented;
     the rest follow LENGTH_WEIGHTS.  Every generated logical form
-    strict-validates against the registry.  Raises
-    :class:`InsufficientSpace` when the templates cannot fill the request
-    with distinct pairs.
+    strict-validates against the registry, or :class:`TemplateError` is
+    raised.  Raises :class:`InsufficientSpace` when the templates cannot
+    fill the request with distinct pairs.
     """
     rng = random.Random(seed)
     registry = builtin_registry() if registry is None else registry
@@ -236,7 +240,7 @@ def generate(
             problems = validate(parse_logical_form(pair.logical_form), registry, "strict")
             errors = [d for d in problems if d.severity == "error"]
             if errors:
-                raise ValueError(f"template produced invalid form {pair.logical_form!r}: {errors[0]}")
+                raise TemplateError(f"template produced invalid form {pair.logical_form!r}: {errors[0]}")
             pairs.append(pair)
         return Corpus(tuple(pairs), split)
 

@@ -415,6 +415,17 @@ def test_generate_refuses_negative_counts_as_a_usage_error(tmp_path, capsys, fla
     assert not list(tmp_path.iterdir())
 
 
+def test_generate_with_a_registry_the_templates_break_exits_5(tmp_path, capsys):
+    # the say template fills a words parameter this registry's say lacks
+    registry = tmp_path / "reg.txt"
+    registry.write_text("say\n", encoding="utf-8")
+    code, stdout, stderr = invoke(capsys, "generate", "--registry", str(registry), "--out", str(tmp_path / "out"))
+    assert (code, stdout) == (5, "")
+    assert "error: template produced invalid form" in stderr
+    assert "action 'say' has no parameter 'words'" in stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_subcommand_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["transmogrify"])
@@ -444,38 +455,60 @@ SAMPLES = (
     emit(translate(_MISSION)).encode(),
     write_tsv(generate(3, 0, seed=5)[0]).encode(),
     b"sample depth rate\nping\n",
+    b"say\n",
     Path(__file__).parents[1].joinpath("src/seqlang/data/lexicon.txt").read_bytes(),
 )
 # A token is anything an OS argv can hold but '/', so that every path it
 # names stays in the example's directory; three characters at most, so
 # that a count it spells stays small.
 TOKENS = st.text(st.characters(blacklist_characters="\x00/", blacklist_categories=("Cs",)), max_size=3)
-COMMANDS = st.sampled_from(("compile", "parse", "generate", "eval", "run", "repl"))
-FLAGS = st.sampled_from(
-    ("--lexicon", "--registry", "--out", "--strict", "--train", "--test", "--seed")
-    + ("--threshold", "--lines", "--fail-at", "-h", "--", "-")
-)
 WORDS = st.one_of(
-    COMMANDS,
-    FLAGS,
+    st.sampled_from(("compile", "parse", "generate", "eval", "run", "repl")),
+    st.sampled_from(("--lexicon", "--registry", "--out", "--strict", "--train", "--test", "--seed")),
+    st.sampled_from(("--threshold", "--lines", "--fail-at", "-h", "--", "-")),
     st.sampled_from(FILES + (".", "missing")),
     st.integers(-3, 40).map(str),
     st.floats().map(str),
     TOKENS,
     st.sampled_from((_MISSION, render(translate(_MISSION)))),
 )
-# Mostly a command, an argument and flags with values, so that most draws
-# get past argparse; any list of words besides.
-ARGV = st.builds(
-    lambda command, argument, options: [command, *argument, *[word for option in options for word in option]],
-    COMMANDS,
-    st.lists(WORDS, max_size=1),
-    st.lists(st.tuples(FLAGS, WORDS) | st.tuples(FLAGS), max_size=3),
-) | st.lists(WORDS, max_size=8)
+FILE = st.sampled_from(FILES) | WORDS
+NUMBER = st.integers(-3, 40).map(str) | WORDS
+TEXT = st.sampled_from((_MISSION, render(translate(_MISSION)))) | WORDS
+# Each command's positional operand, and its flags with theirs, as
+# _build_parser declares them.
+COMMANDS = {
+    "compile": (TEXT, {"--lexicon": FILE, "--registry": FILE, "--out": FILE}),
+    "parse": (TEXT, {"--registry": FILE, "--strict": None, "--out": FILE}),
+    "generate": (None, {"--train": NUMBER, "--test": NUMBER, "--seed": NUMBER, "--registry": FILE, "--out": FILE}),
+    "eval": (FILE, {"--lexicon": FILE, "--registry": FILE, "--threshold": NUMBER, "--lines": None}),
+    "run": (FILE, {"--fail-at": NUMBER}),
+    "repl": (None, {"--lexicon": FILE, "--registry": FILE, "--out": FILE}),
+}
+
+
+@st.composite
+def argvs(draw):
+    """Mostly a command with an operand and some of its flags, so that most
+
+    draws get past argparse and read the files; else any list of words.
+    """
+    if draw(st.booleans()):
+        return draw(st.lists(WORDS, max_size=8))
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    operand, options = COMMANDS[command]
+    argv = [command]
+    if operand is not None and draw(st.booleans()):
+        argv.append(draw(operand))
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), max_size=3, unique=True)):
+        argv.append(flag)
+        if options[flag] is not None:
+            argv.append(draw(options[flag]))
+    return argv
 
 
 @given(
-    argv=ARGV,
+    argv=argvs(),
     contents=st.tuples(*[st.sampled_from(SAMPLES) | st.binary(max_size=64) for _ in FILES]),
     stdin=st.text(max_size=40) | st.just(_MISSION + "\n" + _MISSION),
 )
