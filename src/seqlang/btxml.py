@@ -229,20 +229,24 @@ def _read_leaves(xml_text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]]
     sequence = children[0]
     if sequence.attrib:
         raise XmlShapeError("<Sequence> may not have attributes", path="Sequence")
+    # Names that have passed IDENT_RE; seq is one only for a parameter.
+    named: set[str] = set()
     leaves = []
     for index, leaf in enumerate(sequence):
         if len(leaf):
             raise XmlShapeError("action leaves may not have children", path=_leaf_path(index, leaf))
         name = leaf.tag.lower()
-        if name == RESERVED_HEAD or not IDENT_RE.match(name):
+        if name == RESERVED_HEAD or name not in named and not IDENT_RE.match(name):
             raise XmlShapeError(f"element <{leaf.tag}> does not name an action", path=_leaf_path(index, leaf))
+        named.add(name)
         params = tuple(leaf.items())
         for attr_name, attr_value in params:
-            if not IDENT_RE.match(attr_name):
+            if attr_name not in named and not IDENT_RE.match(attr_name):
                 problem = "a parameter name"
             elif not is_param_value(attr_value):
                 problem = "single-spaced paren-free tokens"
             else:
+                named.add(attr_name)
                 continue
             raise XmlShapeError(f"attribute {attr_name!r} is not {problem}", path=_leaf_path(index, leaf))
         leaves.append((name, params))

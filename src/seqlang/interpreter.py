@@ -12,7 +12,8 @@ Axis slots and the set of built-ins come from the schemas in
 all of :func:`seqlang.btxml.parse_bt_xml`'s checks, and a document it
 refuses raises the same error before the plant is touched; but no tree
 is built, as each checked leaf's (name, value) pairs are already what
-its trace entry holds.
+its trace entry holds.  Entries of these checked leaves are built by
+storing their fields through ``TraceEntry``'s slot descriptors.
 
 Unknown actions are no-ops that SUCCEED with a warning flag on their
 trace entry, so missions from extended registries still run end to end.
@@ -57,6 +58,24 @@ class TraceEntry:
     params: tuple[tuple[str, str], ...]
     status: str
     warning: bool = False
+
+
+# _entry(...) is TraceEntry(...), stored through these slot setters.
+_set_step = TraceEntry.step.__set__
+_set_action = TraceEntry.action.__set__
+_set_params = TraceEntry.params.__set__
+_set_status = TraceEntry.status.__set__
+_set_warning = TraceEntry.warning.__set__
+
+
+def _entry(step: int, action: str, params: tuple[tuple[str, str], ...], status: str, warning: bool) -> TraceEntry:
+    entry = object.__new__(TraceEntry)
+    _set_step(entry, step)
+    _set_action(entry, action)
+    _set_params(entry, params)
+    _set_status(entry, status)
+    _set_warning(entry, warning)
+    return entry
 
 
 def _number(value: str) -> float | None:
@@ -110,11 +129,8 @@ def run(xml_text: str, plant: MockPlant | None = None) -> tuple[list[TraceEntry]
     plant = MockPlant() if plant is None else plant
     trace: list[TraceEntry] = []
     for step, (name, params) in enumerate(leaves):
-        if step in plant.fail_injections:
-            trace.append(TraceEntry(step, name, params, FAILURE))
-            return trace, FAILURE
-        status, warning = _apply(plant, name, params)
-        trace.append(TraceEntry(step, name, params, status, warning))
+        status, warning = (FAILURE, False) if step in plant.fail_injections else _apply(plant, name, params)
+        trace.append(_entry(step, name, params, status, warning))
         if status == FAILURE:
             return trace, FAILURE
     return trace, SUCCESS

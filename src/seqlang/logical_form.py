@@ -102,11 +102,6 @@ class EmptyValueError(LogicalFormError):
         return f"empty parameter value at token {self.position}"
 
 
-# Frozen dataclasses forbid plain assignment; each node's __init__, and
-# each unchecked builder below, stores its fields through this instead.
-_set = object.__setattr__
-
-
 def is_param_value(value: object) -> bool:
     """Whether ``value`` may be a :class:`ParamNode` value."""
     # Padded with a space each side, a single-spaced value has no
@@ -135,9 +130,9 @@ class ParamNode:
             raise ValueError(f"variable index {var_index!r} must be a non-negative int")
         if not is_param_value(value):
             raise ValueError(f"parameter value {value!r} is not single-spaced paren-free tokens")
-        _set(self, "name", name)
-        _set(self, "var_index", var_index)
-        _set(self, "value", value)
+        _set_param_name(self, name)
+        _set_param_index(self, var_index)
+        _set_param_value(self, value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,8 +145,8 @@ class ActionNode:
     def __init__(self, name: str, params: tuple[ParamNode, ...] = ()) -> None:
         if not IDENT_RE.match(name):
             raise ValueError(f"action name {name!r} is not a lowercase identifier")
-        _set(self, "name", name)
-        _set(self, "params", params if type(params) is tuple else tuple(params))
+        _set_action_name(self, name)
+        _set_action_params(self, params if type(params) is tuple else tuple(params))
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,7 +165,18 @@ class SequenceNode:
         for action in actions:
             if action.name == RESERVED_HEAD:
                 raise ValueError("actions may not be named 'seq'")
-        _set(self, "actions", actions)
+        _set_actions(self, actions)
+
+
+# Frozen dataclasses forbid plain assignment; each node's __init__, and
+# each unchecked builder below, stores its fields through these slot
+# descriptors' setters.
+_set_param_name = ParamNode.name.__set__
+_set_param_index = ParamNode.var_index.__set__
+_set_param_value = ParamNode.value.__set__
+_set_action_name = ActionNode.name.__set__
+_set_action_params = ActionNode.params.__set__
+_set_actions = SequenceNode.actions.__set__
 
 
 # Unchecked builders, for readers that have already checked all that the
@@ -178,22 +184,22 @@ class SequenceNode:
 # pass is_param_value, no action is named RESERVED_HEAD; tuples throughout.
 def _param(name: str, var_index: int, value: str) -> ParamNode:
     node = object.__new__(ParamNode)
-    _set(node, "name", name)
-    _set(node, "var_index", var_index)
-    _set(node, "value", value)
+    _set_param_name(node, name)
+    _set_param_index(node, var_index)
+    _set_param_value(node, value)
     return node
 
 
 def _action(name: str, params: tuple[ParamNode, ...]) -> ActionNode:
     node = object.__new__(ActionNode)
-    _set(node, "name", name)
-    _set(node, "params", params)
+    _set_action_name(node, name)
+    _set_action_params(node, params)
     return node
 
 
 def _sequence(actions: tuple[ActionNode, ...]) -> SequenceNode:
     node = object.__new__(SequenceNode)
-    _set(node, "actions", actions)
+    _set_actions(node, actions)
     return node
 
 
@@ -218,8 +224,9 @@ def parse_logical_form(text: str) -> SequenceNode:
         raise FormSyntaxError(0, "'('", tokens[0])
     if tokens[1] != RESERVED_HEAD:
         raise FormSyntaxError(1, f"'{RESERVED_HEAD}'", tokens[1])
-    ident = IDENT_RE.match
     variable = VAR_RE.match
+    # Names that have passed IDENT_RE; seq is one only for a parameter.
+    named: set[str] = set()
     actions: list[ActionNode] = []
     i = 2
     while (tok := tokens[i]) != ")":
@@ -230,8 +237,9 @@ def parse_logical_form(text: str) -> SequenceNode:
             raise FormSyntaxError(i + 1, "an action name (sequences do not nest)", RESERVED_HEAD)
         if name is None:
             raise FormSyntaxError(i + 1, "an action name", None)
-        if not ident(name):
+        if name not in named and not IDENT_RE.match(name):
             raise InvalidNameError(i + 1, name)
+        named.add(name)
         i += 2
         params: list[ParamNode] = []
         while (tok := tokens[i]) != ")":
@@ -240,8 +248,9 @@ def parse_logical_form(text: str) -> SequenceNode:
             param = tokens[i + 1]
             if param is None:
                 raise FormSyntaxError(i + 1, "a parameter name", None)
-            if not ident(param):
+            if param not in named and not IDENT_RE.match(param):
                 raise InvalidNameError(i + 1, param)
+            named.add(param)
             if tokens[i + 2] != "(":
                 raise FormSyntaxError(i + 2, "'('", tokens[i + 2])
             var = tokens[i + 3]
