@@ -11,9 +11,8 @@ Axis slots and the set of built-ins come from the schemas in
 :mod:`seqlang.registry`, read once at import.  The document goes through
 all of :func:`seqlang.btxml.parse_bt_xml`'s checks, and a document it
 refuses raises the same error before the plant is touched; but no tree
-is built, as each checked leaf's (name, value) pairs are already what
-its trace entry holds.  Entries of these checked leaves are built by
-storing their fields through ``TraceEntry``'s slot descriptors.
+is built: each checked leaf's (name, value) pairs are its trace entry's
+params, and entries store their fields through slot descriptors.
 
 Unknown actions are no-ops that SUCCEED with a warning flag on their
 trace entry, so missions from extended registries still run end to end.

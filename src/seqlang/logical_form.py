@@ -168,9 +168,8 @@ class SequenceNode:
         _set_actions(self, actions)
 
 
-# Frozen dataclasses forbid plain assignment; each node's __init__, and
-# each unchecked builder below, stores its fields through these slot
-# descriptors' setters.
+# Frozen dataclasses forbid plain assignment; node __init__s and the
+# unchecked builders below store fields through these slot setters.
 _set_param_name = ParamNode.name.__set__
 _set_param_index = ParamNode.var_index.__set__
 _set_param_value = ParamNode.value.__set__
