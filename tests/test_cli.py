@@ -458,10 +458,15 @@ SAMPLES = (
     b"say\n",
     Path(__file__).parents[1].joinpath("src/seqlang/data/lexicon.txt").read_bytes(),
 )
-# A token is anything an OS argv can hold but '/', so that every path it
+# A token is what an OS argv can hold (no NUL; of the surrogates, only the
+# ones Python decodes undecodable bytes to) but '/', so that every path it
 # names stays in the example's directory; three characters at most, so
 # that a count it spells stays small.
-TOKENS = st.text(st.characters(blacklist_characters="\x00/", blacklist_categories=("Cs",)), max_size=3)
+TOKENS = st.text(
+    st.characters(blacklist_characters="\x00/", blacklist_categories=("Cs",))
+    | st.characters(min_codepoint=0xDC80, max_codepoint=0xDCFF),
+    max_size=3,
+)
 WORDS = st.one_of(
     st.sampled_from(("compile", "parse", "generate", "eval", "run", "repl")),
     st.sampled_from(("--lexicon", "--registry", "--out", "--strict", "--train", "--test", "--seed")),
@@ -514,14 +519,15 @@ def argvs(draw):
 )
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_main_returns_a_documented_exit_code_for_any_argv(tmp_path, monkeypatch, argv, contents, stdin):
-    monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
-    for name, content in zip(FILES, contents):
-        Path(name).write_bytes(content)
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err), mock.patch("sys.stdin", io.StringIO(stdin)):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            assert exc.code in (0, 2), err.getvalue()
-            return
-    assert code in README_EXIT_CODES
+    with tempfile.TemporaryDirectory(dir=tmp_path) as where:
+        monkeypatch.chdir(where)
+        for name, content in zip(FILES, contents):
+            Path(name).write_bytes(content)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err), mock.patch("sys.stdin", io.StringIO(stdin)):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code in (0, 2), err.getvalue()
+                return
+        assert code in README_EXIT_CODES
