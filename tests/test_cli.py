@@ -477,9 +477,10 @@ WORDS = st.one_of(
     TOKENS,
     st.sampled_from((_MISSION, render(translate(_MISSION)))),
 )
-FILE = st.sampled_from(FILES) | WORDS
-NUMBER = st.integers(-3, 40).map(str) | WORDS
-TEXT = st.sampled_from((_MISSION, render(translate(_MISSION)))) | WORDS
+# Operands of the right kind for where they stand.
+FILE = st.sampled_from(FILES + (".", "missing"))
+NUMBER = st.integers(-3, 40).map(str) | st.floats().map(str)
+TEXT = st.sampled_from((_MISSION, render(translate(_MISSION)))) | TOKENS
 # Each command's positional operand, and its flags with theirs, as
 # _build_parser declares them.
 COMMANDS = {
@@ -494,9 +495,10 @@ COMMANDS = {
 
 @st.composite
 def argvs(draw):
-    """Mostly a command with an operand and some of its flags, so that most
+    """Half the time a command with an operand and some of its flags, each
 
-    draws get past argparse and read the files; else any list of words.
+    operand of its kind, so that these draws get past argparse and read
+    the files; else any list of words.
     """
     if draw(st.booleans()):
         return draw(st.lists(WORDS, max_size=8))
