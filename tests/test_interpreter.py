@@ -274,7 +274,7 @@ def test_format_trace_marks_failures():
 def test_trace_entries_equal_entries_built_through_the_constructor(xml, fail_at):
     for injections in (set(), fail_at):
         try:
-            trace, _ = run(xml, MockPlant(fail_injections=set(injections)))
+            trace, _ = run(xml, MockPlant(fail_injections=injections))
         except XmlShapeError:
             return
         for entry in trace:
