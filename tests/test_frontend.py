@@ -348,13 +348,34 @@ def test_a_trigger_across_an_and_split_matches_in_neither_clause():
     assert render(tree) == "( seq ( say ( words ( $0 ( rock ) ) ) ) ( find ) )"
 
 
+# "and" is no connective here, so only the "and , then" phrase takes a comma
+SAY_THEN = Lexicon(verbs=((("say",), "say"),), connectives=("then", "and , then"))
+
+
 def test_commas_no_connective_takes_are_dropped():
-    say = Lexicon(verbs=((("say",), "say"),), connectives=("then", "and , then"))
-    assert split_clauses("say hi, there then say a, and , then say b", say) == [
+    assert split_clauses("say hi, there then say a, and , then say b", SAY_THEN) == [
         ["say", "hi", "there"],
         ["say", "a"],
         ["say", "b"],
     ]
+
+
+@pytest.mark.parametrize(
+    "text, lexicon, expected",
+    [
+        # the second "then" starts a phrase of its own, the first is inside "and then"
+        ("say hi and then then say ho", default_lexicon(), [["say", "hi"], ["say", "ho"]]),
+        # "then" is a connective head inside the consumed "and , then"
+        ("say a, and , then say b", SAY_THEN, [["say", "a"], ["say", "b"]]),
+        # a bare "and" trigger is a whole hit on either side of an "and"
+        ("and", RIGGED, [["and"]]),
+        ("and and and", RIGGED, [["and"], ["and"]]),
+        ("say hi and and", RIGGED, [["say", "hi"], ["and"]]),
+    ],
+    ids=["head-in-consumed-phrase", "comma-phrase", "bare-and", "three-ands", "and-after-and"],
+)
+def test_split_clauses_fixed_cases(text, lexicon, expected):
+    assert split_clauses(text, lexicon) == expected
 
 
 def test_load_lexicon_minimal_file():

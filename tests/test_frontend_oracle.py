@@ -13,6 +13,7 @@ import frontend_oracle as oracle
 from seqlang.dataset import generate
 from seqlang.frontend import FrontendError, Lexicon, ParamRule, default_lexicon, split_clauses, translate
 from seqlang.registry import builtin_registry
+from support import rebuild
 
 # A lexicon no file can express: a trigger that contains "and", a bare
 # "and" trigger, two tied "dive" triggers, a trigger listed twice for one
@@ -90,3 +91,17 @@ def test_agrees_on_drawn_utterances(lexicon, data):
 )
 def test_agrees_on_rigged_edge_cases(text):
     assert_agrees(text, RIGGED)
+
+
+@pytest.mark.parametrize("lexicon", [default_lexicon(), RIGGED], ids=["shipped", "rigged"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_translated_trees_hold_what_the_node_constructors_allow(lexicon, data):
+    # translate builds nodes unchecked; rebuild passes them through the checks
+    words = st.lists(st.sampled_from(_vocabulary(lexicon)) | st.text(max_size=4), max_size=24)
+    text = " ".join(data.draw(words)) if data.draw(st.booleans()) else data.draw(st.text())
+    try:
+        tree = translate(text, lexicon)
+    except FrontendError:
+        return
+    assert rebuild(tree) == tree
