@@ -243,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     except (LexiconError, ConfigParseError, FormatError, InsufficientSpace, TemplateError) as exc:
         _say(f"error: {exc}")
         return 5
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeError) as exc:
         _say(f"error: {exc}")
         return 5
 

@@ -41,7 +41,7 @@ from functools import lru_cache
 from importlib import resources
 from itertools import accumulate
 
-from seqlang.logical_form import IDENT_RE, ActionNode, ParamNode, SequenceNode
+from seqlang.logical_form import IDENT_RE, RESERVED_HEAD, ActionNode, SequenceNode, _action, _param, _sequence
 from seqlang.registry import ActionRegistry, builtin_registry
 
 NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
@@ -126,6 +126,10 @@ class Lexicon:
     scan can stop at the first miss; ``cues`` maps an action to its first
     cue list; ``splitters`` maps the first token of each connective other
     than "and" to its phrases, longest first.
+
+    A lexicon built in code is name-checked at construction: a verb's
+    action that is ``seq`` or no lowercase identifier, or a cue's
+    parameter that is no lowercase identifier, raises ``ValueError``.
     """
 
     verbs: tuple[tuple[tuple[str, ...], str], ...]
@@ -140,9 +144,14 @@ class Lexicon:
         for phrase, action in self.verbs:
             if not phrase:
                 raise ValueError(f"empty trigger phrase for '{action}'")
+            if not IDENT_RE.match(action) or action == RESERVED_HEAD:
+                raise ValueError(f"action name {action!r} is not a lowercase identifier other than 'seq'")
             for size in range(1, len(phrase) + 1):
                 actions.setdefault(phrase[:size], set())
             actions[phrase].add(action)
+        for name in (rule.param for _, rules in self.params for rule in rules):
+            if not IDENT_RE.match(name):
+                raise ValueError(f"parameter name {name!r} is not a lowercase identifier")
         splitters: dict[str, tuple[tuple[str, ...], ...]] = {}
         phrases = (tuple(c.split()) for c in self.connectives if c.strip() and c != "and")
         for phrase in sorted(phrases, key=len, reverse=True):
@@ -177,27 +186,32 @@ def _clauses(text: str, lexicon: Lexicon) -> list[tuple[list[str], list[str], tu
     """(tokens, tail after the winning trigger, its actions or ``()``) per
 
     clause.  Commas no connective takes are dropped; each fragment between
-    connectives is scanned for trigger hits once.
+    connectives is scanned for trigger hits once, visiting only the tokens
+    that can start a connective or a trigger.
     """
     tokens = _tokens(text)
-    fragments: list[list[str]] = [[]]
-    i = 0
-    while i < len(tokens):
-        for phrase in lexicon.splitters.get(tokens[i], ()):
+    splitters, triggers = lexicon.splitters, lexicon.triggers
+    fragments = []
+    done = 0  # tokens before this are in a fragment or a connective
+    for i in [i for i, tok in enumerate(tokens) if tok in splitters]:
+        if i < done:
+            continue
+        for phrase in splitters[tokens[i]]:
             if tuple(tokens[i : i + len(phrase)]) == phrase:
-                fragments.append([])
-                i += len(phrase)
+                fragments.append(tokens[done:i])
+                done = i + len(phrase)
                 break
-        else:
-            if tokens[i] != ",":
-                fragments[-1].append(tokens[i])
-            i += 1
+    fragments.append(tokens[done:])
     clauses = []
-    for fragment in filter(None, fragments):
+    for fragment in fragments:
+        if "," in fragment:
+            fragment = [tok for tok in fragment if tok != ","]
+        if not fragment:
+            continue
         hits = []  # (start, end, actions) in start order
-        for start in range(len(fragment)):
+        for start in [i for i, tok in enumerate(fragment) if (tok,) in triggers]:
             for end in range(start + 1, len(fragment) + 1):
-                actions = lexicon.triggers.get(tuple(fragment[start:end]))
+                actions = triggers.get(tuple(fragment[start:end]))
                 if actions is None:
                     break
                 if actions:
@@ -205,13 +219,13 @@ def _clauses(text: str, lexicon: Lexicon) -> list[tuple[list[str], list[str], tu
         # cut at each "and" with a whole hit since the last cut and one after
         # it; latest[e] is the largest start of a hit ending by e, else -1
         cuts = [-1]
-        if "and" in lexicon.connectives:
+        if hits and "and" in fragment and "and" in lexicon.connectives:
             latest = [-1] * (len(fragment) + 1)
             for start, end, _ in hits:
                 latest[end] = start
             latest = list(accumulate(latest, max))
-            for i, tok in enumerate(fragment):
-                if tok == "and" and latest[i] > cuts[-1] and latest[-1] > i:
+            for i in [i for i, tok in enumerate(fragment) if tok == "and"]:
+                if latest[i] > cuts[-1] and latest[-1] > i:
                     cuts.append(i)
         cuts.append(len(fragment))
         # longest hit inside a clause wins, leftmost breaks ties; hits across
@@ -292,11 +306,11 @@ def translate(
         if len(matched) > 1:
             raise AmbiguousMatch(index, " ".join(clause), matched)
         params = _extract_params(tail, lexicon.cues.get(matched[0], ()))
-        names = sorted(params, key=registry.param_order(matched[0]))
-        nodes = tuple(ParamNode(name, counter + k, params[name]) for k, name in enumerate(names))
-        actions.append(ActionNode(matched[0], nodes))
+        names = sorted(params, key=registry.param_order(matched[0])) if len(params) > 1 else params
+        nodes = tuple(_param(name, counter + k, params[name]) for k, name in enumerate(names))
+        actions.append(_action(matched[0], nodes))
         counter += len(nodes)
-    return SequenceNode(tuple(actions))
+    return _sequence(tuple(actions))
 
 
 def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:

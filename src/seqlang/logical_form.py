@@ -178,9 +178,10 @@ _set_action_params = ActionNode.params.__set__
 _set_actions = SequenceNode.actions.__set__
 
 
-# Unchecked builders, for readers that have already checked all that the
-# constructors check: names match IDENT_RE, indices are ints >= 0, values
-# pass is_param_value, no action is named RESERVED_HEAD; tuples throughout.
+# Unchecked builders, for the readers and frontend.translate, which have
+# already checked all that the constructors check (translate: names in its
+# Lexicon, values in _tokens): names match IDENT_RE, indices are ints >= 0,
+# values pass is_param_value, no action is named RESERVED_HEAD; tuples throughout.
 def _param(name: str, var_index: int, value: str) -> ParamNode:
     node = object.__new__(ParamNode)
     _set_param_name(node, name)

@@ -4,9 +4,9 @@ random_tree() produces structurally valid sequences whose parameter
 order matches what the XML emitter would choose (schema order for known
 actions, alphabetical for unknown ones), so emit round trips are exact.
 random_messy_tree() relaxes ordering and mixes custom parameters into
-known actions; only the parse/render laws hold for those.  best_of_3()
-times a call for the size-scaling tests.  rebuild() copies a tree node
-by node through the checked constructors.
+known actions; only the parse/render laws hold for those.
+best_of_5_each() times a call at two sizes for the size-scaling tests.
+rebuild() copies a tree node by node through the checked constructors.
 """
 
 from __future__ import annotations
@@ -92,11 +92,16 @@ def rebuild(tree: SequenceNode) -> SequenceNode:
     )
 
 
-def best_of_3(fn, *args) -> float:
-    """The shortest of three timed calls of ``fn(*args)``, in seconds."""
-    times = []
-    for _ in range(3):
-        start = perf_counter()
-        fn(*args)
-        times.append(perf_counter() - start)
-    return min(times)
+def best_of_5_each(fn, small, large) -> tuple[float, float]:
+    """The shortest of five timed calls of ``fn(small)`` and of ``fn(large)``,
+
+    in seconds.  The calls alternate, so a drift in the host's speed
+    falls on both sizes alike.
+    """
+    best = [float("inf"), float("inf")]
+    for _ in range(5):
+        for k, arg in enumerate((small, large)):
+            start = perf_counter()
+            fn(arg)
+            best[k] = min(best[k], perf_counter() - start)
+    return best[0], best[1]

@@ -19,7 +19,7 @@ from seqlang.logical_form import (
     render,
 )
 from seqlang.registry import builtin_registry, load_registry
-from support import best_of_3, random_tree, rebuild
+from support import best_of_5_each, random_tree, rebuild
 from test_logical_form_oracle import identifiers, shaped_soup
 
 FLATTEN_GOAL_XML = (
@@ -395,6 +395,5 @@ def test_read_trees_of_drawn_documents_pass_the_constructor_checks(xml):
 
 def test_parse_bt_xml_time_at_most_triples_when_the_input_doubles():
     tree = random_tree(random.Random(81), 1000, 1000)
-    small = emit(tree)
-    large = emit(SequenceNode(tree.actions * 2))
-    assert best_of_3(parse_bt_xml, large) <= 3 * best_of_3(parse_bt_xml, small)
+    small, large = best_of_5_each(parse_bt_xml, emit(tree), emit(SequenceNode(tree.actions * 2)))
+    assert large <= 3 * small

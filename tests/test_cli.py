@@ -344,6 +344,22 @@ def test_non_utf8_file_exits_5(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("run", "\ud800"), ("compile", "goal", "--lexicon", "\ud800", "--out", "{out}")],
+    ids=["run", "compile-lexicon"],
+)
+def test_a_path_no_file_system_can_name_exits_5(tmp_path, capsys, argv):
+    # a lone surrogate outside U+DC80-U+DCFF has no file-system bytes; only
+    # an in-process caller can pass one
+    out = tmp_path / "m.xml"
+    code, stdout, stderr = invoke(capsys, *(arg.format(out=out) for arg in argv))
+    assert code == 5
+    assert stdout == ""
+    assert stderr.startswith("error: ") and "surrogates not allowed" in stderr
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------- repl
 
 

@@ -24,7 +24,7 @@ from seqlang.btxml import emit, parse_bt_xml
 from seqlang.dataset import LINE_BREAKS
 from seqlang.logical_form import SequenceNode, parse_logical_form, render
 from seqlang.registry import builtin_registry, load_registry, validate
-from support import best_of_3
+from support import best_of_5_each, rebuild
 from test_frontend_oracle import NOUNS, NUMBERS, RIGGED
 
 
@@ -314,7 +314,8 @@ def test_edge_punctuation_changes_nothing(lexicon, data):
     ids=["one-say-many-ands", "many-says", "one-long-value"],
 )
 def test_translate_time_at_most_triples_when_the_input_doubles(build):
-    assert best_of_3(translate, build(200)) <= 3 * best_of_3(translate, build(100))
+    small, large = best_of_5_each(translate, build(100), build(200))
+    assert large <= 3 * small
 
 
 def test_a_400_clause_and_chain_translates():
@@ -350,6 +351,7 @@ def test_a_trigger_across_an_and_split_matches_in_neither_clause():
 
 # "and" is no connective here, so only the "and , then" phrase takes a comma
 SAY_THEN = Lexicon(verbs=((("say",), "say"),), connectives=("then", "and , then"))
+THEN_SAY = Lexicon(verbs=((("say",), "say"),), connectives=("and then", "then say"))
 
 
 def test_commas_no_connective_takes_are_dropped():
@@ -365,6 +367,8 @@ def test_commas_no_connective_takes_are_dropped():
     [
         # the second "then" starts a phrase of its own, the first is inside "and then"
         ("say hi and then then say ho", default_lexicon(), [["say", "hi"], ["say", "ho"]]),
+        # "then say" would reach past the consumed "and then", so it is no match
+        ("say hi and then say ho", THEN_SAY, [["say", "hi"], ["say", "ho"]]),
         # "then" is a connective head inside the consumed "and , then"
         ("say a, and , then say b", SAY_THEN, [["say", "a"], ["say", "b"]]),
         # a bare "and" trigger is a whole hit on either side of an "and"
@@ -372,10 +376,57 @@ def test_commas_no_connective_takes_are_dropped():
         ("and and and", RIGGED, [["and"], ["and"]]),
         ("say hi and and", RIGGED, [["say", "hi"], ["and"]]),
     ],
-    ids=["head-in-consumed-phrase", "comma-phrase", "bare-and", "three-ands", "and-after-and"],
+    ids=["head-in-consumed-phrase", "head-reaching-past-consumed-phrase", "comma-phrase", "bare-and", "three-ands", "and-after-and"],
 )
 def test_split_clauses_fixed_cases(text, lexicon, expected):
     assert split_clauses(text, lexicon) == expected
+
+
+@pytest.mark.parametrize(
+    "verbs, params, needle",
+    [
+        (((("go",), "Go"),), (), "action name 'Go'"),
+        (((("go",), "seq"),), (), "action name 'seq'"),
+        (((("say",), "say"),), (("say", (ParamRule("rest", "Words"),)),), "parameter name 'Words'"),
+    ],
+    ids=["action-Go", "action-seq", "param-Words"],
+)
+def test_lexicon_refuses_names_no_node_may_hold(verbs, params, needle):
+    with pytest.raises(ValueError, match=needle):
+        Lexicon(verbs=verbs, params=params)
+
+
+_LOWER_IDENT = re.compile("[a-z][a-z0-9_]*")
+_NAMES = st.from_regex(_LOWER_IDENT, fullmatch=True) | st.sampled_from(["move", "x", "seq"]) | st.text(max_size=6)
+_TRIGGER_WORDS = ("go", "dive", "say")
+
+
+@given(
+    actions=st.lists(_NAMES, min_size=1, max_size=3),
+    rules=st.lists(st.tuples(st.sampled_from(["after", "number", "rest"]), _NAMES), max_size=3),
+    words=st.lists(st.sampled_from([*_TRIGGER_WORDS, "x", "1", "the", "and", "then"]) | st.text(max_size=3), max_size=10),
+)
+@settings(max_examples=300, deadline=None)
+def test_lexicon_names_are_checked_at_construction(actions, rules, words):
+    # a name breaks the rule when no logical-form node could hold it
+    breaks = any(not _LOWER_IDENT.fullmatch(name) or name == "seq" for name in actions) or any(
+        not _LOWER_IDENT.fullmatch(name) for _, name in rules
+    )
+    cues = tuple(ParamRule(kind, name, "x" if kind == "after" else None) for kind, name in rules)
+    try:
+        lexicon = Lexicon(
+            verbs=tuple(((word,), action) for word, action in zip(_TRIGGER_WORDS, actions)),
+            params=tuple((action, cues) for action in actions),
+        )
+    except ValueError:
+        assert breaks
+        return
+    assert not breaks
+    try:
+        tree = translate(" ".join(["go", *words]), lexicon)
+    except FrontendError:
+        return
+    assert rebuild(tree) == tree
 
 
 def test_load_lexicon_minimal_file():

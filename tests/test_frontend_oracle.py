@@ -98,7 +98,8 @@ def test_agrees_on_rigged_edge_cases(text):
 @settings(max_examples=300, deadline=None)
 def test_translated_trees_hold_what_the_node_constructors_allow(lexicon, data):
     # translate builds nodes unchecked; rebuild passes them through the checks
-    words = st.lists(st.sampled_from(_vocabulary(lexicon)) | st.text(max_size=4), max_size=24)
+    odd = st.text(max_size=4) | st.text(st.sampled_from("()[]\"' \t\n,.!a1"), max_size=4)
+    words = st.lists(st.sampled_from(_vocabulary(lexicon)) | odd, max_size=24)
     text = " ".join(data.draw(words)) if data.draw(st.booleans()) else data.draw(st.text())
     try:
         tree = translate(text, lexicon)

@@ -20,7 +20,7 @@ from seqlang.logical_form import (
     render,
 )
 from sexpr_oracle import as_sequence, nest, split_tokens
-from support import best_of_3, random_messy_tree, random_tree
+from support import best_of_5_each, random_messy_tree, random_tree
 
 FLATTEN_GOAL = "( seq ( flatten ( num ( $0 ( 2 ) ) ) ) ( goal ) )"
 
@@ -383,6 +383,5 @@ def test_render_is_deterministic():
 
 def test_parse_time_at_most_triples_when_the_input_doubles():
     tree = random_messy_tree(random.Random(6), 1000, 1000)
-    small = render(tree)
-    large = render(SequenceNode(tree.actions * 2))
-    assert best_of_3(parse_logical_form, large) <= 3 * best_of_3(parse_logical_form, small)
+    small, large = best_of_5_each(parse_logical_form, render(tree), render(SequenceNode(tree.actions * 2)))
+    assert large <= 3 * small
