@@ -48,14 +48,8 @@ from seqlang.registry import ActionRegistry, builtin_registry
 _XML_HEADER = '<?xml version="1.0" encoding="UTF-8"?>'
 
 
-@dataclass(eq=False)
 class EmitError(Exception):
     """A tree that cannot be represented as attribute-style XML."""
-
-    message: str
-
-    def __str__(self) -> str:
-        return self.message
 
 
 @dataclass(eq=False)

@@ -57,8 +57,9 @@ def _load_registry_arg(path: str | None) -> ActionRegistry:
 
 
 def _load_lexicon_arg(path: str | None, registry: ActionRegistry) -> Lexicon:
-    # load_registry only adds or replaces actions, so every registry here
-    # keeps each built-in name the shipped lexicon refers to.
+    # A registry file may redefine a built-in: its name stays, but it can
+    # lose parameters the shipped lexicon binds, which _compile's strict
+    # validation reports.
     if path is None:
         return default_lexicon()
     return load_lexicon(Path(path).read_text(encoding="utf-8"), registry)
@@ -88,15 +89,20 @@ def _report_diagnostics(diagnostics) -> bool:
     return failed
 
 
+def _compile(text: str, lexicon: Lexicon, registry: ActionRegistry, out: str) -> bool:
+    """Translate, strict-validate, write XML, print the form; False if invalid."""
+    tree = translate(text, lexicon, registry)
+    if _report_diagnostics(validate(tree, registry, "strict")):
+        return False
+    Path(out).write_text(emit(tree, registry), encoding="utf-8")
+    print(render(tree))
+    return True
+
+
 def cmd_compile(args: argparse.Namespace) -> int:
     registry = _load_registry_arg(args.registry)
     lexicon = _load_lexicon_arg(args.lexicon, registry)
-    tree = translate(_text_or_stdin(args.utterance), lexicon, registry)
-    if _report_diagnostics(validate(tree, registry, "strict")):
-        return 3
-    Path(args.out).write_text(emit(tree, registry), encoding="utf-8")
-    print(render(tree))
-    return 0
+    return 0 if _compile(_text_or_stdin(args.utterance), lexicon, registry, args.out) else 3
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
@@ -168,14 +174,10 @@ def cmd_repl(args: argparse.Namespace) -> int:
         if not text:
             continue
         try:
-            tree = translate(text, lexicon, registry)
-            xml = emit(tree, registry)
+            if _compile(text, lexicon, registry, args.out):
+                print(args.out)
         except (NoVerbMatch, AmbiguousMatch) as exc:
             _say(f"error: {exc}")
-            continue
-        Path(args.out).write_text(xml, encoding="utf-8")
-        print(render(tree))
-        print(args.out)
     return 0
 
 

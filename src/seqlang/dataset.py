@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, parse_logical_form, render
@@ -116,42 +117,26 @@ def _gen_move(rng: random.Random) -> tuple[str, ActionNode]:
     return " ".join(words), ActionNode("move", tuple(params))
 
 
-def _gen_flatten(rng: random.Random) -> tuple[str, ActionNode]:
-    value = rng.choice(NUMBERS)
-    clause = rng.choice(("flatten out at {}", "flatten to {}", "level off at {}")).format(value)
-    return clause, ActionNode("flatten", (ParamNode("num", 0, value),))
+# action -> (clause patterns, value pool, parameter); "{}" marks where the
+# value goes, and an action with no pool takes no parameter.
+_TEMPLATES = {
+    "flatten": (("flatten out at {}", "flatten to {}", "level off at {}"), NUMBERS, "num"),
+    "say": (("say {}", "announce {}", "broadcast {}"), SAY_PHRASES, "words"),
+    "clean": (("clean the {}", "clean up the {}", "wipe down the {}"), NOUNS, "obj"),
+    "bring": (("bring me the {}", "fetch the {}", "grab the {}"), NOUNS, "val"),
+    "find": (("find the {}", "locate the {}", "look for the {}"), NOUNS, "val"),
+    "goal": (("touch the goal", "score a goal", "goal"), (), None),
+    "gate": (("go through the gate", "pass the gate", "gate"), (), None),
+}
 
 
-def _gen_say(rng: random.Random) -> tuple[str, ActionNode]:
-    phrase = rng.choice(SAY_PHRASES)
-    clause = rng.choice(("say {}", "announce {}", "broadcast {}")).format(phrase)
-    return clause, ActionNode("say", (ParamNode("words", 0, phrase),))
-
-
-def _gen_clean(rng: random.Random) -> tuple[str, ActionNode]:
-    noun = rng.choice(NOUNS)
-    clause = rng.choice(("clean the {}", "clean up the {}", "wipe down the {}")).format(noun)
-    return clause, ActionNode("clean", (ParamNode("obj", 0, noun),))
-
-
-def _gen_bring(rng: random.Random) -> tuple[str, ActionNode]:
-    noun = rng.choice(NOUNS)
-    clause = rng.choice(("bring me the {}", "fetch the {}", "grab the {}")).format(noun)
-    return clause, ActionNode("bring", (ParamNode("val", 0, noun),))
-
-
-def _gen_find(rng: random.Random) -> tuple[str, ActionNode]:
-    noun = rng.choice(NOUNS)
-    clause = rng.choice(("find the {}", "locate the {}", "look for the {}")).format(noun)
-    return clause, ActionNode("find", (ParamNode("val", 0, noun),))
-
-
-def _gen_goal(rng: random.Random) -> tuple[str, ActionNode]:
-    return rng.choice(("touch the goal", "score a goal", "goal")), ActionNode("goal")
-
-
-def _gen_gate(rng: random.Random) -> tuple[str, ActionNode]:
-    return rng.choice(("go through the gate", "pass the gate", "gate")), ActionNode("gate")
+def _fill(
+    action: str, patterns: tuple[str, ...], values: tuple[str, ...], param: str | None, rng: random.Random
+) -> tuple[str, ActionNode]:
+    if not values:
+        return rng.choice(patterns), ActionNode(action)
+    value = rng.choice(values)
+    return rng.choice(patterns).format(value), ActionNode(action, (ParamNode(param, 0, value),))
 
 
 def default_templates() -> dict[str, Callable[[random.Random], tuple[str, ActionNode]]]:
@@ -160,16 +145,7 @@ def default_templates() -> dict[str, Callable[[random.Random], tuple[str, Action
     Every callable returns (clause text, action node) where the clause is
     exactly what the shipped lexicon translates back into that node.
     """
-    return {
-        "move": _gen_move,
-        "flatten": _gen_flatten,
-        "say": _gen_say,
-        "clean": _gen_clean,
-        "bring": _gen_bring,
-        "find": _gen_find,
-        "goal": _gen_goal,
-        "gate": _gen_gate,
-    }
+    return {"move": _gen_move, **{action: partial(_fill, action, *spec) for action, spec in _TEMPLATES.items()}}
 
 
 # Give up after this many consecutive duplicate draws for one slot.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from seqlang.dataset import Corpus
+from seqlang.dataset import LINE_BREAKS, Corpus
 from seqlang.logical_form import SequenceNode, parse_logical_form, render
 
 
@@ -65,14 +65,14 @@ def evaluate(frontend: Callable[[str], SequenceNode], corpus: Corpus) -> EvalRep
     return EvalReport(total, matches, accuracy, tuple(rows))
 
 
-def _flat(text: str) -> str:
-    return text.replace("\t", " ").replace("\n", " ")
+# What a TSV field may not hold becomes a space.
+_TSV_BLANKS = str.maketrans(dict.fromkeys("\t" + LINE_BREAKS, " "))
 
 
 def report_lines(report: EvalReport) -> list[str]:
     """Machine format: index<TAB>match|miss<TAB>expected<TAB>produced."""
     return [
-        f"{row.index}\t{'match' if row.matched else 'miss'}\t{row.expected}\t{_flat(row.produced)}"
+        f"{row.index}\t{'match' if row.matched else 'miss'}\t{row.expected}\t{row.produced.translate(_TSV_BLANKS)}"
         for row in report.rows
     ]
 

@@ -7,8 +7,8 @@ verb triggers (longest trigger wins, leftmost breaks ties), and the
 clause's remaining tokens are mined for parameter values by small
 per-action cue rules.  Same text, same lexicon, same tree, every time.
 
-Lexicon file format (``#`` starts a comment anywhere; only LF ends a line,
-and CR and the other line breaks are blanks, or comment text)::
+Lexicon file format (lines as :func:`seqlang.registry.config_lines` reads
+them)::
 
     [verbs]
     move to = move          # trigger phrase (1-3 tokens) = action name
@@ -42,7 +42,7 @@ from importlib import resources
 from itertools import accumulate
 
 from seqlang.logical_form import IDENT_RE, RESERVED_HEAD, ActionNode, SequenceNode, _action, _param, _sequence
-from seqlang.registry import ActionRegistry, builtin_registry
+from seqlang.registry import ActionRegistry, builtin_registry, config_lines
 
 NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
 
@@ -116,6 +116,12 @@ class ParamRule:
     param: str
     keyword: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("after", "number", "rest"):
+            raise ValueError(f"unknown cue kind {self.kind!r} (want 'after', 'number' or 'rest')")
+        if self.kind == "after" and (not self.keyword or normalize(self.keyword) != [self.keyword]):
+            raise ValueError(f"'after' cue keyword {self.keyword!r} is not normalized lowercase text")
+
 
 @dataclass(frozen=True)
 class Lexicon:
@@ -127,9 +133,12 @@ class Lexicon:
     cue list; ``splitters`` maps the first token of each connective other
     than "and" to its phrases, longest first.
 
-    A lexicon built in code is name-checked at construction: a verb's
-    action that is ``seq`` or no lowercase identifier, or a cue's
-    parameter that is no lowercase identifier, raises ``ValueError``.
+    A lexicon built in code is checked at construction: a verb's action
+    that is ``seq`` or no lowercase identifier, a trigger that is empty or
+    not text :func:`normalize` leaves as it is, or a cue's parameter that
+    is no lowercase identifier, raises ``ValueError``, as does a
+    :class:`ParamRule` of another kind or with an ``after`` keyword
+    :func:`normalize` changes.
     """
 
     verbs: tuple[tuple[tuple[str, ...], str], ...]
@@ -142,8 +151,8 @@ class Lexicon:
     def __post_init__(self) -> None:
         actions: dict[tuple[str, ...], set[str]] = {}
         for phrase, action in self.verbs:
-            if not phrase:
-                raise ValueError(f"empty trigger phrase for '{action}'")
+            if not phrase or normalize(" ".join(phrase)) != list(phrase):
+                raise ValueError(f"trigger {phrase!r} for '{action}' is not normalized lowercase text")
             if not IDENT_RE.match(action) or action == RESERVED_HEAD:
                 raise ValueError(f"action name {action!r} is not a lowercase identifier other than 'seq'")
             for size in range(1, len(phrase) + 1):
@@ -327,10 +336,7 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
     connectives: list[str] = []
     saw_connectives = False
     section: str | None = None
-    for lineno, raw_line in enumerate(text.split("\n"), 1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in config_lines(text):
         if line.startswith("["):
             if not line.endswith("]"):
                 raise LexiconError(f"unterminated section header {line!r}", lineno)

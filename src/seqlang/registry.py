@@ -4,8 +4,8 @@ The eight built-in actions cover a small underwater robot: six-axis motion,
 depth levelling, and a handful of record-and-succeed tasks.  A registry is
 immutable once built; user config can add actions or shadow built-ins.
 
-Config format, one action per line; ``#`` starts a comment, and only LF
-ends a line (CR and the other line breaks are blanks, or comment text)::
+Config format, one action per line (lines as :func:`config_lines` reads
+them)::
 
     # name followed by its parameter names
     sample depth rate
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 from seqlang.logical_form import IDENT_RE, RESERVED_HEAD, SequenceNode
 
@@ -160,6 +160,17 @@ def builtin_registry() -> ActionRegistry:
     return ActionRegistry(BUILTIN_SCHEMAS)
 
 
+def config_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based number, text) of each registry or lexicon line left non-blank
+    once a ``#`` comment is cut; only LF ends a line, so CR and the other
+    line breaks are blanks, or comment text.
+    """
+    for lineno, raw_line in enumerate(text.split("\n"), 1):
+        line = raw_line.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def load_registry(config: str) -> ActionRegistry:
     """Extend the built-ins from config text (see module docstring).
 
@@ -169,10 +180,7 @@ def load_registry(config: str) -> ActionRegistry:
     """
     schemas = list(BUILTIN_SCHEMAS)
     warnings: list[Diagnostic] = []
-    for lineno, raw_line in enumerate(config.split("\n"), 1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in config_lines(config):
         name, *params = line.split()
         try:
             schema = ActionSchema(name, tuple(params))

@@ -400,6 +400,27 @@ def test_repl_deletes_characters_xml_forbids(tmp_path, capsys, monkeypatch):
     assert 'words="hi"' in out.read_text(encoding="utf-8")
 
 
+def test_repl_validates_each_line_like_compile(tmp_path, capsys, monkeypatch):
+    # this move has no parameters, but the shipped lexicon still binds x
+    registry = tmp_path / "reg.txt"
+    registry.write_text("move\n", encoding="utf-8")
+    out = tmp_path / "m.xml"
+    monkeypatch.setattr("sys.stdin", io.StringIO("move to x 1\nsay hi\n"))
+    code = main(["repl", "--registry", str(registry), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "error: action 'move' has no parameter 'x' [action 0, param 0]" in captured.err.splitlines()
+    assert captured.out.splitlines() == ["( seq ( say ( words ( $0 ( hi ) ) ) ) )", str(out)]
+    xml = out.read_text(encoding="utf-8")
+    assert 'words="hi"' in xml and "<Move" not in xml
+    code, stdout, stderr = invoke(
+        capsys, "compile", "move to x 1", "--registry", str(registry), "--out", str(tmp_path / "c.xml")
+    )
+    assert (code, stdout) == (3, "")
+    assert "error: action 'move' has no parameter 'x' [action 0, param 0]" in stderr.splitlines()
+    assert not (tmp_path / "c.xml").exists()
+
+
 # ------------------------------------------------------------------ parsing
 
 

@@ -11,6 +11,7 @@ from seqlang.dataset import (
     CorpusPair,
     FormatError,
     InsufficientSpace,
+    _TEMPLATES,
     default_templates,
     generate,
     read_tsv,
@@ -18,7 +19,7 @@ from seqlang.dataset import (
     write_tsv,
 )
 from seqlang.frontend import translate
-from seqlang.logical_form import ActionNode, parse_logical_form, render
+from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, parse_logical_form, render
 from seqlang.registry import builtin_registry, validate
 
 
@@ -121,6 +122,15 @@ def test_default_templates_cover_every_builtin():
         clause, node = template(rng)
         assert isinstance(clause, str) and clause
         assert node.name == name
+
+
+@pytest.mark.parametrize("action", sorted(_TEMPLATES))
+def test_every_template_pairing_translates_back_to_its_action(action):
+    patterns, values, param = _TEMPLATES[action]
+    for pattern in patterns:
+        for value in values or [None]:
+            params = () if value is None else (ParamNode(param, 0, value),)
+            assert translate(pattern.format(value)) == SequenceNode((ActionNode(action, params),)), pattern
 
 
 # --------------------------------------------------------------------- tsv

@@ -5,7 +5,7 @@ import pytest
 from seqlang.dataset import Corpus, CorpusPair, generate
 from seqlang.evaluation import EvalReport, EvalRow, evaluate, format_report, report_lines
 from seqlang.frontend import translate
-from seqlang.logical_form import LogicalFormError, parse_logical_form
+from seqlang.logical_form import ActionNode, LogicalFormError, ParamNode, SequenceNode, parse_logical_form
 
 
 def tiny_corpus():
@@ -105,13 +105,25 @@ def test_report_lines_format():
 
 def test_report_lines_flatten_control_characters():
     def tabby(utterance):
-        raise RuntimeError("bad\tnews\nhere")
+        raise RuntimeError("bad\tnews\nhere\rand\x85there\u2028too")
 
     lines = report_lines(evaluate(tabby, tiny_corpus()))
     for line in lines:
         assert line.count("\t") == 3
         assert "\n" not in line
-    assert "bad news here" in lines[0]
+        assert line.splitlines() == [line]
+    assert "bad news here and there too" in lines[0]
+
+
+def test_report_lines_flatten_line_breaks_in_produced_values():
+    def breaky(utterance):
+        return SequenceNode((ActionNode("say", (ParamNode("words", 0, "a\rb\x85c\u2028d"),)),))
+
+    lines = report_lines(evaluate(breaky, tiny_corpus()))
+    for line in lines:
+        assert line.count("\t") == 3
+        assert line.splitlines() == [line]
+    assert lines[1] == "1\tmiss\t( seq ( say ( words ( $0 ( hi ) ) ) ) )\t( seq ( say ( words ( $0 ( a b c d ) ) ) ) )"
 
 
 def test_format_report_summary():

@@ -396,6 +396,34 @@ def test_lexicon_refuses_names_no_node_may_hold(verbs, params, needle):
         Lexicon(verbs=verbs, params=params)
 
 
+# Entries no input can reach: load_lexicon refuses them in a file, with a
+# line number, and a lexicon built in code refuses them at construction.
+
+
+@pytest.mark.parametrize("kind", ["Rest", "after x", "numbers", ""])
+def test_param_rule_refuses_an_unknown_cue_kind(kind):
+    with pytest.raises(ValueError, match="unknown cue kind"):
+        ParamRule(kind, "words")
+
+
+@pytest.mark.parametrize("keyword", [None, ""])
+def test_param_rule_refuses_an_after_cue_with_no_keyword(keyword):
+    with pytest.raises(ValueError, match="'after' cue keyword"):
+        ParamRule("after", "x", keyword)
+
+
+@pytest.mark.parametrize("keyword", ["X", "x.", "(x)", "a b", "a,b", ","])
+def test_param_rule_refuses_an_after_keyword_normalize_changes(keyword):
+    with pytest.raises(ValueError, match="not normalized"):
+        ParamRule("after", "x", keyword)
+
+
+@pytest.mark.parametrize("phrase", [(), ("Say",), ("say!",), ("bring", "me,"), ("look for",), ("",), (",",)], ids=repr)
+def test_lexicon_refuses_a_trigger_word_normalize_changes(phrase):
+    with pytest.raises(ValueError, match="not normalized"):
+        Lexicon(verbs=((phrase, "say"),))
+
+
 _LOWER_IDENT = re.compile("[a-z][a-z0-9_]*")
 _NAMES = st.from_regex(_LOWER_IDENT, fullmatch=True) | st.sampled_from(["move", "x", "seq"]) | st.text(max_size=6)
 _TRIGGER_WORDS = ("go", "dive", "say")
