@@ -187,33 +187,34 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Compile natural-language commands into mission XML, and run them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # parents: the commands that read a registry file, and those that also read a lexicon
+    registry_p = argparse.ArgumentParser(add_help=False)
+    registry_p.add_argument("--registry", metavar="FILE", help="extra action definitions")
+    lexicon_p = argparse.ArgumentParser(add_help=False, parents=[registry_p])
+    lexicon_p.add_argument("--lexicon", metavar="FILE", help="lexicon file (default: built-in)")
 
-    compile_p = sub.add_parser("compile", help="utterance -> logical form on stdout + mission XML file")
+    compile_p = sub.add_parser(
+        "compile", parents=[lexicon_p], help="utterance -> logical form on stdout + mission XML file"
+    )
     compile_p.add_argument("utterance", nargs="?", help="command text; reads stdin when omitted")
-    compile_p.add_argument("--lexicon", metavar="FILE", help="lexicon file (default: built-in)")
-    compile_p.add_argument("--registry", metavar="FILE", help="extra action definitions")
     compile_p.add_argument("--out", default="mission.xml", help="XML output path (default: mission.xml)")
     compile_p.set_defaults(func=cmd_compile)
 
-    parse_p = sub.add_parser("parse", help="logical form -> validated mission XML")
+    parse_p = sub.add_parser("parse", parents=[registry_p], help="logical form -> validated mission XML")
     parse_p.add_argument("form", nargs="?", help="logical form text; reads stdin when omitted")
-    parse_p.add_argument("--registry", metavar="FILE")
     parse_p.add_argument("--strict", action="store_true", help="treat unknown names as errors")
     parse_p.add_argument("--out", metavar="FILE", help="write XML here instead of stdout")
     parse_p.set_defaults(func=cmd_parse)
 
-    gen_p = sub.add_parser("generate", help="write seeded train/test corpora")
+    gen_p = sub.add_parser("generate", parents=[registry_p], help="write seeded train/test corpora")
     gen_p.add_argument("--train", type=_count, default=1000, metavar="N")
     gen_p.add_argument("--test", type=_count, default=250, metavar="N")
     gen_p.add_argument("--seed", type=int, default=7)
-    gen_p.add_argument("--registry", metavar="FILE")
     gen_p.add_argument("--out", default=".", metavar="DIR", help="directory for train.tsv/test.tsv")
     gen_p.set_defaults(func=cmd_generate)
 
-    eval_p = sub.add_parser("eval", help="score the frontend on a corpus file")
+    eval_p = sub.add_parser("eval", parents=[lexicon_p], help="score the frontend on a corpus file")
     eval_p.add_argument("corpus", help="TSV corpus path")
-    eval_p.add_argument("--lexicon", metavar="FILE")
-    eval_p.add_argument("--registry", metavar="FILE")
     eval_p.add_argument("--threshold", type=float, default=1.0, help="exit 0 iff accuracy >= this")
     eval_p.add_argument("--lines", action="store_true", help="machine-readable per-pair lines")
     eval_p.set_defaults(func=cmd_eval)
@@ -223,9 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--fail-at", type=int, metavar="K", help="force FAILURE at action index K")
     run_p.set_defaults(func=cmd_run)
 
-    repl_p = sub.add_parser("repl", help="compile stdin lines until EOF")
-    repl_p.add_argument("--lexicon", metavar="FILE")
-    repl_p.add_argument("--registry", metavar="FILE")
+    repl_p = sub.add_parser("repl", parents=[lexicon_p], help="compile stdin lines until EOF")
     repl_p.add_argument("--out", default="mission.xml")
     repl_p.set_defaults(func=cmd_repl)
 
@@ -242,10 +241,9 @@ def main(argv: list[str] | None = None) -> int:
     except (LogicalFormError, XmlShapeError, EmitError) as exc:
         _say(f"error: {exc}")
         return 4
-    except (LexiconError, ConfigParseError, FormatError, InsufficientSpace, TemplateError) as exc:
-        _say(f"error: {exc}")
-        return 5
-    except (OSError, UnicodeError) as exc:
+    except (
+        LexiconError, ConfigParseError, FormatError, InsufficientSpace, TemplateError, OSError, UnicodeError
+    ) as exc:
         _say(f"error: {exc}")
         return 5
 

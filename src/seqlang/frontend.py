@@ -1,36 +1,11 @@
 """Deterministic lexicon frontend: command text in, logical form out.
 
-No statistics, no learned weights.  An utterance is tokenized once
-(lowercased, edge punctuation shed, each comma a token of its own) and
-split into clauses on connective phrases, each clause is matched against
-verb triggers (longest trigger wins, leftmost breaks ties), and the
-clause's remaining tokens are mined for parameter values by small
+No statistics, no learned weights.  An utterance is tokenized once and
+split into clauses on connective phrases; each clause is matched against
+verb triggers, and its remaining tokens are mined for parameter values by
 per-action cue rules.  Same text, same lexicon, same tree, every time.
-
-Lexicon file format (lines as :func:`seqlang.registry.config_lines` reads
-them)::
-
-    [verbs]
-    move to = move          # trigger phrase (1-3 tokens) = action name
-
-    [params.move]
-    after x = x             # cues: "after <word>", "number", "rest"
-
-    [connectives]
-    then                    # one connective phrase per line
-
-Cue meanings, applied in written order against the tokens after the
-trigger: ``after <word>`` takes the token following the first occurrence
-of that word; ``number`` takes the first numeric token; ``rest`` takes
-everything not already consumed, minus leading filler words ("the",
-"me", ...).  A cue that finds nothing, or whose parameter is already
-bound, binds nothing and consumes nothing.
-
-The connective "and" is special: split at the leftmost "and" where both the
-part before it and everything after it contain a trigger, and so on to the
-right, so "bring the wrench and the hammer" stays one clause.  Other
-connectives split unconditionally, longest phrase first.  An n-gram trigger
-index built once per lexicon makes translation linear in utterance length.
+README "The lexicon" owns the file format, the entry rules, the tokenizer,
+the cue rules and the "and" rule.
 """
 
 from __future__ import annotations
@@ -94,15 +69,25 @@ class AmbiguousMatch(FrontendError):
 
 @dataclass(eq=False)
 class LexiconError(Exception):
-    """A malformed lexicon file (1-based line number, when known)."""
+    """A malformed lexicon file (1-based line number)."""
 
     message: str
-    line: int | None = None
+    line: int
 
     def __str__(self) -> str:
-        if self.line is None:
-            return f"lexicon: {self.message}"
         return f"lexicon line {self.line}: {self.message}"
+
+
+class _BadEntry(ValueError):
+    """A lexicon entry refused at construction: ``section`` and ``index``
+
+    name it as a file would (``verbs``, ``params.ACTION``, ``connectives``),
+    so that :func:`load_lexicon` can give the entry's line instead.
+    """
+
+    def __init__(self, section: str, index: int, message: str) -> None:
+        super().__init__(f"{section}[{index}]: {message}")
+        self.section, self.index, self.message = section, index, message
 
 
 @dataclass(frozen=True)
@@ -127,18 +112,16 @@ class ParamRule:
 class Lexicon:
     """Verb triggers, per-action parameter cues, and connective phrases.
 
+    The constructor owns the entry rules README "The lexicon" states, and
+    :class:`ParamRule` those of a cue, so :func:`translate` builds its
+    nodes unchecked.  A refused entry raises ``ValueError`` naming its
+    section and index.
+
     Built once from these: ``triggers`` maps each trigger phrase to its
     sorted distinct actions, and each proper prefix of one to ``()`` so a
     scan can stop at the first miss; ``cues`` maps an action to its first
     cue list; ``splitters`` maps the first token of each connective other
     than "and" to its phrases, longest first.
-
-    A lexicon built in code is checked at construction: a verb's action
-    that is ``seq`` or no lowercase identifier, a trigger that is empty or
-    not text :func:`normalize` leaves as it is, or a cue's parameter that
-    is no lowercase identifier, raises ``ValueError``, as does a
-    :class:`ParamRule` of another kind or with an ``after`` keyword
-    :func:`normalize` changes.
     """
 
     verbs: tuple[tuple[tuple[str, ...], str], ...]
@@ -150,17 +133,22 @@ class Lexicon:
 
     def __post_init__(self) -> None:
         actions: dict[tuple[str, ...], set[str]] = {}
-        for phrase, action in self.verbs:
+        for i, (phrase, action) in enumerate(self.verbs):
             if not phrase or normalize(" ".join(phrase)) != list(phrase):
-                raise ValueError(f"trigger {phrase!r} for '{action}' is not normalized lowercase text")
+                raise _BadEntry("verbs", i, f"trigger {phrase!r} is not normalized lowercase text")
             if not IDENT_RE.match(action) or action == RESERVED_HEAD:
-                raise ValueError(f"action name {action!r} is not a lowercase identifier other than 'seq'")
+                raise _BadEntry("verbs", i, f"action name {action!r} is not a lowercase identifier other than 'seq'")
             for size in range(1, len(phrase) + 1):
                 actions.setdefault(phrase[:size], set())
             actions[phrase].add(action)
-        for name in (rule.param for _, rules in self.params for rule in rules):
-            if not IDENT_RE.match(name):
-                raise ValueError(f"parameter name {name!r} is not a lowercase identifier")
+        for action, rules in self.params:
+            for i, rule in enumerate(rules):
+                if not IDENT_RE.match(rule.param):
+                    message = f"parameter name {rule.param!r} is not a lowercase identifier"
+                    raise _BadEntry(f"params.{action}", i, message)
+        for i, connective in enumerate(self.connectives):
+            if _tokens(connective) != connective.split():
+                raise _BadEntry("connectives", i, f"connective '{connective}' is not normalized lowercase text")
         splitters: dict[str, tuple[tuple[str, ...], ...]] = {}
         phrases = (tuple(c.split()) for c in self.connectives if c.strip() and c != "and")
         for phrase in sorted(phrases, key=len, reverse=True):
@@ -323,79 +311,78 @@ def translate(
 
 
 def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
-    """Parse lexicon text (format in the module docstring).
+    """Parse lexicon text (format and rules in README "The lexicon").
 
-    Every referenced action must exist in ``registry``; triggers must be
-    1-3 tokens and unique.  Triggers, ``after`` keywords and connectives
-    must be text the tokenizer leaves unchanged, and only a connective may
-    hold a ``,`` token, so that no entry is dead.  Raises
-    :class:`LexiconError` with the line number otherwise.
+    Reading checks only the file's own rules: section headers, ``=``
+    lines, trigger and cue word counts, names ``registry`` holds and
+    duplicate triggers.  The constructors check each entry.  Any fault
+    raises :class:`LexiconError` with its line; the entries read before
+    a fault are checked too, so that a refused one among them is the one
+    reported.
     """
     verbs: list[tuple[tuple[str, ...], str]] = []
     params: dict[str, list[ParamRule]] = {}
     connectives: list[str] = []
+    lines: dict[str, list[int]] = {}  # section -> the line of each of its entries
     saw_connectives = False
     section: str | None = None
-    for lineno, line in config_lines(text):
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise LexiconError(f"unterminated section header {line!r}", lineno)
-            section = line[1:-1].strip()
-            if section == "connectives":
-                saw_connectives = True
-            elif section != "verbs" and not section.startswith("params."):
-                raise LexiconError(f"unknown section [{section}]", lineno)
-            elif section.startswith("params."):
+    try:
+        for lineno, line in config_lines(text):
+            if line.startswith("["):
+                if not line.endswith("]"):
+                    raise LexiconError(f"unterminated section header {line!r}", lineno)
+                section = line[1:-1].strip()
                 action = section[len("params.") :]
-                if action not in registry:
+                saw_connectives = saw_connectives or section == "connectives"
+                if section not in ("verbs", "connectives") and not section.startswith("params."):
+                    raise LexiconError(f"unknown section [{section}]", lineno)
+                if section.startswith("params.") and action not in registry:
                     raise LexiconError(f"[{section}] names unknown action '{action}'", lineno)
-            continue
-        if section is None:
-            raise LexiconError("entry before any section header", lineno)
-        if section == "connectives":
-            if _tokens(line) != line.split():
-                raise LexiconError(f"connective '{line}' is not normalized lowercase text", lineno)
-            connectives.append(line)
-            continue
-        if "=" not in line:
-            raise LexiconError("expected 'left = right'", lineno)
-        left, right = (part.strip() for part in line.split("=", 1))
-        if not left or not right:
-            raise LexiconError("empty side of '='", lineno)
-        if section == "verbs":
-            phrase = tuple(left.split())
-            if not 1 <= len(phrase) <= 3:
-                raise LexiconError(f"trigger '{left}' must be 1-3 tokens", lineno)
-            if normalize(left) != list(phrase):
-                raise LexiconError(f"trigger '{left}' is not normalized lowercase text", lineno)
-            if right not in registry:
-                raise LexiconError(f"unknown action '{right}'", lineno)
-            if any(existing == phrase for existing, _ in verbs):
-                raise LexiconError(f"duplicate trigger '{left}'", lineno)
-            verbs.append((phrase, right))
-        else:
-            action = section[len("params.") :]
+                continue
+            if section is None:
+                raise LexiconError("entry before any section header", lineno)
+            lines.setdefault(section, []).append(lineno)
+            if section == "connectives":
+                connectives.append(line)
+                continue
+            if "=" not in line:
+                raise LexiconError("expected 'left = right'", lineno)
+            left, right = (part.strip() for part in line.split("=", 1))
+            if not left or not right:
+                raise LexiconError("empty side of '='", lineno)
+            if section == "verbs":
+                phrase = tuple(left.split())
+                if not 1 <= len(phrase) <= 3:
+                    raise LexiconError(f"trigger '{left}' must be 1-3 tokens", lineno)
+                if right not in registry:
+                    raise LexiconError(f"unknown action '{right}'", lineno)
+                if any(existing == phrase for existing, _ in verbs):
+                    raise LexiconError(f"duplicate trigger '{left}'", lineno)
+                verbs.append((phrase, right))
+                continue
+            # ahead of the registry lookup, which would call 'Words' an unknown parameter
             if not IDENT_RE.match(right):
                 raise LexiconError(f"parameter name {right!r} is not a lowercase identifier", lineno)
             if registry.get(action).canonical_param(right) is None:
                 raise LexiconError(f"'{action}' takes no parameter '{right}'", lineno)
             cue = left.split()
-            if cue == ["number"]:
-                rule = ParamRule("number", right)
-            elif cue == ["rest"]:
-                rule = ParamRule("rest", right)
-            elif len(cue) == 2 and cue[0] == "after":
-                if normalize(cue[1]) != cue[1:]:
-                    raise LexiconError(f"cue keyword '{cue[1]}' is not normalized lowercase text", lineno)
-                rule = ParamRule("after", right, cue[1])
-            else:
+            if len(cue) != (2 if cue[0] == "after" else 1):
                 raise LexiconError(f"unknown cue '{left}' (want 'after <word>', 'number', or 'rest')", lineno)
+            try:
+                rule = ParamRule(cue[0], right, *cue[1:])
+            except ValueError as exc:
+                raise LexiconError(str(exc), lineno) from None
             params.setdefault(action, []).append(rule)
-    return Lexicon(
-        verbs=tuple(verbs),
-        params=tuple((name, tuple(rules)) for name, rules in params.items()),
-        connectives=tuple(connectives) if saw_connectives else DEFAULT_CONNECTIVES,
-    )
+    finally:
+        try:
+            lexicon = Lexicon(
+                verbs=tuple(verbs),
+                params=tuple((name, tuple(rules)) for name, rules in params.items()),
+                connectives=tuple(connectives) if saw_connectives else DEFAULT_CONNECTIVES,
+            )
+        except _BadEntry as exc:
+            raise LexiconError(exc.message, lines[exc.section][exc.index]) from None
+    return lexicon
 
 
 @lru_cache(maxsize=1)

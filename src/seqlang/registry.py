@@ -97,10 +97,6 @@ class ActionSchema:
         slot = self.slots.get(name)
         return None if slot is None else self.params[slot]
 
-    def param_slot(self, name: str) -> int | None:
-        """Position of the (resolved) parameter in canonical order."""
-        return self.slots.get(name)
-
 
 @dataclass(frozen=True)
 class ActionRegistry:

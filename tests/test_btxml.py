@@ -1,8 +1,9 @@
 """XML emission bytes, ordering rules, and the reader's shape checks."""
 
+import operator
 import random
 import xml.etree.ElementTree as ET
-from string import ascii_letters, ascii_lowercase
+from string import ascii_letters, ascii_lowercase, digits
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 from seqlang.btxml import EmitError, XmlShapeError, emit, parse_bt_xml
 from seqlang.interpreter import MockPlant, run
 from seqlang.logical_form import (
+    RESERVED_HEAD,
     ActionNode,
     LogicalFormError,
     ParamNode,
     SequenceNode,
+    is_param_value,
     parse_logical_form,
     render,
 )
@@ -184,6 +187,36 @@ def test_parse_bt_xml_round_trips_emitted_trees():
     for _ in range(200):
         tree = random_tree(rng)
         assert parse_bt_xml(emit(tree)) == tree
+
+
+# Every word of logical_form.IDENT_RE's language, drawn faster than st.from_regex draws it.
+IDENTS = st.builds(operator.add, st.sampled_from(ascii_lowercase), st.text(ascii_lowercase + digits + "_"))
+
+
+@st.composite
+def named_trees(draw):
+    """Trees whose action and parameter names are any lowercase identifiers,
+
+    known or not, with each action's parameters in the order emit writes.
+    """
+    actions = []
+    counter = 0
+    for name in draw(st.lists(IDENTS.filter(lambda name: name != RESERVED_HEAD), max_size=4)):
+        names = sorted(draw(st.lists(IDENTS, max_size=3, unique=True)), key=builtin_registry().param_order(name))
+        params = [ParamNode(pname, counter + k, draw(st.text().filter(is_param_value))) for k, pname in enumerate(names)]
+        actions.append(ActionNode(name, tuple(params)))
+        counter += len(params)
+    return SequenceNode(tuple(actions))
+
+
+@given(named_trees(), st.text())
+@settings(max_examples=200, deadline=None)
+def test_parse_bt_xml_inverts_emit_for_any_names_and_tree_id(tree, tree_id):
+    try:
+        xml = emit(tree, tree_id=tree_id)
+    except EmitError:
+        assume(False)
+    assert parse_bt_xml(xml) == tree
 
 
 def test_parse_bt_xml_renumbers_in_document_order():

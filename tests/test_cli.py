@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output streams and exit codes."""
 
+import argparse
 import io
 import re
 import tempfile
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from seqlang.btxml import emit, parse_bt_xml
-from seqlang.cli import main
+from seqlang.cli import _build_parser, main
 from seqlang.dataset import generate, write_tsv
 from seqlang.frontend import translate
 from seqlang.logical_form import render
@@ -528,6 +529,14 @@ COMMANDS = {
     "run": (FILE, {"--fail-at": NUMBER}),
     "repl": (None, {"--lexicon": FILE, "--registry": FILE, "--out": FILE}),
 }
+
+
+def test_each_command_takes_exactly_the_flags_its_row_lists():
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(COMMANDS)
+    for command, parser in commands.choices.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert flags - {"-h", "--help"} == set(COMMANDS[command][1]), command
 
 
 @st.composite

@@ -424,6 +424,60 @@ def test_lexicon_refuses_a_trigger_word_normalize_changes(phrase):
         Lexicon(verbs=((phrase, "say"),))
 
 
+SAY = ((("say",), "say"),)
+
+
+@pytest.mark.parametrize("connective", ["Then", "and  then!", "then,", '"then"'])
+def test_lexicon_refuses_a_connective_the_tokenizer_changes(connective):
+    with pytest.raises(ValueError, match="not normalized"):
+        Lexicon(verbs=SAY, connectives=(connective,))
+
+
+@pytest.mark.parametrize(
+    "kwargs, where",
+    [
+        ({"verbs": ((("say",), "say"), (("Go",), "goal"))}, "verbs[1]"),
+        ({"verbs": ((("say",), "Say"),)}, "verbs[0]"),
+        ({"verbs": SAY, "params": (("say", (ParamRule("rest", "words"), ParamRule("number", "Num"))),)}, "params.say[1]"),
+        ({"verbs": SAY, "connectives": ("then", "Then")}, "connectives[1]"),
+    ],
+    ids=["trigger", "action", "cue", "connective"],
+)
+def test_a_lexicon_entry_error_names_its_section_and_index(kwargs, where):
+    with pytest.raises(ValueError) as info:
+        Lexicon(**kwargs)
+    assert str(info.value).startswith(f"{where}: ")
+
+
+# Text one lexicon line may hold: no comment, "=", section header or line end.
+_LINE_TEXT = st.text(st.characters(blacklist_characters="#=[\n", blacklist_categories=("Cs",)), max_size=8)
+
+
+def _refused(build, error):
+    try:
+        build()
+    except error:
+        return True
+    return False
+
+
+@given(_LINE_TEXT)
+@settings(max_examples=500, deadline=None)
+def test_a_file_and_code_refuse_the_same_connectives(text):
+    registry = builtin_registry()
+    in_file = _refused(lambda: load_lexicon("[verbs]\nsay = say\n[connectives]\n" + text, registry), LexiconError)
+    in_code = _refused(lambda: Lexicon(verbs=SAY, connectives=(text.strip(),)), ValueError)
+    assert in_file == in_code
+
+
+@given(_LINE_TEXT.filter(lambda text: 1 <= len(text.split()) <= 3))
+@settings(max_examples=500, deadline=None)
+def test_a_file_and_code_refuse_the_same_triggers(text):
+    in_file = _refused(lambda: load_lexicon(f"[verbs]\n{text} = say\n", builtin_registry()), LexiconError)
+    in_code = _refused(lambda: Lexicon(verbs=((tuple(text.split()), "say"),)), ValueError)
+    assert in_file == in_code
+
+
 _LOWER_IDENT = re.compile("[a-z][a-z0-9_]*")
 _NAMES = st.from_regex(_LOWER_IDENT, fullmatch=True) | st.sampled_from(["move", "x", "seq"]) | st.text(max_size=6)
 _TRIGGER_WORDS = ("go", "dive", "say")
@@ -527,6 +581,25 @@ def test_load_lexicon_rejects_malformed_files(text, line, needle):
         load_lexicon(text, builtin_registry())
     assert info.value.line == line
     assert needle in str(info.value)
+
+
+# A file with several faults reports one.  Reading stops at the first line
+# that breaks a file rule; an entry read before it that the constructors
+# refuse is reported instead, triggers before connectives.
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[verbs]\nGoal = goal\n[chapter]\n", 2),
+        ("[verbs]\ngoal = goal\n[chapter]\nGoal = goal\n", 3),
+        ("[verbs]\nGoal = goal\n[params.move]\nafter X = x\n", 2),
+        ("[connectives]\nThen\n[verbs]\nGoal = goal\n", 4),
+    ],
+    ids=["entry-then-section", "section-then-entry", "trigger-then-cue", "connective-then-trigger"],
+)
+def test_which_fault_a_file_with_several_reports(text, line):
+    with pytest.raises(LexiconError) as info:
+        load_lexicon(text, builtin_registry())
+    assert info.value.line == line
 
 
 # LF is the one line end; every other break is a blank or comment text.

@@ -36,7 +36,7 @@ def test_yaw_is_an_alias_for_the_sixth_axis():
     move = builtin_registry().get("move")
     assert move.canonical_param("yaw") == "raw"
     assert move.canonical_param("raw") == "raw"
-    assert move.param_slot("yaw") == move.param_slot("raw") == 5
+    assert move.slots["yaw"] == move.slots["raw"] == 5
     assert move.canonical_param("heading") is None
 
 
