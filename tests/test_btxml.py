@@ -159,6 +159,117 @@ def test_emit_rejects_duplicate_params():
         emit(tree)
 
 
+def test_emit_names_the_first_repeat_in_written_order():
+    names = ("y", "x", "y", "x")
+    tree = SequenceNode((ActionNode("move", tuple(ParamNode(n, k, "1") for k, n in enumerate(names))),))
+    with pytest.raises(EmitError) as info:
+        emit(tree)
+    assert str(info.value) == "duplicate parameter 'y' in action 'move'"
+
+
+@pytest.mark.parametrize("bad_first", [False, True], ids=["bad-char-later", "bad-char-earlier"])
+def test_a_duplicate_parameter_is_reported_ahead_of_a_forbidden_character(bad_first):
+    say = ActionNode("say", (ParamNode("words", 0, "a\x0bb"),))
+    move = ActionNode("move", (ParamNode("x", 1, "1"), ParamNode("x", 2, "2")))
+    with pytest.raises(EmitError) as info:
+        emit(SequenceNode((say, move) if bad_first else (move, say)), tree_id="\x0b")
+    assert str(info.value) == "duplicate parameter 'x' in action 'move'"
+
+
+# A reference writer for emit, written from README "Mission XML and the
+# mock plant" rather than from btxml.
+_REFERENCE_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
+
+
+def _is_xml_char(char: str) -> bool:
+    return char in "\t\n\r" or " " <= char <= "\ud7ff" or "\ue000" <= char <= "\ufffd" or char >= "\U00010000"
+
+
+def reference_emit(tree, registry, tree_id="MainTree"):
+    def escape(text):
+        return "".join(_REFERENCE_ESCAPES.get(char, char) for char in text)
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<root main_tree_to_execute="{escape(tree_id)}">',
+        f'  <BehaviorTree ID="{escape(tree_id)}">',
+        "    <Sequence>" if tree.actions else "    <Sequence/>",
+    ]
+    for action in tree.actions:
+        names = [p.name for p in action.params]
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise EmitError(f"duplicate parameter '{name}' in action '{action.name}'")
+        schema = registry.get(action.name)
+        slots = {} if schema is None else {name: slot for slot, name in enumerate(schema.params)}
+        if schema is not None:
+            for alias, target in schema.aliases:
+                slots.setdefault(alias, slots[target])
+        unknown = len(slots)
+        params = sorted(action.params, key=lambda p: (slots.get(p.name, unknown), p.name))
+        attrs = "".join(f' {p.name}="{escape(p.value)}"' for p in params)
+        lines.append(f"      <{action.name[0].upper()}{action.name[1:]}{attrs}/>")
+    if tree.actions:
+        lines.append("    </Sequence>")
+    document = "\n".join([*lines, "  </BehaviorTree>", "</root>", ""])
+    for char in document:
+        if not _is_xml_char(char):
+            raise EmitError(f"character U+{ord(char):04X} is not allowed in XML 1.0")
+    return document
+
+
+# survey's schema order is not alphabetical; warp and dock are unknown.
+_SHAPE_REGISTRY = load_registry("survey speed depth\n")
+_SHAPE_PARAMS = {
+    "move": ("x", "y", "z", "roll", "pitch", "raw", "yaw", "aa", "zz"),
+    "flatten": ("num", "aa"),
+    "say": ("words",),
+    "goal": ("q",),
+    "survey": ("speed", "depth", "aa"),
+    "warp": ("target", "speed", "q"),
+    "dock": ("q",),
+}
+_SHAPE_VALUES = ("1", "-2.5", "a b", 'a <b> & "c"', "x\ry", "é", "\U00010000", "&#9;")
+
+
+@st.composite
+def shaped_trees(draw):
+    """Trees of a few (action, parameter names) shapes, each repeated with
+
+    fresh values: 0-, 1- and many-parameter leaves, yaw beside raw, unknown
+    actions and parameters, and now and then a repeated parameter or a
+    character XML forbids.
+    """
+    shapes = []
+    for _ in range(draw(st.integers(1, 4))):
+        action = draw(st.sampled_from(sorted(_SHAPE_PARAMS)))
+        names = draw(st.lists(st.sampled_from(_SHAPE_PARAMS[action]), max_size=4, unique=True))
+        if names and draw(st.sampled_from([False] * 9 + [True])):
+            names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(names)))
+        shapes.append((action, names))
+    values = st.sampled_from(_SHAPE_VALUES + ("a\x0bb",) * 3 if draw(st.sampled_from([False] * 4 + [True])) else _SHAPE_VALUES)
+    actions = []
+    counter = 0
+    for action, names in draw(st.lists(st.sampled_from(shapes), max_size=12)):
+        params = tuple(ParamNode(name, counter + k, draw(values)) for k, name in enumerate(names))
+        actions.append(ActionNode(action, params))
+        counter += len(params)
+    return SequenceNode(tuple(actions))
+
+
+def _outcome(write, *args):
+    try:
+        return write(*args)
+    except EmitError as exc:
+        return f"EmitError: {exc}"
+
+
+@given(shaped_trees(), st.sampled_from(["MainTree", 'A "b" & <c>', "t\tid"]))
+@settings(max_examples=500, deadline=None)
+def test_emit_agrees_with_a_reference_writer(tree, tree_id):
+    assert _outcome(emit, tree, _SHAPE_REGISTRY, tree_id) == _outcome(reference_emit, tree, _SHAPE_REGISTRY, tree_id)
+
+
 def test_emit_is_byte_deterministic():
     rng = random.Random(77)
     registry = builtin_registry()
@@ -429,4 +540,12 @@ def test_read_trees_of_drawn_documents_pass_the_constructor_checks(xml):
 def test_parse_bt_xml_time_at_most_triples_when_the_input_doubles():
     tree = random_tree(random.Random(81), 1000, 1000)
     small, large = best_of_5_each(parse_bt_xml, emit(tree), emit(SequenceNode(tree.actions * 2)))
+    assert large <= 3 * small
+
+
+def test_emit_time_at_most_triples_when_the_input_doubles():
+    # random_tree gives each action 0 to 3 parameters, known and custom actions alike
+    tree = random_tree(random.Random(82), 1000, 1000)
+    assert {len(action.params) for action in tree.actions} == {0, 1, 2, 3}
+    small, large = best_of_5_each(emit, tree, SequenceNode(tree.actions * 2))
     assert large <= 3 * small
