@@ -1,32 +1,12 @@
-"""Byte-deterministic BehaviorTree XML emission, and the inverse reader.
+"""BehaviorTree XML emission, and the inverse reader.
 
-A mission serializes to the classic BehaviorTree.CPP v3 skeleton: a
-``<root>`` naming the main tree, one ``<BehaviorTree>``, one ``<Sequence>``,
-and one self-closing leaf element per action::
+README "Mission XML and the mock plant" owns the document's skeleton,
+the attribute order, the escapes and what raises :class:`EmitError`.
 
-    <?xml version="1.0" encoding="UTF-8"?>
-    <root main_tree_to_execute="MainTree">
-      <BehaviorTree ID="MainTree">
-        <Sequence>
-          <Flatten num="2"/>
-          <Goal/>
-        </Sequence>
-      </BehaviorTree>
-    </root>
-
-Element names are the action names with the first letter uppercased, which
-is bijective because action names are lowercase identifiers.  Parameters
-become attributes in :meth:`ActionRegistry.param_order` (schema order, then
-unknown ones alphabetically), the order the frontend also uses, so the same
-tree always serializes to the same bytes: two-space indents, LF line
-endings, double-quoted attributes.
-
-In attribute values (and the tree ID) ``&``, ``<``, ``>`` and ``"`` are
-written as entity references, and tab, LF and CR as character references
-(``&#9;``, ``&#10;``, ``&#13;``), because an XML reader turns literal
-ones into spaces; so the reader gets every value back exactly.  A
-character XML 1.0 does not allow at all, such as ``\x0b`` or a lone
-surrogate, raises :class:`EmitError`, as does a duplicate parameter.
+:func:`emit` writes a leaf with no parameter, or one, directly.  Only a
+leaf with two or more has a duplicate to check and an order to sort, so
+those are written from a template made once per (action, parameter
+names) shape in the call, which repeated shapes share.
 
 Variable numbering is not stored in the XML; the reader re-assigns
 0, 1, 2, ... in document order.  All of the reader's checks run in one
@@ -116,16 +96,23 @@ def emit(tree: SequenceNode, registry: ActionRegistry | None = None, tree_id: st
         lines.append("    <Sequence/>")
     else:
         lines.append("    <Sequence>")
-        # one template per (action, parameter names) shape in this tree
+        # one template per multi-parameter shape in this tree
         templates: dict[tuple[str, tuple[str, ...]], tuple[str, list[int]]] = {}
         for action in tree.actions:
             params = action.params
-            shape = (action.name, tuple([p.name for p in params]))
-            template = templates.get(shape)
-            if template is None:
-                template = templates[shape] = _leaf_template(*shape, registry)
-            text, order = template
-            lines.append(text.format(*[params[k].value.translate(_ESCAPES) for k in order]))
+            if len(params) > 1:
+                shape = (action.name, tuple([p.name for p in params]))
+                template = templates.get(shape)
+                if template is None:
+                    template = templates[shape] = _leaf_template(*shape, registry)
+                text, order = template
+                lines.append(text.format(*[params[k].value.translate(_ESCAPES) for k in order]))
+            elif params:
+                name, (param,) = action.name, params
+                lines.append(f'      <{name[0].upper()}{name[1:]} {param.name}="{param.value.translate(_ESCAPES)}"/>')
+            else:
+                name = action.name
+                lines.append(f"      <{name[0].upper()}{name[1:]}/>")
         lines.append("    </Sequence>")
     lines.append("  </BehaviorTree>")
     lines.append("</root>")
