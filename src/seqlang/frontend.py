@@ -147,10 +147,10 @@ class Lexicon:
                     message = f"parameter name {rule.param!r} is not a lowercase identifier"
                     raise _BadEntry(f"params.{action}", i, message)
         for i, connective in enumerate(self.connectives):
-            if _tokens(connective) != connective.split():
+            if " ".join(_tokens(connective)) != connective:
                 raise _BadEntry("connectives", i, f"connective '{connective}' is not normalized lowercase text")
         splitters: dict[str, tuple[tuple[str, ...], ...]] = {}
-        phrases = (tuple(c.split()) for c in self.connectives if c.strip() and c != "and")
+        phrases = (tuple(c.split()) for c in self.connectives if c and c != "and")
         for phrase in sorted(phrases, key=len, reverse=True):
             splitters[phrase[0]] = splitters.get(phrase[0], ()) + (phrase,)
         object.__setattr__(self, "triggers", {p: tuple(sorted(a)) for p, a in actions.items()})
