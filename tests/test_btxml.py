@@ -152,14 +152,7 @@ def test_emitted_values_round_trip_or_raise(value):
 
 
 def test_emit_rejects_duplicate_params():
-    tree = SequenceNode(
-        (ActionNode("move", (ParamNode("x", 0, "1"), ParamNode("x", 1, "2"))),)
-    )
-    with pytest.raises(EmitError):
-        emit(tree)
-
-
-def test_emit_names_the_first_repeat_in_written_order():
+    # the first repeat in written order is the one named
     names = ("y", "x", "y", "x")
     tree = SequenceNode((ActionNode("move", tuple(ParamNode(n, k, "1") for k, n in enumerate(names))),))
     with pytest.raises(EmitError) as info:
