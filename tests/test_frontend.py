@@ -427,7 +427,7 @@ def test_lexicon_refuses_a_trigger_word_normalize_changes(phrase):
 SAY = ((("say",), "say"),)
 
 
-@pytest.mark.parametrize("connective", ["Then", "and  then!", "then,", '"then"', " and", "and ", "and  then"])
+@pytest.mark.parametrize("connective", ["Then", "and  then!", "then,", '"then"', " and", "and ", "and  then", "and\tthen"])
 def test_lexicon_refuses_a_connective_the_tokenizer_changes(connective):
     with pytest.raises(ValueError, match="not normalized"):
         Lexicon(verbs=SAY, connectives=(connective,))
