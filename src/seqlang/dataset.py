@@ -37,7 +37,7 @@ LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 @dataclass(eq=False)
 class FormatError(Exception):
-    """A corpus line that is not exactly utterance<TAB>logicalform."""
+    """A corpus line that is not utterance<TAB>logicalform, or whose form does not parse."""
 
     line: int
     message: str

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from seqlang.dataset import LINE_BREAKS, Corpus
-from seqlang.logical_form import SequenceNode, parse_logical_form, render
+from seqlang.dataset import LINE_BREAKS, Corpus, FormatError
+from seqlang.logical_form import LogicalFormError, SequenceNode, parse_logical_form, render
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,17 @@ class EvalReport:
 def evaluate(frontend: Callable[[str], SequenceNode], corpus: Corpus) -> EvalReport:
     """Score a frontend; accuracy is 1.0 on an empty corpus.
 
-    Rows come back in corpus order.  Gold forms must parse; a corpus bad
-    enough to violate that raises rather than scoring.
+    Rows come back in corpus order.  A gold form that does not parse
+    makes the corpus malformed: :class:`FormatError` names the pair by its
+    1-based number, which is its line in a file :func:`read_tsv` read.
     """
     rows = []
     matches = 0
     for index, pair in enumerate(corpus.pairs):
-        expected = render(parse_logical_form(pair.logical_form))
+        try:
+            expected = render(parse_logical_form(pair.logical_form))
+        except LogicalFormError as exc:
+            raise FormatError(index + 1, f"gold logical form does not parse: {exc}") from None
         try:
             produced = render(frontend(pair.utterance))
         except Exception as exc:

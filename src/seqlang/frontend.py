@@ -50,24 +50,6 @@ class NoVerbMatch(FrontendError):
 
 
 @dataclass(eq=False)
-class AmbiguousMatch(FrontendError):
-    """Two equally long triggers match at the same position but name
-
-    different actions; only programmatically built lexicons can get here.
-    """
-
-    clause_index: int
-    clause: str
-    actions: tuple[str, ...]
-
-    def __str__(self) -> str:
-        return (
-            f"clause {self.clause_index + 1}: ambiguous triggers "
-            f"({', '.join(self.actions)}) in '{self.clause}'"
-        )
-
-
-@dataclass(eq=False)
 class LexiconError(Exception):
     """A malformed lexicon file (1-based line number)."""
 
@@ -82,7 +64,9 @@ class _BadEntry(ValueError):
     """A lexicon entry refused at construction: ``section`` and ``index``
 
     name it as a file would (``verbs``, ``params.ACTION``, ``connectives``),
-    so that :func:`load_lexicon` can give the entry's line instead.
+    so that :func:`load_lexicon` can give the entry's line instead.  A
+    second cue list for one action is ``params[index]``; a file merges
+    its sections for an action into one list, so it never holds one.
     """
 
     def __init__(self, section: str, index: int, message: str) -> None:
@@ -118,43 +102,49 @@ class Lexicon:
     section and index.
 
     Built once from these: ``triggers`` maps each trigger phrase to its
-    sorted distinct actions, and each proper prefix of one to ``()`` so a
-    scan can stop at the first miss; ``cues`` maps an action to its first
-    cue list; ``splitters`` maps the first token of each connective other
-    than "and" to its phrases, longest first.
+    action, and each proper prefix of one to ``""`` so a scan can stop at
+    the first miss; ``cues`` maps an action to its cue list; ``splitters``
+    maps the first token of each connective other than "and" to its
+    phrases, longest first.
     """
 
     verbs: tuple[tuple[tuple[str, ...], str], ...]
     params: tuple[tuple[str, tuple[ParamRule, ...]], ...] = ()
     connectives: tuple[str, ...] = DEFAULT_CONNECTIVES
-    triggers: dict[tuple[str, ...], tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    triggers: dict[tuple[str, ...], str] = field(init=False, repr=False, compare=False)
     cues: dict[str, tuple[ParamRule, ...]] = field(init=False, repr=False, compare=False)
     splitters: dict[str, tuple[tuple[str, ...], ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        actions: dict[tuple[str, ...], set[str]] = {}
+        triggers: dict[tuple[str, ...], str] = {}
         for i, (phrase, action) in enumerate(self.verbs):
             if not phrase or normalize(" ".join(phrase)) != list(phrase):
                 raise _BadEntry("verbs", i, f"trigger {phrase!r} is not normalized lowercase text")
             if not IDENT_RE.match(action) or action == RESERVED_HEAD:
                 raise _BadEntry("verbs", i, f"action name {action!r} is not a lowercase identifier other than 'seq'")
-            for size in range(1, len(phrase) + 1):
-                actions.setdefault(phrase[:size], set())
-            actions[phrase].add(action)
-        for action, rules in self.params:
+            if triggers.get(phrase):
+                raise _BadEntry("verbs", i, f"duplicate trigger '{' '.join(phrase)}'")
+            for size in range(1, len(phrase)):
+                triggers.setdefault(phrase[:size], "")
+            triggers[phrase] = action
+        cues: dict[str, tuple[ParamRule, ...]] = {}
+        for index, (action, rules) in enumerate(self.params):
+            if action in cues:
+                raise _BadEntry("params", index, f"duplicate cue list for action '{action}'")
             for i, rule in enumerate(rules):
                 if not IDENT_RE.match(rule.param):
                     message = f"parameter name {rule.param!r} is not a lowercase identifier"
                     raise _BadEntry(f"params.{action}", i, message)
+            cues[action] = rules
         for i, connective in enumerate(self.connectives):
-            if " ".join(_tokens(connective)) != connective:
+            if not connective or " ".join(_tokens(connective)) != connective:
                 raise _BadEntry("connectives", i, f"connective '{connective}' is not normalized lowercase text")
         splitters: dict[str, tuple[tuple[str, ...], ...]] = {}
-        phrases = (tuple(c.split()) for c in self.connectives if c and c != "and")
+        phrases = (tuple(c.split()) for c in self.connectives if c != "and")
         for phrase in sorted(phrases, key=len, reverse=True):
             splitters[phrase[0]] = splitters.get(phrase[0], ()) + (phrase,)
-        object.__setattr__(self, "triggers", {p: tuple(sorted(a)) for p, a in actions.items()})
-        object.__setattr__(self, "cues", dict(reversed(self.params)))
+        object.__setattr__(self, "triggers", triggers)
+        object.__setattr__(self, "cues", cues)
         object.__setattr__(self, "splitters", splitters)
 
 
@@ -179,8 +169,8 @@ def normalize(text: str) -> list[str]:
     return [tok for tok in _tokens(text) if tok != ","]
 
 
-def _clauses(text: str, lexicon: Lexicon) -> list[tuple[list[str], list[str], tuple[str, ...]]]:
-    """(tokens, tail after the winning trigger, its actions or ``()``) per
+def _clauses(text: str, lexicon: Lexicon) -> list[tuple[list[str], list[str], str]]:
+    """(tokens, tail after the winning trigger, its action or ``""``) per
 
     clause.  Commas no connective takes are dropped; each fragment between
     connectives is scanned for trigger hits once, visiting only the tokens
@@ -205,14 +195,14 @@ def _clauses(text: str, lexicon: Lexicon) -> list[tuple[list[str], list[str], tu
             fragment = [tok for tok in fragment if tok != ","]
         if not fragment:
             continue
-        hits = []  # (start, end, actions) in start order
+        hits = []  # (start, end, action) in start order
         for start in [i for i, tok in enumerate(fragment) if (tok,) in triggers]:
             for end in range(start + 1, len(fragment) + 1):
-                actions = triggers.get(tuple(fragment[start:end]))
-                if actions is None:
+                action = triggers.get(tuple(fragment[start:end]))
+                if action is None:
                     break
-                if actions:
-                    hits.append((start, end, actions))
+                if action:
+                    hits.append((start, end, action))
         # cut at each "and" with a whole hit since the last cut and one after
         # it; latest[e] is the largest start of a hit ending by e, else -1
         cuts = [-1]
@@ -227,15 +217,15 @@ def _clauses(text: str, lexicon: Lexicon) -> list[tuple[list[str], list[str], tu
         cuts.append(len(fragment))
         # longest hit inside a clause wins, leftmost breaks ties; hits across
         # a cut are dropped
-        best = [(0, 0, ())] * (len(cuts) - 1)
+        best = [(0, 0, "")] * (len(cuts) - 1)
         k = 0
         for hit in hits:
             while cuts[k + 1] < hit[0]:
                 k += 1
             if hit[1] <= cuts[k + 1] and hit[1] - hit[0] > best[k][1] - best[k][0]:
                 best[k] = hit
-        for k, (_, end, actions) in enumerate(best):
-            clauses.append((fragment[cuts[k] + 1 : cuts[k + 1]], fragment[end : cuts[k + 1]], actions))
+        for k, (_, end, action) in enumerate(best):
+            clauses.append((fragment[cuts[k] + 1 : cuts[k + 1]], fragment[end : cuts[k + 1]], action))
     return clauses
 
 
@@ -288,7 +278,7 @@ def translate(
     from a cue rule, parameters sit in the order the XML emitter writes
     them (:meth:`ActionRegistry.param_order`), and variables are
     numbered globally in order.  Untranslatable input raises
-    :class:`NoVerbMatch` or :class:`AmbiguousMatch`; nothing else escapes.
+    :class:`NoVerbMatch`; nothing else escapes.
     """
     lexicon = default_lexicon() if lexicon is None else lexicon
     registry = builtin_registry() if registry is None else registry
@@ -297,15 +287,13 @@ def translate(
         raise NoVerbMatch(0, utterance.strip())
     actions: list[ActionNode] = []
     counter = 0
-    for index, (clause, tail, matched) in enumerate(clauses):
-        if not matched:
+    for index, (clause, tail, action) in enumerate(clauses):
+        if not action:
             raise NoVerbMatch(index, " ".join(clause))
-        if len(matched) > 1:
-            raise AmbiguousMatch(index, " ".join(clause), matched)
-        params = _extract_params(tail, lexicon.cues.get(matched[0], ()))
-        names = sorted(params, key=registry.param_order(matched[0])) if len(params) > 1 else params
+        params = _extract_params(tail, lexicon.cues.get(action, ()))
+        names = sorted(params, key=registry.param_order(action)) if len(params) > 1 else params
         nodes = tuple(_param(name, counter + k, params[name]) for k, name in enumerate(names))
-        actions.append(_action(matched[0], nodes))
+        actions.append(_action(action, nodes))
         counter += len(nodes)
     return _sequence(tuple(actions))
 
@@ -314,11 +302,11 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
     """Parse lexicon text (format and rules in README "The lexicon").
 
     Reading checks only the file's own rules: section headers, ``=``
-    lines, trigger and cue word counts, names ``registry`` holds and
-    duplicate triggers.  The constructors check each entry.  Any fault
-    raises :class:`LexiconError` with its line; the entries read before
-    a fault are checked too, so that a refused one among them is the one
-    reported.
+    lines, trigger and cue word counts, and names ``registry`` holds.
+    The constructors check each entry, a repeated trigger included.  Any
+    fault raises :class:`LexiconError` with its line; the entries read
+    before a fault are checked too, so that a refused one among them is
+    the one reported.
     """
     verbs: list[tuple[tuple[str, ...], str]] = []
     params: dict[str, list[ParamRule]] = {}
@@ -356,8 +344,6 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
                     raise LexiconError(f"trigger '{left}' must be 1-3 tokens", lineno)
                 if right not in registry:
                     raise LexiconError(f"unknown action '{right}'", lineno)
-                if any(existing == phrase for existing, _ in verbs):
-                    raise LexiconError(f"duplicate trigger '{left}'", lineno)
                 verbs.append((phrase, right))
                 continue
             # ahead of the registry lookup, which would call 'Words' an unknown parameter

@@ -15,7 +15,7 @@ documented rule:
   with each comma kept as a word of its own, not on raw lowercased
   words, so "then!" is the connective "then".
 
-Only ``normalize``, the exception types and the registry's parameter
+Only ``normalize``, the exception type and the registry's parameter
 order are shared with the library.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 
-from seqlang.frontend import AmbiguousMatch, NoVerbMatch, normalize
+from seqlang.frontend import NoVerbMatch, normalize
 from seqlang.logical_form import ActionNode, ParamNode, SequenceNode
 
 NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
@@ -149,9 +149,6 @@ def _translate_clause(index, tokens, lexicon):
     if not candidates:
         raise NoVerbMatch(index, " ".join(tokens))
     size, start, action = candidates[0]
-    tied = {c[2] for c in candidates if c[0] == size and c[1] == start}
-    if len(tied) > 1:
-        raise AmbiguousMatch(index, " ".join(tokens), tuple(sorted(tied)))
     tail = tokens[start + size :]
     return action, _extract_params(tail, rules_for(lexicon, action))
 

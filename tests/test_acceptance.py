@@ -27,7 +27,6 @@ from seqlang.dataset import (
 )
 from seqlang.evaluation import evaluate
 from seqlang.frontend import (
-    AmbiguousMatch,
     Lexicon,
     LexiconError,
     NoVerbMatch,
@@ -237,9 +236,7 @@ MALFORMED = [
     ("emit duplicate param", lambda: emit(_dup_param_tree()), EmitError),
     *[(label, partial(parse_bt_xml, xml), XmlShapeError) for label, xml in MALFORMED_XML],
     ("unmatched utterance", lambda: translate("transmogrify the widget"), NoVerbMatch),
-    ("ambiguous trigger", lambda: translate(
-        "dive", Lexicon(verbs=((("dive",), "move"), (("dive",), "flatten")))
-    ), AmbiguousMatch),
+    ("lexicon repeated trigger", lambda: Lexicon(verbs=((("dive",), "move"), (("dive",), "flatten"))), ValueError),
     ("lexicon unknown action", lambda: load_lexicon("[verbs]\ngo = warp\n", builtin_registry()), LexiconError),
     ("tsv missing tab", lambda: read_tsv("no tab\n"), FormatError),
     ("empty corpus field", lambda: CorpusPair("", "( seq ( goal ) )"), ValueError),

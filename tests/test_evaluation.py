@@ -2,10 +2,10 @@
 
 import pytest
 
-from seqlang.dataset import Corpus, CorpusPair, generate
+from seqlang.dataset import Corpus, CorpusPair, FormatError, generate
 from seqlang.evaluation import EvalReport, EvalRow, evaluate, format_report, report_lines
 from seqlang.frontend import translate
-from seqlang.logical_form import ActionNode, LogicalFormError, ParamNode, SequenceNode, parse_logical_form
+from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, parse_logical_form
 
 
 def tiny_corpus():
@@ -75,8 +75,9 @@ def test_gold_forms_are_canonicalized_before_comparison():
 def test_unparseable_gold_raises():
     # gold-side garbage is a corpus bug, not a frontend miss
     corpus = Corpus((CorpusPair("score a goal", "not a form"),), "test")
-    with pytest.raises(LogicalFormError):
+    with pytest.raises(FormatError) as info:
         evaluate(translate, corpus)
+    assert info.value.line == 1
 
 
 def test_empty_corpus_scores_one():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from seqlang.frontend import (
     DEFAULT_CONNECTIVES,
-    AmbiguousMatch,
     FrontendError,
     Lexicon,
     LexiconError,
@@ -245,11 +244,14 @@ def test_untranslatable_text_raises_no_verb_match(text):
         translate(text)
 
 
-def test_ambiguous_match_needs_a_programmatic_lexicon():
-    rigged = Lexicon(verbs=((("dive",), "flatten"), (("dive",), "move")))
-    with pytest.raises(AmbiguousMatch) as info:
-        translate("dive now", rigged)
-    assert info.value.actions == ("flatten", "move")
+# A trigger names one action, so no clause can tie between two.
+@pytest.mark.parametrize("second", ["move", "flatten"], ids=["same-action", "other-action"])
+def test_a_lexicon_refuses_a_repeated_trigger(second):
+    verbs = ((("dive", "in"), "move"), (("dive",), "move"), (("dive", "in"), second))
+    with pytest.raises(ValueError) as info:
+        Lexicon(verbs=verbs)
+    assert str(info.value) == "verbs[2]: duplicate trigger 'dive in'"
+    assert render(translate("dive now", Lexicon(verbs=verbs[:2]))) == "( seq ( move ) )"
 
 
 def test_translate_is_deterministic():
@@ -427,7 +429,7 @@ def test_lexicon_refuses_a_trigger_word_normalize_changes(phrase):
 SAY = ((("say",), "say"),)
 
 
-@pytest.mark.parametrize("connective", ["Then", "and  then!", "then,", '"then"', " and", "and ", "and  then", "and\tthen"])
+@pytest.mark.parametrize("connective", ["", "Then", "and  then!", "then,", '"then"', " and", "and ", "and  then", "and\tthen"])
 def test_lexicon_refuses_a_connective_the_tokenizer_changes(connective):
     with pytest.raises(ValueError, match="not normalized"):
         Lexicon(verbs=SAY, connectives=(connective,))
@@ -440,8 +442,9 @@ def test_lexicon_refuses_a_connective_the_tokenizer_changes(connective):
         ({"verbs": ((("say",), "Say"),)}, "verbs[0]"),
         ({"verbs": SAY, "params": (("say", (ParamRule("rest", "words"), ParamRule("number", "Num"))),)}, "params.say[1]"),
         ({"verbs": SAY, "connectives": ("then", "Then")}, "connectives[1]"),
+        ({"verbs": SAY, "params": (("say", ()), ("goal", ()), ("say", (ParamRule("rest", "words"),)))}, "params[2]"),
     ],
-    ids=["trigger", "action", "cue", "connective"],
+    ids=["trigger", "action", "cue", "connective", "repeated-cue-list"],
 )
 def test_a_lexicon_entry_error_names_its_section_and_index(kwargs, where):
     with pytest.raises(ValueError) as info:
@@ -466,7 +469,8 @@ def _refused(build, error):
 def test_a_file_and_code_refuse_the_same_connectives(text):
     registry = builtin_registry()
     in_file = _refused(lambda: load_lexicon("[verbs]\nsay = say\n[connectives]\n" + text, registry), LexiconError)
-    in_code = _refused(lambda: Lexicon(verbs=SAY, connectives=(text.strip(),)), ValueError)
+    # a blank line is no entry, so the file then holds no connective
+    in_code = _refused(lambda: Lexicon(verbs=SAY, connectives=(text.strip(),) if text.strip() else ()), ValueError)
     assert in_file == in_code
 
 
@@ -476,6 +480,25 @@ def test_a_file_and_code_refuse_the_same_triggers(text):
     in_file = _refused(lambda: load_lexicon(f"[verbs]\n{text} = say\n", builtin_registry()), LexiconError)
     in_code = _refused(lambda: Lexicon(verbs=((tuple(text.split()), "say"),)), ValueError)
     assert in_file == in_code
+
+
+_VERB_LINES = st.tuples(st.sampled_from(["dive", "dive in", "dive  in", "go"]), st.sampled_from(["move", "flatten"]))
+
+
+@given(st.lists(_VERB_LINES, min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_a_file_and_code_refuse_the_same_repeated_triggers(lines):
+    text = "[verbs]\n" + "".join(f"{phrase} = {action}\n" for phrase, action in lines)
+    verbs = tuple((tuple(phrase.split()), action) for phrase, action in lines)
+    repeats = [i for i, (phrase, _) in enumerate(verbs) if phrase in [p for p, _ in verbs[:i]]]
+    in_file = _refused(lambda: load_lexicon(text, builtin_registry()), LexiconError)
+    in_code = _refused(lambda: Lexicon(verbs=verbs), ValueError)
+    assert in_file == in_code == bool(repeats)
+    if repeats:
+        with pytest.raises(LexiconError) as info:
+            load_lexicon(text, builtin_registry())
+        assert info.value.line == repeats[0] + 2  # the header is line 1
+        assert info.value.message == f"duplicate trigger '{' '.join(verbs[repeats[0]][0])}'"
 
 
 _LOWER_IDENT = re.compile("[a-z][a-z0-9_]*")
@@ -490,9 +513,12 @@ _TRIGGER_WORDS = ("go", "dive", "say")
 )
 @settings(max_examples=300, deadline=None)
 def test_lexicon_names_are_checked_at_construction(actions, rules, words):
-    # a name breaks the rule when no logical-form node could hold it
-    breaks = any(not _LOWER_IDENT.fullmatch(name) or name == "seq" for name in actions) or any(
-        not _LOWER_IDENT.fullmatch(name) for _, name in rules
+    # a name breaks the rule when no logical-form node could hold it; an
+    # action repeated in ``actions`` gets a second, dead, cue list
+    breaks = (
+        any(not _LOWER_IDENT.fullmatch(name) or name == "seq" for name in actions)
+        or any(not _LOWER_IDENT.fullmatch(name) for _, name in rules)
+        or len(set(actions)) < len(actions)
     )
     cues = tuple(ParamRule(kind, name, "x" if kind == "after" else None) for kind, name in rules)
     try:
@@ -558,7 +584,8 @@ def test_load_lexicon_param_rules():
         ("[verbs]\n= goal\n", 2, "empty side"),
         ("[verbs]\nswim to the big gate = gate\n", 2, "1-3 tokens"),
         ("[verbs]\ngo = warp\n", 2, "unknown action"),
-        ("[verbs]\ngoal = goal\ngoal = gate\n", 3, "duplicate trigger"),
+        ("[verbs]\ngoal = goal\ngoal = gate\n", 3, "duplicate trigger 'goal'"),
+        ("[verbs]\ngoal now = goal\ngoal\tnow = gate\n", 3, "duplicate trigger 'goal now'"),
         ("[verbs]\nGoal = goal\n", 2, "not normalized"),
         ("[params.warp]\n", 1, "unknown action"),
         ("[params.say]\nsomewhere near = words\n", 2, "unknown cue"),
@@ -593,8 +620,17 @@ def test_load_lexicon_rejects_malformed_files(text, line, needle):
         ("[verbs]\ngoal = goal\n[chapter]\nGoal = goal\n", 3),
         ("[verbs]\nGoal = goal\n[params.move]\nafter X = x\n", 2),
         ("[connectives]\nThen\n[verbs]\nGoal = goal\n", 4),
+        ("[connectives]\nThen\n[verbs]\ngoal = goal\ngoal = gate\n", 5),
+        ("[verbs]\ngoal = goal\ngoal = gate\n[chapter]\n", 3),
     ],
-    ids=["entry-then-section", "section-then-entry", "trigger-then-cue", "connective-then-trigger"],
+    ids=[
+        "entry-then-section",
+        "section-then-entry",
+        "trigger-then-cue",
+        "connective-then-trigger",
+        "connective-then-repeated-trigger",
+        "repeated-trigger-then-section",
+    ],
 )
 def test_which_fault_a_file_with_several_reports(text, line):
     with pytest.raises(LexiconError) as info:

@@ -15,17 +15,14 @@ from seqlang.frontend import FrontendError, Lexicon, ParamRule, default_lexicon,
 from seqlang.registry import builtin_registry
 from support import rebuild
 
-# A lexicon no file can express: a trigger that contains "and", a bare
-# "and" trigger, two tied "dive" triggers, a trigger listed twice for one
-# action, and a second cue list for "say" that must be ignored.
+# A rigged lexicon: a trigger that contains "and", a bare "and" trigger,
+# and "move to", whose first word alone is no trigger.
 RIGGED = Lexicon(
     verbs=(
         (("rock", "and", "roll"), "say"),
         (("and",), "goal"),
         (("dive",), "flatten"),
-        (("dive",), "move"),
         (("say",), "say"),
-        (("find",), "find"),
         (("find",), "find"),
         (("move", "to"), "move"),
     ),
@@ -33,7 +30,6 @@ RIGGED = Lexicon(
         ("say", (ParamRule("rest", "words"),)),
         ("find", (ParamRule("number", "val"), ParamRule("rest", "val"))),
         ("move", (ParamRule("after", "x", "x"), ParamRule("after", "yaw", "raw"), ParamRule("after", "raw", "raw"))),
-        ("say", (ParamRule("number", "num"),)),
     ),
 )
 
