@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 from string import ascii_letters, ascii_lowercase, digits
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seqlang.btxml import EmitError, XmlShapeError, emit, parse_bt_xml
@@ -223,6 +223,14 @@ _SHAPE_PARAMS = {
     "dock": ("q",),
 }
 _SHAPE_VALUES = ("1", "-2.5", "a b", 'a <b> & "c"', "x\ry", "é", "\U00010000", "&#9;")
+# Values any ParamNode may hold, drawn from every code point.
+_ANY_VALUE = st.text(_ANY_CHAR, min_size=1).filter(is_param_value)
+_XML_FORBIDDEN = st.sampled_from("\x00\x08\x0b\x0c\x1f\ud800\udfff\ufffe\uffff")
+
+
+def _with_forbidden(text):
+    """``text`` with one character XML 1.0 forbids spliced into it."""
+    return st.tuples(text, _XML_FORBIDDEN, text).map("".join)
 
 
 @st.composite
@@ -240,7 +248,9 @@ def shaped_trees(draw):
         if names and draw(st.sampled_from([False] * 9 + [True])):
             names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(names)))
         shapes.append((action, names))
-    values = st.sampled_from(_SHAPE_VALUES + ("a\x0bb",) * 3 if draw(st.sampled_from([False] * 4 + [True])) else _SHAPE_VALUES)
+    values = st.sampled_from(_SHAPE_VALUES) | _ANY_VALUE
+    if draw(st.sampled_from([False] * 4 + [True])):
+        values |= _with_forbidden(_ANY_VALUE).filter(is_param_value)
     actions = []
     counter = 0
     for action, names in draw(st.lists(st.sampled_from(shapes), max_size=12)):
@@ -257,7 +267,13 @@ def _outcome(write, *args):
         return f"EmitError: {exc}"
 
 
-@given(shaped_trees(), st.sampled_from(["MainTree", 'A "b" & <c>', "t\tid"]))
+# A forbidden character in the tree ID comes ahead of one in a value, so
+# the character named must be the document's first.
+@given(
+    shaped_trees(),
+    st.sampled_from(["MainTree", 'A "b" & <c>', "t\tid"]) | st.text(_ANY_CHAR) | _with_forbidden(st.text(_ANY_CHAR)),
+)
+@example(SequenceNode((ActionNode("say", (ParamNode("words", 0, "a\x00b"),)),)), "t\ud800")
 @settings(max_examples=500, deadline=None)
 def test_emit_agrees_with_a_reference_writer(tree, tree_id):
     assert _outcome(emit, tree, _SHAPE_REGISTRY, tree_id) == _outcome(reference_emit, tree, _SHAPE_REGISTRY, tree_id)

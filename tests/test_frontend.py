@@ -78,8 +78,33 @@ def test_normalize_splits_at_inner_commas():
     assert normalize("1,5, go") == ["1", "5", "go"]
 
 
+def _readme_deletes(char):
+    """README "The lexicon": brackets and quotes, and what XML 1.0 forbids
+
+    that is no blank to str.split(), are deleted wherever they are.
+    """
+    return (
+        char in "()[]\"'\ufffe\uffff"
+        or "\x00" <= char <= "\x08"
+        or "\x0e" <= char <= "\x1b"
+        or "\ud800" <= char <= "\udfff"
+    )
+
+
 def test_normalize_deletes_characters_xml_forbids():
     assert normalize("Say a\x01b\x1b!\x00 c\ud800\uffff") == ["say", "ab", "c"]
+    # every code point, inside a word: deleted, a split, or kept lowercased
+    for start in range(0, 0x110000, 0x1000):
+        chars = [chr(code) for code in range(start, start + 0x1000)]
+        expected = []
+        for char in chars:
+            if _readme_deletes(char):
+                expected.append("ab")
+            elif char == "," or not char.split():
+                expected.extend(("a", "b"))
+            else:
+                expected.append(f"a{char}b".lower())
+        assert normalize(" ".join(f"a{char}b" for char in chars)) == expected, hex(start)
 
 
 def test_utterance_carries_normalized_view():
