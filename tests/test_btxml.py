@@ -151,6 +151,15 @@ def test_emitted_values_round_trip_or_raise(value):
     assert parse_bt_xml(xml) == tree
 
 
+def test_emit_names_each_character_xml_forbids():
+    # each one, after allowed text in the tree ID and ahead of another in a value
+    tree = SequenceNode((ActionNode("say", (ParamNode("words", 0, "a\x0bb"),)),))
+    for code in [*range(0x00, 0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF]:
+        with pytest.raises(EmitError) as info:
+            emit(tree, tree_id=f"Main&Tree{chr(code)}\x00")
+        assert str(info.value) == f"character U+{code:04X} is not allowed in XML 1.0"
+
+
 def test_emit_rejects_duplicate_params():
     # the first repeat in written order is the one named
     names = ("y", "x", "y", "x")
@@ -228,6 +237,13 @@ _ANY_VALUE = st.text(_ANY_CHAR, min_size=1).filter(is_param_value)
 _XML_FORBIDDEN = st.sampled_from("\x00\x08\x0b\x0c\x1f\ud800\udfff\ufffe\uffff")
 
 
+# Every character XML 1.0 allows, in one value: the blanks a value may hold
+# first, then one space, then the rest in order.
+_EVERY_XML_CHAR = "\r \x21" + "".join(
+    map(chr, [*range(0x22, 0xD800), *range(0xE000, 0xFFFE), *range(0x10000, 0x110000)])
+)
+
+
 def _with_forbidden(text):
     """``text`` with one character XML 1.0 forbids spliced into it."""
     return st.tuples(text, _XML_FORBIDDEN, text).map("".join)
@@ -274,6 +290,7 @@ def _outcome(write, *args):
     st.sampled_from(["MainTree", 'A "b" & <c>', "t\tid"]) | st.text(_ANY_CHAR) | _with_forbidden(st.text(_ANY_CHAR)),
 )
 @example(SequenceNode((ActionNode("say", (ParamNode("words", 0, "a\x00b"),)),)), "t\ud800")
+@example(SequenceNode((ActionNode("say", (ParamNode("words", 0, _EVERY_XML_CHAR),)),)), "\t\n" + _EVERY_XML_CHAR[:97])
 @settings(max_examples=500, deadline=None)
 def test_emit_agrees_with_a_reference_writer(tree, tree_id):
     assert _outcome(emit, tree, _SHAPE_REGISTRY, tree_id) == _outcome(reference_emit, tree, _SHAPE_REGISTRY, tree_id)
