@@ -54,12 +54,14 @@ class XmlShapeError(Exception):
 
 
 # Attribute values are double-quoted; blanks become character references
-# because XML normalizes literal ones in attributes to spaces.
-_ESCAPES = str.maketrans(
+# because XML normalizes literal ones in attributes to spaces.  Other ASCII
+# maps to itself, as str.translate's fast path raises and clears a
+# LookupError for each distinct character missing from the table.
+_ESCAPES = {code: code for code in range(128)} | str.maketrans(
     {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
 )
-# Any character outside XML 1.0's Char production.
-_NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# The longest run of characters in XML 1.0's Char production.
+_XML_CHARS = re.compile("[\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]*")
 
 
 def _leaf_template(name: str, param_names: tuple[str, ...], registry: ActionRegistry) -> tuple[str, list[int]]:
@@ -117,9 +119,9 @@ def emit(tree: SequenceNode, registry: ActionRegistry | None = None, tree_id: st
     lines.append("  </BehaviorTree>")
     lines.append("</root>")
     document = "\n".join(lines) + "\n"
-    bad = _NON_XML_CHAR.search(document)
-    if bad is not None:
-        raise EmitError(f"character U+{ord(bad.group()):04X} is not allowed in XML 1.0")
+    end = _XML_CHARS.match(document).end()
+    if end < len(document):
+        raise EmitError(f"character U+{ord(document[end]):04X} is not allowed in XML 1.0")
     return document
 
 

@@ -26,8 +26,10 @@ _EDGE_PUNCT = "!?.;:"
 # Deleted everywhere: parens and quotes, so values stay renderable, and
 # the code points XML 1.0 forbids that str.split() does not treat as
 # blanks, so every value can go into a mission file.  The last of those,
-# lone surrogates, _tokens deletes by encoding.
-_DELETED = dict.fromkeys([*map(ord, "()[]\"'"), *range(0x00, 0x09), *range(0x0E, 0x1C), 0xFFFE, 0xFFFF])
+# lone surrogates, _tokens deletes by encoding.  Other ASCII maps to itself, as in btxml._ESCAPES.
+_DELETED = {code: code for code in range(128)} | dict.fromkeys(
+    [*map(ord, "()[]\"'"), *range(0x00, 0x09), *range(0x0E, 0x1C), 0xFFFE, 0xFFFF]
+)
 
 SKIP_WORDS = ("the", "a", "an", "me", "to", "at", "out", "up", "for")
 
@@ -128,6 +130,7 @@ class Lexicon:
                 triggers.setdefault(phrase[:size], "")
             triggers[phrase] = action
         cues: dict[str, tuple[ParamRule, ...]] = {}
+        named = {action for _, action in self.verbs}
         for index, (action, rules) in enumerate(self.params):
             if action in cues:
                 raise _BadEntry("params", index, f"duplicate cue list for action '{action}'")
@@ -135,6 +138,8 @@ class Lexicon:
                 if not IDENT_RE.match(rule.param):
                     message = f"parameter name {rule.param!r} is not a lowercase identifier"
                     raise _BadEntry(f"params.{action}", i, message)
+            if rules and action not in named:
+                raise _BadEntry(f"params.{action}", 0, f"no trigger names action '{action}'")
             cues[action] = rules
         for i, connective in enumerate(self.connectives):
             if not connective or " ".join(_tokens(connective)) != connective:
@@ -314,6 +319,7 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
     lines: dict[str, list[int]] = {}  # section -> the line of each of its entries
     saw_connectives = False
     section: str | None = None
+    read_all = False
     try:
         for lineno, line in config_lines(text):
             if line.startswith("["):
@@ -359,11 +365,13 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
             except ValueError as exc:
                 raise LexiconError(str(exc), lineno) from None
             params.setdefault(action, []).append(rule)
+        read_all = True
     finally:
         try:
             lexicon = Lexicon(
                 verbs=tuple(verbs),
-                params=tuple((name, tuple(rules)) for name, rules in params.items()),
+                # a cue list's trigger may lie past a fault; reading checked each cue
+                params=tuple((name, tuple(rules)) for name, rules in params.items()) if read_all else (),
                 connectives=tuple(connectives) if saw_connectives else DEFAULT_CONNECTIVES,
             )
         except _BadEntry as exc:

@@ -12,7 +12,9 @@ Axis slots and the set of built-ins come from the schemas in
 all of :func:`seqlang.btxml.parse_bt_xml`'s checks, and a document it
 refuses raises the same error before the plant is touched; but no tree
 is built: each checked leaf's (name, value) pairs are its trace entry's
-params, and entries store their fields through slot descriptors.
+params.  An entry is built as a twin: a plain class with
+:class:`TraceEntry`'s own ``__slots__``, filled at slot speed, then made a
+:class:`TraceEntry`, sound as both are heap types with one slot layout.
 
 Unknown actions are no-ops that SUCCEED with a warning flag on their
 trace entry, so missions from extended registries still run end to end.
@@ -59,21 +61,18 @@ class TraceEntry:
     warning: bool = False
 
 
-# _entry(...) is TraceEntry(...), stored through these slot setters.
-_set_step = TraceEntry.step.__set__
-_set_action = TraceEntry.action.__set__
-_set_params = TraceEntry.params.__set__
-_set_status = TraceEntry.status.__set__
-_set_warning = TraceEntry.warning.__set__
+_EntryTwin = type("_EntryTwin", (), {"__slots__": TraceEntry.__slots__})
 
 
 def _entry(step: int, action: str, params: tuple[tuple[str, str], ...], status: str, warning: bool) -> TraceEntry:
-    entry = object.__new__(TraceEntry)
-    _set_step(entry, step)
-    _set_action(entry, action)
-    _set_params(entry, params)
-    _set_status(entry, status)
-    _set_warning(entry, warning)
+    """``TraceEntry(step, action, params, status, warning)``, filled as a twin."""
+    entry = object.__new__(_EntryTwin)
+    entry.step = step
+    entry.action = action
+    entry.params = params
+    entry.status = status
+    entry.warning = warning
+    entry.__class__ = TraceEntry
     return entry
 
 

@@ -168,8 +168,8 @@ class SequenceNode:
         _set_actions(self, actions)
 
 
-# Frozen dataclasses forbid plain assignment; node __init__s and the
-# unchecked builders below store fields through these slot setters.
+# Frozen dataclasses forbid plain assignment; the node __init__s store
+# fields through these slot setters.
 _set_param_name = ParamNode.name.__set__
 _set_param_index = ParamNode.var_index.__set__
 _set_param_value = ParamNode.value.__set__
@@ -182,24 +182,36 @@ _set_actions = SequenceNode.actions.__set__
 # already checked all that the constructors check (translate: names in its
 # Lexicon, values in _tokens): names match IDENT_RE, indices are ints >= 0,
 # values pass is_param_value, no action is named RESERVED_HEAD; tuples throughout.
+# Each fills a twin, a plain class with its node class's own __slots__, by
+# plain assignment at slot speed (a setter call is slower), then makes it
+# the node class: CPython allows that __class__ assignment because both are
+# heap types with the same slots and no __dict__ or __weakref__.
+_ParamTwin = type("_ParamTwin", (), {"__slots__": ParamNode.__slots__})
+_ActionTwin = type("_ActionTwin", (), {"__slots__": ActionNode.__slots__})
+_SequenceTwin = type("_SequenceTwin", (), {"__slots__": SequenceNode.__slots__})
+
+
 def _param(name: str, var_index: int, value: str) -> ParamNode:
-    node = object.__new__(ParamNode)
-    _set_param_name(node, name)
-    _set_param_index(node, var_index)
-    _set_param_value(node, value)
+    node = object.__new__(_ParamTwin)
+    node.name = name
+    node.var_index = var_index
+    node.value = value
+    node.__class__ = ParamNode
     return node
 
 
 def _action(name: str, params: tuple[ParamNode, ...]) -> ActionNode:
-    node = object.__new__(ActionNode)
-    _set_action_name(node, name)
-    _set_action_params(node, params)
+    node = object.__new__(_ActionTwin)
+    node.name = name
+    node.params = params
+    node.__class__ = ActionNode
     return node
 
 
 def _sequence(actions: tuple[ActionNode, ...]) -> SequenceNode:
-    node = object.__new__(SequenceNode)
-    _set_actions(node, actions)
+    node = object.__new__(_SequenceTwin)
+    node.actions = actions
+    node.__class__ = SequenceNode
     return node
 
 
@@ -237,9 +249,10 @@ def parse_logical_form(text: str) -> SequenceNode:
             raise FormSyntaxError(i + 1, "an action name (sequences do not nest)", RESERVED_HEAD)
         if name is None:
             raise FormSyntaxError(i + 1, "an action name", None)
-        if name not in named and not IDENT_RE.match(name):
-            raise InvalidNameError(i + 1, name)
-        named.add(name)
+        if name not in named:
+            if not IDENT_RE.match(name):
+                raise InvalidNameError(i + 1, name)
+            named.add(name)
         i += 2
         params: list[ParamNode] = []
         while (tok := tokens[i]) != ")":
@@ -248,9 +261,10 @@ def parse_logical_form(text: str) -> SequenceNode:
             param = tokens[i + 1]
             if param is None:
                 raise FormSyntaxError(i + 1, "a parameter name", None)
-            if param not in named and not IDENT_RE.match(param):
-                raise InvalidNameError(i + 1, param)
-            named.add(param)
+            if param not in named:
+                if not IDENT_RE.match(param):
+                    raise InvalidNameError(i + 1, param)
+                named.add(param)
             if tokens[i + 2] != "(":
                 raise FormSyntaxError(i + 2, "'('", tokens[i + 2])
             var = tokens[i + 3]

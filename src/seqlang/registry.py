@@ -208,12 +208,15 @@ def validate(tree: SequenceNode, registry: ActionRegistry, mode: str = "strict")
     name_severity = ERROR if mode == "strict" else WARNING
     diagnostics: list[Diagnostic] = []
     expected_index = 0
+    by_name = registry.by_name
     for ai, action in enumerate(tree.actions):
-        schema = registry.get(action.name)
+        schema = by_name.get(action.name)
         if schema is None:
             diagnostics.append(
                 Diagnostic(name_severity, "unknown-action", f"unknown action '{action.name}'", ai)
             )
+        if not action.params:
+            continue
         seen: set[str] = set()
         for pi, param in enumerate(action.params):
             if param.name in seen:

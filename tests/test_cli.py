@@ -106,6 +106,14 @@ def test_compile_malformed_lexicon_exits_5(tmp_path, capsys):
     assert "line 1" in stderr
 
 
+def test_compile_lexicon_with_a_cue_list_no_trigger_names_exits_5(tmp_path, capsys):
+    bad = tmp_path / "lex.txt"
+    bad.write_text("[verbs]\ngoal = goal\n[params.move]\nafter x = x\n", encoding="utf-8")
+    code, _, stderr = invoke(capsys, "compile", "goal", "--lexicon", str(bad))
+    assert code == 5
+    assert "lexicon line 4: no trigger names action 'move'" in stderr
+
+
 # -------------------------------------------------------------------- parse
 
 

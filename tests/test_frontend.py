@@ -468,8 +468,9 @@ def test_lexicon_refuses_a_connective_the_tokenizer_changes(connective):
         ({"verbs": SAY, "params": (("say", (ParamRule("rest", "words"), ParamRule("number", "Num"))),)}, "params.say[1]"),
         ({"verbs": SAY, "connectives": ("then", "Then")}, "connectives[1]"),
         ({"verbs": SAY, "params": (("say", ()), ("goal", ()), ("say", (ParamRule("rest", "words"),)))}, "params[2]"),
+        ({"verbs": SAY, "params": (("goal", ()), ("move", (ParamRule("after", "x", "x"),)))}, "params.move[0]"),
     ],
-    ids=["trigger", "action", "cue", "connective", "repeated-cue-list"],
+    ids=["trigger", "action", "cue", "connective", "repeated-cue-list", "cue-list-no-trigger-names"],
 )
 def test_a_lexicon_entry_error_names_its_section_and_index(kwargs, where):
     with pytest.raises(ValueError) as info:
@@ -612,6 +613,7 @@ def test_load_lexicon_param_rules():
         ("[verbs]\ngoal = goal\ngoal = gate\n", 3, "duplicate trigger 'goal'"),
         ("[verbs]\ngoal now = goal\ngoal\tnow = gate\n", 3, "duplicate trigger 'goal now'"),
         ("[verbs]\nGoal = goal\n", 2, "not normalized"),
+        ("[verbs]\nsay = say\n[params.move]\nafter x = x\nnumber = y\n", 4, "no trigger names action 'move'"),
         ("[params.warp]\n", 1, "unknown action"),
         ("[params.say]\nsomewhere near = words\n", 2, "unknown cue"),
         ("[params.say]\nrest = Words\n", 2, "not a lowercase identifier"),
@@ -637,7 +639,8 @@ def test_load_lexicon_rejects_malformed_files(text, line, needle):
 
 # A file with several faults reports one.  Reading stops at the first line
 # that breaks a file rule; an entry read before it that the constructors
-# refuse is reported instead, triggers before connectives.
+# refuse is reported instead, triggers before connectives.  A cue list no
+# trigger names is refused only in a whole file, between the two.
 @pytest.mark.parametrize(
     "text, line",
     [
@@ -647,6 +650,9 @@ def test_load_lexicon_rejects_malformed_files(text, line, needle):
         ("[connectives]\nThen\n[verbs]\nGoal = goal\n", 4),
         ("[connectives]\nThen\n[verbs]\ngoal = goal\ngoal = gate\n", 5),
         ("[verbs]\ngoal = goal\ngoal = gate\n[chapter]\n", 3),
+        ("[params.move]\nafter x = x\n[chapter]\n[verbs]\nmove = move\n", 3),
+        ("[params.move]\nafter x = x\n[verbs]\nGoal = goal\n", 4),
+        ("[connectives]\nThen\n[params.move]\nafter x = x\n[verbs]\ngoal = goal\n", 4),
     ],
     ids=[
         "entry-then-section",
@@ -655,6 +661,9 @@ def test_load_lexicon_rejects_malformed_files(text, line, needle):
         "connective-then-trigger",
         "connective-then-repeated-trigger",
         "repeated-trigger-then-section",
+        "cue-list-then-section",
+        "cue-list-then-trigger",
+        "connective-then-cue-list",
     ],
 )
 def test_which_fault_a_file_with_several_reports(text, line):

@@ -8,7 +8,20 @@ import pickle
 import pytest
 
 import seqlang
-from seqlang import ActionNode, ParamNode, SequenceNode, TraceEntry, default_lexicon
+from seqlang import (
+    ActionNode,
+    ParamNode,
+    SequenceNode,
+    TraceEntry,
+    default_lexicon,
+    emit,
+    parse_bt_xml,
+    parse_logical_form,
+    run,
+    translate,
+)
+from seqlang.interpreter import _EntryTwin
+from seqlang.logical_form import _ActionTwin, _ParamTwin, _SequenceTwin
 
 PUBLIC_NAMES = {
     "ActionNode",
@@ -67,7 +80,23 @@ PARAM = ParamNode("words", 0, "hi there")
 ACTION = ActionNode("say", (PARAM,))
 SEQUENCE = SequenceNode((ACTION, ActionNode("goal")))
 ENTRY = TraceEntry(0, "say", (("words", "hi there"),), "SUCCESS")
-NODES = [PARAM, ACTION, SEQUENCE, ENTRY]
+
+
+def _built(source, sequence):
+    """The sequence, its first action and that action's first parameter."""
+    nodes = (sequence, sequence.actions[0], sequence.actions[0].params[0])
+    return [pytest.param(node, id=f"{source}-{type(node).__name__}") for node in nodes]
+
+
+# The same nodes and an entry from the unchecked builders, which fill twins.
+_FORM = "( seq ( say ( words ( $0 ( hi there ) ) ) ) ( goal ) )"
+BUILT = [
+    *_built("parse_logical_form", parse_logical_form(_FORM)),
+    *_built("parse_bt_xml", parse_bt_xml(emit(parse_logical_form(_FORM)))),
+    *_built("translate", translate("say hi there then score a goal")),
+    pytest.param(run(emit(parse_logical_form(_FORM)))[0][0], id="run-TraceEntry"),
+]
+NODES = [PARAM, ACTION, SEQUENCE, ENTRY, *BUILT]
 
 
 @pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
@@ -90,6 +119,24 @@ def test_equal_arguments_give_equal_nodes_and_hashes(node):
 def _other(node):
     """A legal value for the node's first field that differs from its own."""
     return {ParamNode: "num", ActionNode: "gate", SequenceNode: (), TraceEntry: 1}[type(node)]
+
+
+@pytest.mark.parametrize("node", BUILT)
+def test_built_nodes_are_what_the_constructors_make(node):
+    made = {ParamNode: PARAM, ActionNode: ACTION, SequenceNode: SEQUENCE, TraceEntry: ENTRY}[type(node)]
+    assert node == made and hash(node) == hash(made) and repr(node) == repr(made)
+
+
+@pytest.mark.parametrize(
+    "node_class, twin",
+    [(ParamNode, _ParamTwin), (ActionNode, _ActionTwin), (SequenceNode, _SequenceTwin), (TraceEntry, _EntryTwin)],
+    ids=lambda c: c.__name__,
+)
+def test_each_twin_has_its_node_class_slots_and_no_dict_or_weakref(node_class, twin):
+    assert twin.__slots__ is node_class.__slots__
+    for cls in (node_class, twin):
+        instance = object.__new__(cls)
+        assert not hasattr(instance, "__dict__") and not hasattr(instance, "__weakref__")
 
 
 def test_node_reprs_are_exact():
