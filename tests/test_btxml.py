@@ -501,6 +501,9 @@ def test_shape_errors_name_the_offending_child():
         ("<Goal/><Goal/><_goal/>", "element <_goal> does not name an action", "Sequence child 2 <_goal>"),
         ('<Say words="a"/><Say words="b" WORDS="c"/>', "'WORDS' is not a parameter name", "Sequence child 1 <Say>"),
         ('<Say words="a"/><Goal words="b"/><Say words="a  b"/>', "'words' is not single-spaced", "Sequence child 2 <Say>"),
+        ("<Say/><SAY/><Seq/>", "element <Seq> does not name an action", "Sequence child 2 <Seq>"),
+        ('<Say words="a b"/><Find val="a b"/><Find val="a  b"/>', "'val' is not single-spaced", "Sequence child 2 <Find>"),
+        ('<Say words="a"/><Say seq="a"/><Seq/>', "element <Seq> does not name an action", "Sequence child 2 <Seq>"),
     ],
 )
 def test_a_name_read_before_does_not_hide_a_bad_one(leaves, needle, path):

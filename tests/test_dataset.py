@@ -11,6 +11,7 @@ from seqlang.dataset import (
     CorpusPair,
     FormatError,
     InsufficientSpace,
+    TemplateError,
     _TEMPLATES,
     default_templates,
     generate,
@@ -113,6 +114,20 @@ def test_generate_rejects_templates_that_break_validation():
 
     with pytest.raises(ValueError):
         generate(3, 0, seed=9, templates={"warp": rogue})
+
+
+def test_a_template_error_names_the_rendered_form_and_its_first_error():
+    # Templates number every parameter 0; the form is checked as rendered, renumbered.
+    def rogue(rng):
+        return "move to x 1 q 2", ActionNode("move", (ParamNode("x", 0, "1"), ParamNode("q", 0, "2")))
+
+    with pytest.raises(TemplateError) as info:
+        generate(12, 0, seed=1, templates={**default_templates(), "move": rogue})
+    assert str(info.value) == (
+        "template produced invalid form '( seq ( clean ( obj ( $0 ( marker ) ) ) )"
+        " ( move ( x ( $1 ( 1 ) ) ) ( q ( $2 ( 2 ) ) ) ) ( goal ) )':"
+        " error: action 'move' has no parameter 'q' [action 1, param 1]"
+    )
 
 
 def test_default_templates_cover_every_builtin():

@@ -1,12 +1,13 @@
 """Mock-plant execution of emitted missions."""
 
 import dataclasses
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqlang.btxml import XmlShapeError, emit
+from seqlang.btxml import XmlShapeError, emit, parse_bt_xml
 from seqlang.frontend import translate
 from seqlang.interpreter import (
     FAILURE,
@@ -283,3 +284,69 @@ def test_trace_entries_equal_entries_built_through_the_constructor(xml, fail_at)
             assert hash(entry) == hash(twin)
             assert repr(entry) == repr(twin)
             assert dataclasses.replace(entry) == entry
+
+
+# README's pose order, with move's "raw" spelling of yaw.
+POSE_SLOTS = {"x": 0, "y": 1, "z": 2, "roll": 3, "pitch": 4, "yaw": 5, "raw": 5}
+
+
+def finite(value):
+    try:
+        number = float(value)
+    except ValueError:
+        return None
+    return number if math.isfinite(number) else None
+
+
+def reference_run(leaves, plant):
+    """README's plant rules as a plain tick loop over (name, params) leaves;
+
+    returns (trace as (step, name, params, status, warning) tuples, status).
+    """
+    trace = []
+    for step, (name, params) in enumerate(leaves):
+        warning = False
+        numbers = {key: finite(value) for key, value in params}
+        if step in plant.fail_injections:
+            status = FAILURE
+        elif name == "move":
+            moves = [(POSE_SLOTS[key], numbers[key]) for key, _ in params if key in POSE_SLOTS]
+            status = FAILURE if any(number is None for _, number in moves) else SUCCESS
+            if status == SUCCESS:
+                for slot, number in moves:
+                    plant.pose[slot] = number
+        elif name == "flatten":
+            depths = [numbers[key] for key, _ in params if key == "num"]
+            status = FAILURE if None in depths else SUCCESS
+            if status == SUCCESS:
+                plant.pose[3] = plant.pose[4] = 0.0
+                if depths:
+                    plant.pose[2] = depths[-1]
+        elif name in ("say", "clean", "bring", "find", "goal", "gate"):
+            status = SUCCESS
+        else:
+            status, warning = SUCCESS, True
+        if status == SUCCESS and not warning:
+            plant.transcript.append((name, params))
+        trace.append((step, name, params, status, warning))
+        if status == FAILURE:
+            return trace, FAILURE
+    return trace, SUCCESS
+
+
+@given(drawn_documents(), st.sets(st.integers(0, 5), max_size=2))
+@example(mission(act("say", ("words", "hi")), act("gate"), act("warp"), act("move", ("x", "1.5"))), set())
+@example(mission(act("say", ("words", "hi")), act("gate"), act("warp")), {1})
+@settings(max_examples=300, deadline=None)
+def test_run_agrees_with_a_reference_tick_loop(xml, fail_at):
+    try:
+        tree = parse_bt_xml(xml)
+    except XmlShapeError:
+        with pytest.raises(XmlShapeError):
+            run(xml)
+        return
+    leaves = [(action.name, tuple((p.name, p.value) for p in action.params)) for action in tree.actions]
+    plant, expected = MockPlant(fail_injections=set(fail_at)), MockPlant(fail_injections=set(fail_at))
+    trace, status = run(xml, plant)
+    assert ([(e.step, e.action, e.params, e.status, e.warning) for e in trace], status) == reference_run(leaves, expected)
+    assert plant == expected
