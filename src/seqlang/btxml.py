@@ -6,14 +6,17 @@ the attribute order, the escapes and what raises :class:`EmitError`.
 :func:`emit` writes a leaf with no parameter, or one, directly.  Only a
 leaf with two or more has a duplicate to check and an order to sort, so
 those are written from a template made once per (action, parameter
-names) shape in the call, which repeated shapes share.
+names) shape in the call, which repeated shapes share.  A tag is
+``name.capitalize()``: for an ``IDENT_RE`` name, as every node holds,
+that is the name with its first letter uppercased.
 
 Variable numbering is not stored in the XML; the reader re-assigns
 0, 1, 2, ... in document order.  All of the reader's checks run in one
 pass that returns the action leaves: :func:`parse_bt_xml` builds a tree
 from them, and :func:`seqlang.interpreter.run` ticks them as they are,
 so it refuses exactly what :func:`parse_bt_xml` refuses without
-building a tree.
+building a tree.  The pass checks each distinct tag, parameter name and
+value once per document; a repeat costs one lookup.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def _leaf_template(name: str, param_names: tuple[str, ...], registry: ActionRegi
     key = registry.param_order(name)
     order = sorted(range(len(param_names)), key=lambda k: key(param_names[k]))
     attrs = "".join(f' {param_names[k]}="{{}}"' for k in order)
-    return f"      <{name[0].upper()}{name[1:]}{attrs}/>", order
+    return f"      <{name.capitalize()}{attrs}/>", order
 
 
 def emit(tree: SequenceNode, registry: ActionRegistry | None = None, tree_id: str = "MainTree") -> str:
@@ -110,11 +113,10 @@ def emit(tree: SequenceNode, registry: ActionRegistry | None = None, tree_id: st
                 text, order = template
                 lines.append(text.format(*[params[k].value.translate(_ESCAPES) for k in order]))
             elif params:
-                name, (param,) = action.name, params
-                lines.append(f'      <{name[0].upper()}{name[1:]} {param.name}="{param.value.translate(_ESCAPES)}"/>')
+                (param,) = params
+                lines.append(f'      <{action.name.capitalize()} {param.name}="{param.value.translate(_ESCAPES)}"/>')
             else:
-                name = action.name
-                lines.append(f"      <{name[0].upper()}{name[1:]}/>")
+                lines.append(f"      <{action.name.capitalize()}/>")
         lines.append("    </Sequence>")
     lines.append("  </BehaviorTree>")
     lines.append("</root>")
@@ -212,25 +214,34 @@ def _read_leaves(xml_text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]]
     sequence = children[0]
     if sequence.attrib:
         raise XmlShapeError("<Sequence> may not have attributes", path="Sequence")
-    # Names that have passed IDENT_RE; seq is one only for a parameter.
+    # What has passed, so that each distinct fact is checked once: tags,
+    # with their action names; parameter names; values.
+    actions: dict[str, str] = {}
     named: set[str] = set()
+    values: set[str] = set()
     leaves = []
     for index, leaf in enumerate(sequence):
         if len(leaf):
             raise XmlShapeError("action leaves may not have children", path=_leaf_path(index, leaf))
-        name = leaf.tag.lower()
-        if name == RESERVED_HEAD or name not in named and not IDENT_RE.match(name):
-            raise XmlShapeError(f"element <{leaf.tag}> does not name an action", path=_leaf_path(index, leaf))
-        named.add(name)
+        name = actions.get(leaf.tag)
+        if name is None:
+            name = leaf.tag.lower()
+            if name == RESERVED_HEAD or not IDENT_RE.match(name):
+                raise XmlShapeError(f"element <{leaf.tag}> does not name an action", path=_leaf_path(index, leaf))
+            actions[leaf.tag] = name
         params = tuple(leaf.items())
         for attr_name, attr_value in params:
-            if attr_name not in named and not IDENT_RE.match(attr_name):
-                problem = "a parameter name"
-            elif not is_param_value(attr_value):
-                problem = "single-spaced paren-free tokens"
-            else:
+            if attr_name not in named:
+                if not IDENT_RE.match(attr_name):
+                    raise XmlShapeError(
+                        f"attribute {attr_name!r} is not a parameter name", path=_leaf_path(index, leaf)
+                    )
                 named.add(attr_name)
-                continue
-            raise XmlShapeError(f"attribute {attr_name!r} is not {problem}", path=_leaf_path(index, leaf))
+            if attr_value not in values:
+                if not is_param_value(attr_value):
+                    raise XmlShapeError(
+                        f"attribute {attr_name!r} is not single-spaced paren-free tokens", path=_leaf_path(index, leaf)
+                    )
+                values.add(attr_value)
         leaves.append((name, params))
     return leaves

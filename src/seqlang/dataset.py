@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, parse_logical_form, render
+from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, render
 from seqlang.registry import ActionRegistry, builtin_registry, validate
 
 # Weighted mission lengths, percent. Short missions dominate.
@@ -157,7 +157,7 @@ def _build_pair(
     length: int,
     templates: dict[str, Callable[[random.Random], tuple[str, ActionNode]]],
     names: tuple[str, ...],
-) -> CorpusPair:
+) -> tuple[CorpusPair, SequenceNode]:
     clauses = []
     actions = []
     for _ in range(length):
@@ -167,7 +167,8 @@ def _build_pair(
     utterance = clauses[0]
     for clause in clauses[1:]:
         utterance += rng.choice(CONNECTIVES) + clause
-    return CorpusPair(utterance, render(SequenceNode(tuple(actions))))
+    tree = SequenceNode(tuple(actions))
+    return CorpusPair(utterance, render(tree)), tree
 
 
 def _draw_length(rng: random.Random) -> int:
@@ -205,7 +206,7 @@ def generate(
             length = slot + 1 if count >= 7 and slot < 7 else _draw_length(rng)
             stalls = 0
             while True:
-                pair = _build_pair(rng, length, templates, names)
+                pair, tree = _build_pair(rng, length, templates, names)
                 key = (pair.utterance, pair.logical_form)
                 if key not in seen:
                     break
@@ -213,8 +214,9 @@ def generate(
                 if stalls >= _STALL_LIMIT:
                     raise InsufficientSpace(n_train + n_test, len(seen))
             seen.add(key)
-            problems = validate(parse_logical_form(pair.logical_form), registry, "strict")
-            errors = [d for d in problems if d.severity == "error"]
+            # Templates number every parameter 0; the pair's form is renumbered.
+            problems = validate(tree, registry, "strict")
+            errors = [d for d in problems if d.severity == "error" and d.code != "bad-numbering"]
             if errors:
                 raise TemplateError(f"template produced invalid form {pair.logical_form!r}: {errors[0]}")
             pairs.append(pair)

@@ -26,10 +26,8 @@ _EDGE_PUNCT = "!?.;:"
 # Deleted everywhere: parens and quotes, so values stay renderable, and
 # the code points XML 1.0 forbids that str.split() does not treat as
 # blanks, so every value can go into a mission file.  The last of those,
-# lone surrogates, _tokens deletes by encoding.  Other ASCII maps to itself, as in btxml._ESCAPES.
-_DELETED = {code: code for code in range(128)} | dict.fromkeys(
-    [*map(ord, "()[]\"'"), *range(0x00, 0x09), *range(0x0E, 0x1C), 0xFFFE, 0xFFFF]
-)
+# lone surrogates, _tokens deletes by encoding.
+_DELETED = re.compile(r"[()\[\]\"'\x00-\x08\x0e-\x1b\ufffe\uffff]")
 
 SKIP_WORDS = ("the", "a", "an", "me", "to", "at", "out", "up", "for")
 
@@ -161,7 +159,7 @@ def _tokens(text: str) -> list[str]:
     """
     # Deleting first lets the strip see the edges deletion uncovers; no
     # UTF-8 encoder takes a lone surrogate, so "ignore" deletes those.
-    text = text.lower().translate(_DELETED).encode("utf-8", "ignore").decode("utf-8")
+    text = _DELETED.sub("", text.lower()).encode("utf-8", "ignore").decode("utf-8")
     cleaned = (tok.strip(_EDGE_PUNCT) for tok in text.replace(",", " , ").split())
     return [tok for tok in cleaned if tok]
 

@@ -1,25 +1,19 @@
 """Mock plant execution of mission XML.
 
-The plant is six numbers of pose, [X, Y, Z, Roll, Pitch, Yaw], plus a
-transcript of what ran.  Executing a mission walks the sequence left to
-right and stops at the first FAILURE, exactly like a reactive Sequence
-node would tick its children.  There is no physics: move writes axes,
-flatten levels the vehicle and sets depth, and the remaining built-ins
-record themselves and succeed.  Move and flatten FAIL, changing nothing,
-on a value that is not a finite number (``nan`` and ``inf`` included).
-Axis slots and the set of built-ins come from the schemas in
-:mod:`seqlang.registry`, read once at import.  The document goes through
-all of :func:`seqlang.btxml.parse_bt_xml`'s checks, and a document it
-refuses raises the same error before the plant is touched; but no tree
-is built: each checked leaf's (name, value) pairs are its trace entry's
-params.  An entry is built as a twin: a plain class with
-:class:`TraceEntry`'s own ``__slots__``, filled at slot speed, then made a
-:class:`TraceEntry`, sound as both are heap types with one slot layout.
+README "Mission XML and the mock plant" owns the plant: its pose and
+transcript, what each built-in does, warned no-ops for unknown actions,
+and ``MockPlant.fail_injections``.  Axis slots and the set of built-ins
+come from the schemas in :mod:`seqlang.registry`, read once at import.
 
-Unknown actions are no-ops that SUCCEED with a warning flag on their
-trace entry, so missions from extended registries still run end to end.
-For tests, ``MockPlant.fail_injections`` forces FAILURE at chosen action
-indices (the handler is skipped entirely).
+:func:`run` reads the document through all of
+:func:`seqlang.btxml.parse_bt_xml`'s checks, so a document it refuses
+raises the same error before the plant is touched, but no tree is built:
+each checked leaf's (name, value) pairs are its trace entry's params.
+:func:`run` ticks a record-only built-in itself, so :func:`_apply` holds
+only move, flatten and the unknown-action warning.  An entry is built as
+a twin: a plain class with :class:`TraceEntry`'s own ``__slots__``,
+filled at slot speed, then made a :class:`TraceEntry`, sound as both are
+heap types with one slot layout.
 """
 
 from __future__ import annotations
@@ -86,7 +80,7 @@ def _number(value: str) -> float | None:
 
 
 def _apply(plant: MockPlant, name: str, params: tuple[tuple[str, str], ...]) -> tuple[str, bool]:
-    """Run one action against the plant; returns (status, warning)."""
+    """Run move, flatten or an unknown action against the plant; returns (status, warning)."""
     if name == "move":
         updates = {}
         for param_name, value in params:
@@ -110,7 +104,7 @@ def _apply(plant: MockPlant, name: str, params: tuple[tuple[str, str], ...]) -> 
         plant.pose[_AXES["pitch"]] = 0.0
         if depth is not None:
             plant.pose[_AXES["z"]] = depth
-    elif name not in _RECORD_ONLY:
+    else:
         return SUCCESS, True
     plant.transcript.append((name, params))
     return SUCCESS, False
@@ -126,9 +120,17 @@ def run(xml_text: str, plant: MockPlant | None = None) -> tuple[list[TraceEntry]
     leaves = _read_leaves(xml_text)
     plant = MockPlant() if plant is None else plant
     trace: list[TraceEntry] = []
+    injections, record, tick = plant.fail_injections, plant.transcript.append, trace.append
     for step, (name, params) in enumerate(leaves):
-        status, warning = (FAILURE, False) if step in plant.fail_injections else _apply(plant, name, params)
-        trace.append(_entry(step, name, params, status, warning))
+        if step in injections:
+            tick(_entry(step, name, params, FAILURE, False))
+            return trace, FAILURE
+        if name in _RECORD_ONLY:
+            record((name, params))
+            tick(_entry(step, name, params, SUCCESS, False))
+            continue
+        status, warning = _apply(plant, name, params)
+        tick(_entry(step, name, params, status, warning))
         if status == FAILURE:
             return trace, FAILURE
     return trace, SUCCESS

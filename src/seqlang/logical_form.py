@@ -285,7 +285,8 @@ def parse_logical_form(text: str) -> SequenceNode:
                 raise FormSyntaxError(end + 1, "')'", tokens[end + 1])
             if tokens[end + 2] != ")":
                 raise FormSyntaxError(end + 2, "')'", tokens[end + 2])
-            params.append(_param(param, int(var[1:]), " ".join(tokens[start:end])))
+            value = tokens[start] if end == start + 1 else " ".join(tokens[start:end])
+            params.append(_param(param, int(var[1:]), value))
             i = end + 3
         actions.append(_action(name, tuple(params)))
         i += 1
