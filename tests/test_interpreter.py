@@ -302,6 +302,7 @@ def reference_run(leaves, plant):
     """README's plant rules as a plain tick loop over (name, params) leaves;
 
     returns (trace as (step, name, params, status, warning) tuples, status).
+    A move or flatten that succeeds is recorded too, as the move tests pin.
     """
     trace = []
     for step, (name, params) in enumerate(leaves):
