@@ -5,13 +5,16 @@ order matches what the XML emitter would choose (schema order for known
 actions, alphabetical for unknown ones), so emit round trips are exact.
 random_messy_tree() relaxes ordering and mixes custom parameters into
 known actions; only the parse/render laws hold for those.
-best_of_5_each() times a call at two sizes for the size-scaling tests.
+best_of_5_each() times a call at two sizes for the size-scaling tests,
+in units of a calibration kernel timed beside each call.
 rebuild() copies a tree node by node through the checked constructors.
 """
 
 from __future__ import annotations
 
+import gc
 import random
+import re
 from time import perf_counter
 
 from seqlang.logical_form import ActionNode, ParamNode, SequenceNode
@@ -92,16 +95,58 @@ def rebuild(tree: SequenceNode) -> SequenceNode:
     )
 
 
+# The calibration kernel of perfbench/calibrate.py, copied so that the
+# tests do not import the bench: fixed plain-Python work of the kind
+# seqlang does, sharing no code with it, about a millisecond long.
+_WORDS = ("move", "to", "x", "1.5", "then", "say", "all", "clear", "and", "bring", "the", "wrench", "(", ")", "$3")
+_TEXT = " ".join(_WORDS[(i * 7) % len(_WORDS)] for i in range(800))
+_NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
+
+
+class _Node:
+    __slots__ = ("name", "numeric")
+
+    def __init__(self, name: str, numeric: bool) -> None:
+        self.name = name
+        self.numeric = numeric
+
+
+def _kernel() -> int:
+    counts: dict[str, int] = {}
+    nodes = []
+    for token in _TEXT.split():
+        word = token.strip("().").lower()
+        counts[word] = counts.get(word, 0) + 1
+        nodes.append(_Node(word, _NUMBER.match(word) is not None))
+    return len(" ".join(f'{n.name}="{n.numeric}"' for n in nodes)) + len(counts)
+
+
+def _kernel_seconds() -> float:
+    gc.disable()
+    try:
+        start = perf_counter()
+        _kernel()
+        return perf_counter() - start
+    finally:
+        gc.enable()
+
+
 def best_of_5_each(fn, small, large) -> tuple[float, float]:
     """The shortest of five timed calls of ``fn(small)`` and of ``fn(large)``,
 
-    in seconds.  The calls alternate, so a drift in the host's speed
-    falls on both sizes alike.
+    each in kernel times: a call's seconds over the shorter of the two
+    kernel runs on either side of it.  The host's core speed drifts by
+    up to 2x, which moves the kernel with the call and so cancels out.
+    The calls alternate, so what drift is left falls on both sizes alike.
     """
     best = [float("inf"), float("inf")]
+    before = _kernel_seconds()
     for _ in range(5):
         for k, arg in enumerate((small, large)):
             start = perf_counter()
             fn(arg)
-            best[k] = min(best[k], perf_counter() - start)
+            took = perf_counter() - start
+            after = _kernel_seconds()
+            best[k] = min(best[k], took / min(before, after))
+            before = after
     return best[0], best[1]

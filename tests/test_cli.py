@@ -16,7 +16,7 @@ from seqlang.btxml import emit, parse_bt_xml
 from seqlang.cli import _build_parser, main
 from seqlang.dataset import generate, write_tsv
 from seqlang.frontend import translate
-from seqlang.logical_form import render
+from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, render
 
 
 def invoke(capsys, *argv):
@@ -146,6 +146,13 @@ def test_parse_syntax_error_exits_4(capsys):
     assert code == 4
     assert stdout == ""
     assert "error:" in stderr
+
+
+def test_parse_trailing_tokens_prints_the_error_and_exits_4(capsys):
+    code, stdout, stderr = invoke(capsys, "parse", "( seq ( goal ) ) x )")
+    assert code == 4
+    assert stdout == ""
+    assert stderr == "error: trailing tokens at token 6: 'x'\n"
 
 
 def test_parse_unrepresentable_value_exits_4(capsys):
@@ -304,6 +311,40 @@ def test_run_fail_at_truncates_the_trace(tmp_path, capsys):
     assert code == 0  # the run itself completed; the mission failed
     assert stdout.splitlines() == ["0\tgoal\t\tSUCCESS", "1\tgate\t\tFAILURE"]
     assert stderr == "overall: FAILURE\n"
+
+
+# Leaves that succeed on the plant by themselves: record-only built-ins,
+# an unknown action, and move and flatten with finite numbers.
+_SUCCEEDING_STEPS = st.sampled_from(
+    (
+        ActionNode("say", (ParamNode("words", 0, "hi there"),)),
+        ActionNode("goal"),
+        ActionNode("gate"),
+        ActionNode("warp"),
+        ActionNode("move", (ParamNode("x", 0, "1.5"), ParamNode("raw", 1, "-2"))),
+        ActionNode("flatten", (ParamNode("num", 0, "2"),)),
+    )
+)
+
+
+@given(steps=st.lists(_SUCCEEDING_STEPS, max_size=6), data=st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_run_fail_at_k_fails_step_k_if_there_is_one_and_else_no_step(tmp_path, capsys, steps, data):
+    n = len(steps)
+    k = data.draw(st.integers(-3, n + 3) | st.integers(), label="K")
+    path = tmp_path / "m.xml"
+    path.write_text(emit(SequenceNode(tuple(steps))), encoding="utf-8")
+    _, full, _ = invoke(capsys, "run", str(path))
+    full = full.splitlines()
+    assert len(full) == n and all(line.endswith("\tSUCCESS") for line in full)
+    code, stdout, stderr = invoke(capsys, "run", str(path), "--fail-at", str(k))
+    assert code == 0
+    if 0 <= k < n:
+        assert stdout.splitlines() == full[:k] + [full[k].removesuffix("SUCCESS") + "FAILURE"]
+        assert stderr.endswith("overall: FAILURE\n")
+    else:
+        assert stdout.splitlines() == full
+        assert stderr.endswith("overall: SUCCESS\n")
 
 
 def test_run_warns_about_unknown_actions(tmp_path, capsys):
