@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, render
+from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, _Fault, render
 from seqlang.registry import ActionRegistry, builtin_registry, validate
 
 # Weighted mission lengths, percent. Short missions dominate.
@@ -36,31 +36,24 @@ LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 @dataclass(eq=False)
-class FormatError(Exception):
+class FormatError(_Fault):
     """A corpus line that is not utterance<TAB>logicalform, or whose form does not parse."""
 
+    template = "corpus line {line}: {message}"
     line: int
     message: str
 
-    def __str__(self) -> str:
-        return f"corpus line {self.line}: {self.message}"
-
 
 @dataclass(eq=False)
-class InsufficientSpace(Exception):
+class InsufficientSpace(_Fault):
     """The template space cannot supply the requested number of distinct
 
     pairs (detected by a stall in the rejection loop, not by counting).
     """
 
+    template = "ran out of distinct pairs: requested {requested}, managed {generated}"
     requested: int
     generated: int
-
-    def __str__(self) -> str:
-        return (
-            f"ran out of distinct pairs: requested {self.requested}, "
-            f"managed {self.generated}"
-        )
 
 
 class TemplateError(ValueError):

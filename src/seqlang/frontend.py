@@ -16,7 +16,7 @@ from functools import lru_cache
 from importlib import resources
 from itertools import accumulate
 
-from seqlang.logical_form import IDENT_RE, RESERVED_HEAD, ActionNode, SequenceNode, _action, _param, _sequence
+from seqlang.logical_form import IDENT_RE, RESERVED_HEAD, ActionNode, SequenceNode, _action, _Fault, _param, _sequence
 from seqlang.registry import ActionRegistry, builtin_registry, config_lines
 
 NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
@@ -50,17 +50,16 @@ class NoVerbMatch(FrontendError):
 
 
 @dataclass(eq=False)
-class LexiconError(Exception):
+class LexiconError(_Fault):
     """A malformed lexicon file (1-based line number)."""
 
+    template = "lexicon line {line}: {message}"
     message: str
     line: int
 
-    def __str__(self) -> str:
-        return f"lexicon line {self.line}: {self.message}"
 
-
-class _BadEntry(ValueError):
+@dataclass(eq=False)
+class _BadEntry(_Fault, ValueError):
     """A lexicon entry refused at construction: ``section`` and ``index``
 
     name it as a file would (``verbs``, ``params.ACTION``, ``connectives``),
@@ -69,9 +68,10 @@ class _BadEntry(ValueError):
     its sections for an action into one list, so it never holds one.
     """
 
-    def __init__(self, section: str, index: int, message: str) -> None:
-        super().__init__(f"{section}[{index}]: {message}")
-        self.section, self.index, self.message = section, index, message
+    template = "{section}[{index}]: {message}"
+    section: str
+    index: int
+    message: str
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,11 @@ transcript, what each built-in does, warned no-ops for unknown actions,
 and ``MockPlant.fail_injections``.  Axis slots and the set of built-ins
 come from the schemas in :mod:`seqlang.registry`, read once at import.
 
-:func:`run` reads the document through all of
-:func:`seqlang.btxml.parse_bt_xml`'s checks, so a document it refuses
-raises the same error before the plant is touched, but no tree is built:
-each checked leaf's (name, value) pairs are its trace entry's params.
-:func:`run` ticks a record-only built-in itself, so :func:`_apply` holds
-only move, flatten and the unknown-action warning.  An entry is built as
-a twin: a plain class with :class:`TraceEntry`'s own ``__slots__``,
-filled at slot speed, then made a :class:`TraceEntry`, sound as both are
-heap types with one slot layout.
+:func:`run` ticks the leaves :func:`seqlang.btxml._read_leaves` checks
+and returns, so no tree is built: each leaf's (name, value) pairs are its
+trace entry's params.  :func:`run` ticks a record-only built-in itself,
+so :func:`_apply` holds only move, flatten and the unknown-action
+warning.
 """
 
 from __future__ import annotations
@@ -22,6 +18,7 @@ from dataclasses import dataclass, field
 from math import isfinite
 
 from seqlang.btxml import _read_leaves
+from seqlang.logical_form import _twin
 from seqlang.registry import BUILTIN_SCHEMAS
 
 SUCCESS = "SUCCESS"
@@ -55,11 +52,11 @@ class TraceEntry:
     warning: bool = False
 
 
-_EntryTwin = type("_EntryTwin", (), {"__slots__": TraceEntry.__slots__})
+_EntryTwin = _twin(TraceEntry)
 
 
 def _entry(step: int, action: str, params: tuple[tuple[str, str], ...], status: str, warning: bool) -> TraceEntry:
-    """``TraceEntry(step, action, params, status, warning)``, filled as a twin."""
+    """``TraceEntry(step, action, params, status, warning)``, filled as a twin (``logical_form._twin``)."""
     entry = object.__new__(_EntryTwin)
     entry.step = step
     entry.action = action

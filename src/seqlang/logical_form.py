@@ -1,31 +1,10 @@
 """Parsing and rendering of mission logical forms.
 
-A logical form is a fully parenthesized, space-separated expression
-describing one mission: a flat sequence of actions, each carrying named
-parameters bound to numbered variables.
-
-    SEQ    := "(" "seq" ACTION* ")"
-    ACTION := "(" name PARAM* ")"
-    PARAM  := "(" name "(" "$" INT "(" VALUE ")" ")" ")"
-
-``name`` is a lowercase identifier (``[a-z][a-z0-9_]*``), the variable is a
-dollar sign glued to a decimal index (``$0``, ``$1``, ...), and VALUE is one
-or more arbitrary tokens other than parens.  Space, tab and newline are the
-only separators; any other character, carriage return and Unicode blanks
-included, is part of a token.  Parens are tokens of their own and must be
-separated from their neighbours; there is no escaping, no comments, and
-sequences do not nest.
-
-Example::
-
-    ( seq ( flatten ( num ( $0 ( 2 ) ) ) ) ( goal ) )
-
-Parsing is one flat loop that indexes forward over the token list, with
-an end-of-input sentinel, one token of lookahead and no backtracking;
-the first problem raises a subclass of :class:`LogicalFormError`
-carrying the zero-based token position.  :func:`render` goes the other
-way and always re-numbers variables 0, 1, 2, ... in order of appearance,
-so ``render(parse_logical_form(s))`` is the canonical spelling of ``s``.
+README "The logical form language" owns the grammar, what a token is,
+the typed errors and the canonical numbering :func:`render` writes.
+:func:`parse_logical_form` is one flat loop that indexes forward over
+the token list, with an end-of-input sentinel, one token of lookahead
+and no backtracking.
 """
 
 from __future__ import annotations
@@ -39,7 +18,14 @@ VAR_RE = re.compile(r"\$(0|[1-9][0-9]*)\Z")
 RESERVED_HEAD = "seq"
 
 
-class LogicalFormError(Exception):
+class _Fault(Exception):
+    """An error whose text is its class's ``template`` filled from its fields."""
+
+    def __str__(self) -> str:
+        return self.template.format_map(vars(self))
+
+
+class LogicalFormError(_Fault):
     """Base class for every tokenize/parse failure in this module."""
 
 
@@ -63,43 +49,35 @@ class FormSyntaxError(LogicalFormError):
 class TrailingTokensError(LogicalFormError):
     """A complete sequence parsed but unconsumed tokens remain."""
 
+    template = "trailing tokens at token {position}: '{found}'"
     position: int
     found: str
-
-    def __str__(self) -> str:
-        return f"trailing tokens at token {self.position}: '{self.found}'"
 
 
 @dataclass(eq=False)
 class InvalidNameError(LogicalFormError):
     """An action or parameter name that is not a lowercase identifier."""
 
+    template = "invalid name at token {position}: '{found}' (want [a-z][a-z0-9_]*)"
     position: int
     found: str
-
-    def __str__(self) -> str:
-        return f"invalid name at token {self.position}: '{self.found}' (want [a-z][a-z0-9_]*)"
 
 
 @dataclass(eq=False)
 class BadVariableError(LogicalFormError):
     """The variable slot does not hold ``$`` plus a plain decimal index."""
 
+    template = "bad variable at token {position}: '{found}' (want $ followed by a decimal index)"
     position: int
     found: str
-
-    def __str__(self) -> str:
-        return f"bad variable at token {self.position}: '{self.found}' (want $ followed by a decimal index)"
 
 
 @dataclass(eq=False)
 class EmptyValueError(LogicalFormError):
     """A parameter whose value group closed without a single token."""
 
+    template = "empty parameter value at token {position}"
     position: int
-
-    def __str__(self) -> str:
-        return f"empty parameter value at token {self.position}"
 
 
 def is_param_value(value: object) -> bool:
@@ -123,16 +101,13 @@ class ParamNode:
     var_index: int
     value: str
 
-    def __init__(self, name: str, var_index: int, value: str) -> None:
-        if not IDENT_RE.match(name):
-            raise ValueError(f"parameter name {name!r} is not a lowercase identifier")
-        if not isinstance(var_index, int) or var_index < 0:
-            raise ValueError(f"variable index {var_index!r} must be a non-negative int")
-        if not is_param_value(value):
-            raise ValueError(f"parameter value {value!r} is not single-spaced paren-free tokens")
-        _set_param_name(self, name)
-        _set_param_index(self, var_index)
-        _set_param_value(self, value)
+    def __post_init__(self) -> None:
+        if not IDENT_RE.match(self.name):
+            raise ValueError(f"parameter name {self.name!r} is not a lowercase identifier")
+        if not isinstance(self.var_index, int) or self.var_index < 0:
+            raise ValueError(f"variable index {self.var_index!r} must be a non-negative int")
+        if not is_param_value(self.value):
+            raise ValueError(f"parameter value {self.value!r} is not single-spaced paren-free tokens")
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,11 +117,10 @@ class ActionNode:
     name: str
     params: tuple[ParamNode, ...] = ()
 
-    def __init__(self, name: str, params: tuple[ParamNode, ...] = ()) -> None:
-        if not IDENT_RE.match(name):
-            raise ValueError(f"action name {name!r} is not a lowercase identifier")
-        _set_action_name(self, name)
-        _set_action_params(self, params if type(params) is tuple else tuple(params))
+    def __post_init__(self) -> None:
+        if not IDENT_RE.match(self.name):
+            raise ValueError(f"action name {self.name!r} is not a lowercase identifier")
+        object.__setattr__(self, "params", tuple(self.params))
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,36 +133,31 @@ class SequenceNode:
 
     actions: tuple[ActionNode, ...] = ()
 
-    def __init__(self, actions: tuple[ActionNode, ...] = ()) -> None:
-        if type(actions) is not tuple:
-            actions = tuple(actions)
-        for action in actions:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "actions", tuple(self.actions))
+        for action in self.actions:
             if action.name == RESERVED_HEAD:
                 raise ValueError("actions may not be named 'seq'")
-        _set_actions(self, actions)
 
 
-# Frozen dataclasses forbid plain assignment; the node __init__s store
-# fields through these slot setters.
-_set_param_name = ParamNode.name.__set__
-_set_param_index = ParamNode.var_index.__set__
-_set_param_value = ParamNode.value.__set__
-_set_action_name = ActionNode.name.__set__
-_set_action_params = ActionNode.params.__set__
-_set_actions = SequenceNode.actions.__set__
+def _twin(cls: type) -> type:
+    """A plain class with ``cls``'s own ``__slots__``.
+
+    An instance of it, filled by plain assignment at slot speed (a frozen
+    class's setter call is slower), can then be made a ``cls`` by setting
+    its ``__class__``: CPython allows that because both are heap types
+    with the same slots and no ``__dict__`` or ``__weakref__``.
+    """
+    return type(f"_{cls.__name__}Twin", (), {"__slots__": cls.__slots__})
 
 
 # Unchecked builders, for the readers and frontend.translate, which have
 # already checked all that the constructors check (translate: names in its
 # Lexicon, values in _tokens): names match IDENT_RE, indices are ints >= 0,
 # values pass is_param_value, no action is named RESERVED_HEAD; tuples throughout.
-# Each fills a twin, a plain class with its node class's own __slots__, by
-# plain assignment at slot speed (a setter call is slower), then makes it
-# the node class: CPython allows that __class__ assignment because both are
-# heap types with the same slots and no __dict__ or __weakref__.
-_ParamTwin = type("_ParamTwin", (), {"__slots__": ParamNode.__slots__})
-_ActionTwin = type("_ActionTwin", (), {"__slots__": ActionNode.__slots__})
-_SequenceTwin = type("_SequenceTwin", (), {"__slots__": SequenceNode.__slots__})
+_ParamTwin = _twin(ParamNode)
+_ActionTwin = _twin(ActionNode)
+_SequenceTwin = _twin(SequenceNode)
 
 
 def _param(name: str, var_index: int, value: str) -> ParamNode:

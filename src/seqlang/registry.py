@@ -1,18 +1,10 @@
 """Action schemas: which actions exist and which parameters they take.
 
-The eight built-in actions cover a small underwater robot: six-axis motion,
-depth levelling, and a handful of record-and-succeed tasks.  A registry is
-immutable once built; user config can add actions or shadow built-ins.
-
-Config format, one action per line (lines as :func:`config_lines` reads
-them)::
-
-    # name followed by its parameter names
-    sample depth rate
-    ping
-
-Validation walks a parsed sequence and returns diagnostics instead of
-raising, so callers can render warnings and count errors as they see fit.
+README "Built-in actions" owns the built-in schemas, what :func:`validate`
+checks and the registry file format, whose lines :func:`config_lines`
+reads.  A registry is immutable once built.  Validation returns
+diagnostics instead of raising, so callers can render warnings and count
+errors as they see fit.
 """
 
 from __future__ import annotations
@@ -21,21 +13,19 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from seqlang.logical_form import IDENT_RE, RESERVED_HEAD, SequenceNode
+from seqlang.logical_form import IDENT_RE, RESERVED_HEAD, SequenceNode, _Fault
 
 ERROR = "error"
 WARNING = "warning"
 
 
 @dataclass(eq=False)
-class ConfigParseError(Exception):
+class ConfigParseError(_Fault):
     """A malformed registry config line (1-based line number)."""
 
+    template = "registry config line {line}: {message}"
     line: int
     message: str
-
-    def __str__(self) -> str:
-        return f"registry config line {self.line}: {self.message}"
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,3 @@ CASES = [
 def test_each_error_spells_its_fields(error, text):
     assert str(error) == text
 
-
-def test_a_refused_lexicon_entry_is_a_value_error_that_keeps_its_fields():
-    error = _BadEntry("verbs", 1, "duplicate trigger 'say'")
-    assert isinstance(error, ValueError)
-    assert (error.section, error.index, error.message) == ("verbs", 1, "duplicate trigger 'say'")
