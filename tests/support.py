@@ -6,7 +6,7 @@ actions, alphabetical for unknown ones), so emit round trips are exact.
 random_messy_tree() relaxes ordering and mixes custom parameters into
 known actions; only the parse/render laws hold for those.
 best_of_5_each() times a call at two sizes for the size-scaling tests,
-in units of a calibration kernel timed beside each call.
+in thread CPU time and in units of a calibration kernel run beside each call.
 rebuild() copies a tree node by node through the checked constructors.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import gc
 import random
 import re
-from time import perf_counter
+from time import thread_time
 
 from seqlang.logical_form import ActionNode, ParamNode, SequenceNode
 from seqlang.registry import BUILTIN_SCHEMAS
@@ -124,9 +124,9 @@ def _kernel() -> int:
 def _kernel_seconds() -> float:
     gc.disable()
     try:
-        start = perf_counter()
+        start = thread_time()
         _kernel()
-        return perf_counter() - start
+        return thread_time() - start
     finally:
         gc.enable()
 
@@ -134,18 +134,21 @@ def _kernel_seconds() -> float:
 def best_of_5_each(fn, small, large) -> tuple[float, float]:
     """The shortest of five timed calls of ``fn(small)`` and of ``fn(large)``,
 
-    each in kernel times: a call's seconds over the shorter of the two
-    kernel runs on either side of it.  The host's core speed drifts by
-    up to 2x, which moves the kernel with the call and so cancels out.
-    The calls alternate, so what drift is left falls on both sizes alike.
+    each in kernel times: a call's CPU seconds over those of the shorter
+    of the two kernel runs on either side of it.  CPU time leaves out the
+    slices the scheduler gives other processes, which on a loaded host
+    can land in any wall-clock measurement of a few milliseconds; the
+    host's core speed drifts by up to 2x, which moves the kernel with
+    the call and so cancels out.  The calls alternate, so what drift is
+    left falls on both sizes alike.
     """
     best = [float("inf"), float("inf")]
     before = _kernel_seconds()
     for _ in range(5):
         for k, arg in enumerate((small, large)):
-            start = perf_counter()
+            start = thread_time()
             fn(arg)
-            took = perf_counter() - start
+            took = thread_time() - start
             after = _kernel_seconds()
             best[k] = min(best[k], took / min(before, after))
             before = after
