@@ -52,7 +52,7 @@ class TraceEntry:
     warning: bool = False
 
 
-_EntryTwin = _twin(TraceEntry)
+_EntryTwin = _twin("_EntryTwin", TraceEntry)
 
 
 def _entry(step: int, action: str, params: tuple[tuple[str, str], ...], status: str, warning: bool) -> TraceEntry:

@@ -140,24 +140,24 @@ class SequenceNode:
                 raise ValueError("actions may not be named 'seq'")
 
 
-def _twin(cls: type) -> type:
-    """A plain class with ``cls``'s own ``__slots__``.
+def _twin(name: str, cls: type) -> type:
+    """A plain class ``name`` with ``cls``'s own ``__slots__``.
 
     An instance of it, filled by plain assignment at slot speed (a frozen
     class's setter call is slower), can then be made a ``cls`` by setting
     its ``__class__``: CPython allows that because both are heap types
     with the same slots and no ``__dict__`` or ``__weakref__``.
     """
-    return type(f"_{cls.__name__}Twin", (), {"__slots__": cls.__slots__})
+    return type(name, (), {"__slots__": cls.__slots__})
 
 
 # Unchecked builders, for the readers and frontend.translate, which have
 # already checked all that the constructors check (translate: names in its
 # Lexicon, values in _tokens): names match IDENT_RE, indices are ints >= 0,
 # values pass is_param_value, no action is named RESERVED_HEAD; tuples throughout.
-_ParamTwin = _twin(ParamNode)
-_ActionTwin = _twin(ActionNode)
-_SequenceTwin = _twin(SequenceNode)
+_ParamTwin = _twin("_ParamTwin", ParamNode)
+_ActionTwin = _twin("_ActionTwin", ActionNode)
+_SequenceTwin = _twin("_SequenceTwin", SequenceNode)
 
 
 def _param(name: str, var_index: int, value: str) -> ParamNode:
