@@ -15,8 +15,11 @@ Variable numbering is not stored in the XML; the reader re-assigns
 pass that returns the action leaves: :func:`parse_bt_xml` builds a tree
 from them, and :func:`seqlang.interpreter.run` ticks them as they are,
 so it refuses exactly what :func:`parse_bt_xml` refuses without
-building a tree.  The pass checks each distinct tag, parameter name and
-value once per document; a repeat costs one lookup.
+building a tree.  An ASCII document in emit's exact layout takes
+:func:`_recognize`, which matches it against emit's own layout constants
+and never raises; every other document, and so every error, takes
+:func:`_read_any`, the ElementTree reader.  Both check each distinct
+fact once per document; a repeat costs one lookup.
 """
 
 from __future__ import annotations
@@ -28,7 +31,12 @@ from dataclasses import dataclass
 from seqlang.logical_form import IDENT_RE, RESERVED_HEAD, SequenceNode, _action, _param, _sequence, is_param_value
 from seqlang.registry import ActionRegistry, builtin_registry
 
-_XML_HEADER = '<?xml version="1.0" encoding="UTF-8"?>'
+# emit's layout, which _recognize reads back: the tree ID goes between the
+# pieces of _TOP.
+_TOP = ('<?xml version="1.0" encoding="UTF-8"?>\n<root main_tree_to_execute="', '">\n  <BehaviorTree ID="', '">\n')
+_OPEN, _EMPTY, _CLOSE = "    <Sequence>\n", "    <Sequence/>\n", "    </Sequence>\n"
+_BOTTOM = "  </BehaviorTree>\n</root>\n"
+_INDENT = "      "
 
 
 class EmitError(Exception):
@@ -60,11 +68,13 @@ class XmlShapeError(Exception):
 # because XML normalizes literal ones in attributes to spaces.  Other ASCII
 # maps to itself, as str.translate's fast path raises and clears a
 # LookupError for each distinct character missing from the table.
-_ESCAPES = {code: code for code in range(128)} | str.maketrans(
-    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
-)
-# The longest run of characters in XML 1.0's Char production.
-_XML_CHARS = re.compile("[\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]*")
+_REFERENCES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
+_ESCAPES = {code: code for code in range(128)} | str.maketrans(_REFERENCES)
+# The ASCII that XML 1.0 allows, and what it forbids but lone surrogates,
+# which UTF-8 cannot encode.  A class holding U+FFFE or U+FFFF would cost a
+# BMP-wide table at import, so text beyond ASCII is searched with str.find.
+_ASCII_CHARS = re.compile("[\t\n\r -\x7f]*")
+_FORBIDDEN = "".join(map(chr, [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF]))
 
 
 def _leaf_template(name: str, param_names: tuple[str, ...], registry: ActionRegistry) -> tuple[str, list[int]]:
@@ -80,48 +90,53 @@ def _leaf_template(name: str, param_names: tuple[str, ...], registry: ActionRegi
     key = registry.param_order(name)
     order = sorted(range(len(param_names)), key=lambda k: key(param_names[k]))
     attrs = "".join(f' {param_names[k]}="{{}}"' for k in order)
-    return f"      <{name.capitalize()}{attrs}/>", order
+    return f"<{name.capitalize()}{attrs}/>", order
 
 
 def emit(tree: SequenceNode, registry: ActionRegistry | None = None, tree_id: str = "MainTree") -> str:
     """Serialize a mission to XML text.  Same tree, same registry, same
 
     bytes: all ordering and escaping here is deterministic.  Raises
-    :class:`EmitError` for a duplicate parameter, or for a character that
-    XML 1.0 does not allow in a document.
+    :class:`EmitError` for a duplicate parameter, a parameter named
+    ``xmlns``, or a character that XML 1.0 does not allow in a document.
     """
     registry = builtin_registry() if registry is None else registry
-    tree_id = tree_id.translate(_ESCAPES)
-    lines = [
-        _XML_HEADER,
-        f'<root main_tree_to_execute="{tree_id}">',
-        f'  <BehaviorTree ID="{tree_id}">',
-    ]
-    if not tree.actions:
-        lines.append("    <Sequence/>")
+    leaves = []
+    # one template per multi-parameter shape in this tree
+    templates: dict[tuple[str, tuple[str, ...]], tuple[str, list[int]]] = {}
+    for action in tree.actions:
+        params = action.params
+        if len(params) > 1:
+            shape = (action.name, tuple([p.name for p in params]))
+            template = templates.get(shape)
+            if template is None:
+                template = templates[shape] = _leaf_template(*shape, registry)
+            text, order = template
+            leaves.append(text.format(*[params[k].value.translate(_ESCAPES) for k in order]))
+        elif params:
+            (param,) = params
+            leaves.append(f'<{action.name.capitalize()} {param.name}="{param.value.translate(_ESCAPES)}"/>')
+        else:
+            leaves.append(f"<{action.name.capitalize()}/>")
+    top = tree_id.translate(_ESCAPES).join(_TOP)
+    if leaves:
+        document = "".join([top, _OPEN, _INDENT, ("\n" + _INDENT).join(leaves), "\n", _CLOSE, _BOTTOM])
     else:
-        lines.append("    <Sequence>")
-        # one template per multi-parameter shape in this tree
-        templates: dict[tuple[str, tuple[str, ...]], tuple[str, list[int]]] = {}
-        for action in tree.actions:
-            params = action.params
-            if len(params) > 1:
-                shape = (action.name, tuple([p.name for p in params]))
-                template = templates.get(shape)
-                if template is None:
-                    template = templates[shape] = _leaf_template(*shape, registry)
-                text, order = template
-                lines.append(text.format(*[params[k].value.translate(_ESCAPES) for k in order]))
-            elif params:
-                (param,) = params
-                lines.append(f'      <{action.name.capitalize()} {param.name}="{param.value.translate(_ESCAPES)}"/>')
-            else:
-                lines.append(f"      <{action.name.capitalize()}/>")
-        lines.append("    </Sequence>")
-    lines.append("  </BehaviorTree>")
-    lines.append("</root>")
-    document = "\n".join(lines) + "\n"
-    end = _XML_CHARS.match(document).end()
+        document = top + _EMPTY + _BOTTOM
+    # Only a parameter can write this, as values escape '"'.  XML readers
+    # take an attribute named xmlns for a namespace declaration.
+    if ' xmlns="' in document:
+        name = next(action.name for action in tree.actions if "xmlns" in [p.name for p in action.params])
+        raise EmitError(f"parameter 'xmlns' in action '{name}' would declare an XML namespace")
+    if document.isascii():
+        end = _ASCII_CHARS.match(document).end()
+    else:
+        try:
+            document.encode()
+            end = len(document)
+        except UnicodeEncodeError as exc:  # at the first lone surrogate
+            end = exc.start
+        end = min([end] + [k for k in map(document.find, _FORBIDDEN) if k >= 0])
     if end < len(document):
         raise EmitError(f"character U+{ord(document[end]):04X} is not allowed in XML 1.0")
     return document
@@ -180,11 +195,69 @@ def _read_leaves(xml_text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]]
 
     leaves in order as ``(action name, ((param, value), ...))``.
     """
+    leaves = _recognize(xml_text)
+    return _read_any(xml_text) if leaves is None else leaves
+
+
+# _recognize's patterns, which see only ASCII.  A value is printable ASCII
+# but the four characters emit escapes, and emit's references; a tag is a
+# name with its first letter uppercased.
+_PLAIN = '[^"&<>\\x00-\\x1f\\x7f]*'
+_VALUE = f"{_PLAIN}(?:(?:{'|'.join(_REFERENCES.values())}){_PLAIN})*"
+_NAME = IDENT_RE.pattern.removesuffix(r"\Z")
+_SKELETON = re.compile(
+    f"{re.escape(_TOP[0])}({_VALUE}){re.escape(_TOP[1])}\\1{re.escape(_TOP[2])}"
+    + f"(?:{re.escape(_EMPTY)}|{re.escape(_OPEN)}(.*\\n){re.escape(_CLOSE)}){re.escape(_BOTTOM)}\\Z",
+    re.S,
+)
+_LEAF = re.compile(f'{re.escape(_INDENT)}<({_NAME.replace("a-z", "A-Z", 1)})((?: {_NAME}="{_VALUE}")*)/>')
+_ATTRIBUTE = re.compile(f' ({_NAME})="({_VALUE})"')
+_REFERENCE = re.compile("|".join(_REFERENCES.values()))
+_UNESCAPES = {reference: char for char, reference in _REFERENCES.items()}
+
+
+def _recognize(xml_text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]] | None:
+    """The leaves of a document in :func:`emit`'s exact layout, or None.
+
+    It never raises: :func:`_read_any` gives the same leaves for every
+    document this takes, and all that this does not take goes there.
+    """
+    if not xml_text.isascii() or (skeleton := _SKELETON.match(xml_text)) is None:
+        return None
+    # The body ends in LF, so any text before </Sequence> is in some line.
+    read: dict[str, tuple[str, tuple[tuple[str, str], ...]]] = {}
+    leaves = []
+    for line in (skeleton[2] or "").split("\n")[:-1]:
+        leaf = read.get(line)
+        if leaf is None:
+            if (match := _LEAF.fullmatch(line)) is None:
+                return None
+            tag, attributes = match.groups()
+            params = tuple(_ATTRIBUTE.findall(attributes))
+            if "&" in attributes:
+                params = tuple([(k, _REFERENCE.sub(lambda ref: _UNESCAPES[ref[0]], v)) for k, v in params])
+            if (name := tag.lower()) == RESERVED_HEAD or len(params) > 1 and len({k for k, _ in params}) < len(params):
+                return None
+            for k, v in params:
+                # ElementTree reads xmlns as a namespace, not an attribute
+                if k == "xmlns" or not is_param_value(v):
+                    return None
+            leaf = read[line] = (name, params)
+        leaves.append(leaf)
+    return leaves
+
+
+def _read_any(xml_text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]]:
+    """:func:`_read_leaves` for any document, with ElementTree."""
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
         line = exc.position[0] if getattr(exc, "position", None) else None
         raise XmlShapeError(f"not well-formed XML: {exc}", line=line) from None
+    except UnicodeEncodeError as exc:  # a lone surrogate: no UTF-8 parser can be given one
+        before = xml_text[: exc.start].replace("\r\n", "\n")
+        message = f"not well-formed XML: character U+{ord(xml_text[exc.start]):04X} is not allowed in XML 1.0"
+        raise XmlShapeError(message, line=before.count("\n") + before.count("\r") + 1) from None
     if root.tag != "root":
         raise XmlShapeError(f"document element must be <root>, found <{root.tag}>", path="/")
     trees = list(root)

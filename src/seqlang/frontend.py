@@ -25,9 +25,9 @@ NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
 _EDGE_PUNCT = "!?.;:"
 # Deleted everywhere: parens and quotes, so values stay renderable, and
 # the code points XML 1.0 forbids that str.split() does not treat as
-# blanks, so every value can go into a mission file.  The last of those,
-# lone surrogates, _tokens deletes by encoding.
-_DELETED = re.compile(r"[()\[\]\"'\x00-\x08\x0e-\x1b\ufffe\uffff]")
+# blanks, so every value can go into a mission file.  _tokens deletes the
+# rest, U+FFFE, U+FFFF and lone surrogates, without a BMP-wide class.
+_DELETED = re.compile(r"[()\[\]\"'\x00-\x08\x0e-\x1b]")
 
 SKIP_WORDS = ("the", "a", "an", "me", "to", "at", "out", "up", "for")
 
@@ -159,7 +159,9 @@ def _tokens(text: str) -> list[str]:
     """
     # Deleting first lets the strip see the edges deletion uncovers; no
     # UTF-8 encoder takes a lone surrogate, so "ignore" deletes those.
-    text = _DELETED.sub("", text.lower()).encode("utf-8", "ignore").decode("utf-8")
+    text = _DELETED.sub("", text.lower())
+    if not text.isascii():
+        text = text.replace("\ufffe", "").replace("\uffff", "").encode("utf-8", "ignore").decode("utf-8")
     cleaned = (tok.strip(_EDGE_PUNCT) for tok in text.replace(",", " , ").split())
     return [tok for tok in cleaned if tok]
 

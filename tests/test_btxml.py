@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from seqlang.btxml import EmitError, XmlShapeError, emit, parse_bt_xml
+from seqlang.btxml import EmitError, XmlShapeError, _read_any, _read_leaves, _recognize, emit, parse_bt_xml
+from seqlang.dataset import generate
 from seqlang.interpreter import MockPlant, run
 from seqlang.logical_form import (
     RESERVED_HEAD,
@@ -21,6 +22,7 @@ from seqlang.logical_form import (
     parse_logical_form,
     render,
 )
+from seqlang.logical_form import _action, _param, _sequence
 from seqlang.registry import builtin_registry, load_registry
 from support import best_of_5_each, random_tree, rebuild
 from test_logical_form_oracle import identifiers, shaped_soup
@@ -158,6 +160,21 @@ def test_emit_names_each_character_xml_forbids():
         with pytest.raises(EmitError) as info:
             emit(tree, tree_id=f"Main&Tree{chr(code)}\x00")
         assert str(info.value) == f"character U+{code:04X} is not allowed in XML 1.0"
+
+
+@pytest.mark.parametrize("names", [("xmlns",), ("words", "xmlns"), ("xmlns", "words")])
+def test_emit_refuses_a_parameter_named_xmlns(names):
+    # an XML reader takes it as a namespace declaration, not as a parameter
+    tree = SequenceNode((ActionNode("say", tuple(ParamNode(n, k, "u") for k, n in enumerate(names))),))
+    with pytest.raises(EmitError) as info:
+        emit(tree)
+    assert str(info.value) == "parameter 'xmlns' in action 'say' would declare an XML namespace"
+
+
+@pytest.mark.parametrize("name", ["xmlnsx", "xml", "xmlns_a", "xmln"])
+def test_names_near_xmlns_round_trip(name):
+    tree = SequenceNode((ActionNode("say", (ParamNode(name, 0, "u"),)),))
+    assert parse_bt_xml(emit(tree)) == tree
 
 
 def test_emit_rejects_duplicate_params():
@@ -566,9 +583,111 @@ def test_read_trees_of_drawn_documents_pass_the_constructor_checks(xml):
     assert rebuild(tree) == tree
 
 
+# ------------------------------------------- emit's own layout, read without a parser
+
+# Pieces an edit inserts or puts in place of a slice of an emitted document.
+_EDIT_PIECES = (
+    *"<>/\"'&;= \n\r\t\x0bé", "&#x41;", "&amp;", "&#62;", "<!--c-->", "Seq", ' xmlns="u"', ' a="1"',
+)
+
+
+@st.composite
+def edited_documents(draw):
+    """Emitted documents with 0-3 edits.  The trees are built unchecked,
+
+    so a name may be ``seq`` or ``xmlns`` and a value may hold a tab.  A
+    tree emit refuses for its ``xmlns`` is written by the reference writer.
+    """
+    names = IDENTS | st.sampled_from(("seq", "xmlns", "xml", "say", "words"))
+    values = st.sampled_from(_SHAPE_VALUES[:5]) | st.text(st.sampled_from('ab &<>"\t\ré'), max_size=5)
+    actions = []
+    for name in draw(st.lists(names, max_size=4)):
+        params = draw(st.lists(st.tuples(names, values), max_size=3, unique_by=lambda param: param[0]))
+        actions.append(_action(name, tuple(_param(k, j, v) for j, (k, v) in enumerate(params))))
+    tree = _sequence(tuple(actions))
+    odd_ids = st.text(st.sampled_from('ab &<>"\t\r\né'), max_size=4)
+    tree_id = draw(st.sampled_from(("MainTree", "", "a>b", 'q"&')) | odd_ids)
+    try:
+        xml = emit(tree, _SHAPE_REGISTRY, tree_id)
+    except EmitError:
+        xml = reference_emit(tree, _SHAPE_REGISTRY, tree_id)
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, len(xml)))
+        end = draw(st.integers(start, min(start + 8, len(xml))))
+        xml = xml[:start] + draw(st.sampled_from(("",) + _EDIT_PIECES)) + xml[end:]
+    return xml
+
+
+def _read_outcome(read, xml):
+    try:
+        return read(xml)
+    except XmlShapeError as exc:
+        return "XmlShapeError", str(exc), exc.line, exc.path
+
+
+_SAY_HI = emit(parse_logical_form("( seq ( say ( words ( $0 ( hi ) ) ) ) ( goal ) )"))
+
+
+@given(edited_documents())
+@example(_SAY_HI.replace("    </Sequence>", "x    </Sequence>"))
+@example(_SAY_HI.replace("<Say ", '<Say xmlns="u" '))
+@example(_SAY_HI.replace('words="hi"', 'words="hi" words="ho"'))
+@example(_SAY_HI.replace("<Goal/>", "<Seq/>"))
+@example(emit(SequenceNode(()), tree_id="a>b").replace("&gt;", "&#62;", 1))
+@example(_SAY_HI.replace('ID="MainTree"', 'ID="Other"'))
+@settings(max_examples=1000, deadline=None)
+def test_reading_without_a_parser_changes_no_outcome(xml):
+    assert _read_outcome(_read_leaves, xml) == _read_outcome(_read_any, xml)
+
+
+def test_every_emitted_corpus_document_is_read_without_a_parser():
+    for corpus in generate(300, 100, seed=11):
+        for pair in corpus:
+            xml = emit(parse_logical_form(pair.logical_form))
+            assert xml.isascii()
+            leaves = _recognize(xml)
+            assert leaves is not None
+            assert leaves == _read_any(xml)
+
+
+_SURROGATES = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
+
+
+@given(st.text() | st.just(FLATTEN_GOAL_XML), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_lone_surrogate_is_a_shape_error_naming_it(text, data):
+    at = data.draw(st.integers(0, len(text)))
+    xml = text[:at] + data.draw(_SURROGATES) + text[at:]
+    first = next(char for char in xml if "\ud800" <= char <= "\udfff")
+    plant = MockPlant()
+    for read in (parse_bt_xml, lambda xml: run(xml, plant)):
+        with pytest.raises(XmlShapeError) as info:
+            read(xml)
+        assert info.value.message == f"not well-formed XML: character U+{ord(first):04X} is not allowed in XML 1.0"
+    assert plant.pose == [0.0] * 6
+    assert plant.transcript == []
+
+
+def test_a_lone_surrogate_is_reported_on_its_line():
+    for newline in ("\n", "\r", "\r\n"):
+        xml = FLATTEN_GOAL_XML.replace("\n", newline).replace("<Goal/>", '<Goal q="\udfff"/>')
+        with pytest.raises(XmlShapeError) as info:
+            parse_bt_xml(xml)
+        assert info.value.line == 6
+
+
 def test_parse_bt_xml_time_at_most_triples_when_the_input_doubles():
     tree = random_tree(random.Random(81), 1000, 1000)
     small, large = best_of_5_each(parse_bt_xml, emit(tree), emit(SequenceNode(tree.actions * 2)))
+    assert large <= 3 * small
+
+
+def test_the_element_tree_reader_time_at_most_triples_when_the_input_doubles():
+    # the documents above, re-indented with tabs, which only the full reader takes
+    tree = random_tree(random.Random(81), 1000, 1000)
+    small, large = (emit(t).replace("  ", "\t") for t in (tree, SequenceNode(tree.actions * 2)))
+    assert _recognize(small) is None and _recognize(large) is None
+    small, large = best_of_5_each(parse_bt_xml, small, large)
     assert large <= 3 * small
 
 

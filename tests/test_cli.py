@@ -162,6 +162,14 @@ def test_parse_unrepresentable_value_exits_4(capsys):
     assert "error:" in stderr
 
 
+def test_parse_a_parameter_named_xmlns_exits_4(capsys):
+    code, stdout, stderr = invoke(capsys, "parse", "( seq ( say ( xmlns ( $0 ( u ) ) ) ) )")
+    assert code == 4
+    assert stdout == ""
+    # after the lenient warning that say has no such parameter
+    assert stderr.endswith("\nerror: parameter 'xmlns' in action 'say' would declare an XML namespace\n")
+
+
 def test_parse_strict_rejects_unknown_actions(capsys):
     code, stdout, stderr = invoke(capsys, "parse", "( seq ( warp ) )", "--strict")
     assert code == 3
