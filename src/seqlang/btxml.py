@@ -16,10 +16,9 @@ pass that returns the action leaves: :func:`parse_bt_xml` builds a tree
 from them, and :func:`seqlang.interpreter.run` ticks them as they are,
 so it refuses exactly what :func:`parse_bt_xml` refuses without
 building a tree.  An ASCII document in emit's exact layout takes
-:func:`_recognize`, which matches it against emit's own layout constants
-and never raises; every other document, and so every error, takes
-:func:`_read_any`, the ElementTree reader.  Both check each distinct
-fact once per document; a repeat costs one lookup.
+:func:`_recognize`, which matches it against emit's own layout constants,
+reads each distinct line once and never raises; every other document,
+and so every error, takes :func:`_read_any`, the ElementTree reader.
 """
 
 from __future__ import annotations
@@ -142,10 +141,6 @@ def emit(tree: SequenceNode, registry: ActionRegistry | None = None, tree_id: st
     return document
 
 
-def _leaf_path(index: int, leaf: ET.Element) -> str:
-    return f"Sequence child {index} <{leaf.tag}>"
-
-
 # XML's white space; anything else between tags is stray text.
 _BLANKS = " \t\n\r"
 
@@ -155,10 +150,7 @@ def _reject_stray_text(root: ET.Element) -> None:
 
     order, with non-blank text inside it or right after it.
     """
-    if not "".join(root.itertext()).strip(_BLANKS):
-        return
-    # Walk in document order, keeping the path down to the element at
-    # hand; the check above means the walk raises before it runs out.
+    # Walk in document order, keeping the path down to the element at hand.
     element, steps, pending = root, ["root"], [enumerate(root)]
     while True:
         for where, text in (("inside", element.text), ("after", element.tail)):
@@ -167,6 +159,8 @@ def _reject_stray_text(root: ET.Element) -> None:
         while (step := next(pending[-1], None)) is None:
             pending.pop()
             steps.pop()
+            if not pending:
+                return
         index, element = step
         pending.append(enumerate(element))
         steps.append(f" child {index} <{element.tag}>")
@@ -175,12 +169,9 @@ def _reject_stray_text(root: ET.Element) -> None:
 def parse_bt_xml(xml_text: str) -> SequenceNode:
     """Read a mission document back into a sequence.
 
-    Accepts anything :func:`emit` produces, or structurally identical
-    documents: ``<root>`` holds only ``<BehaviorTree>`` elements, the
-    ``<Sequence>`` has no attributes, and there is no text outside
-    attribute values other than white space.  Attribute order becomes
-    parameter order; variables are re-numbered 0, 1, 2, ... in document
-    order.  Everything else raises :class:`XmlShapeError`.
+    README "Mission XML and the mock plant" says which documents it takes;
+    any other raises :class:`XmlShapeError`.  Attribute order becomes
+    parameter order.
     """
     actions = []
     counter = 0
@@ -247,10 +238,29 @@ def _recognize(xml_text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]] |
     return leaves
 
 
+class _Builder(ET.TreeBuilder):
+    """ElementTree's tree builder, except that a namespace declaration
+
+    with a prefix stays on its element as an attribute, ahead of its own.
+    """
+
+    declared: tuple[tuple[str, str], ...] = ()
+
+    def start_ns(self, prefix: str, uri: str) -> None:
+        if prefix:
+            self.declared += ((f"xmlns:{prefix}", uri),)
+
+    def start(self, tag: str, attrs: dict[str, str]) -> ET.Element:
+        attrs, self.declared = dict(self.declared) | attrs, ()
+        return super().start(tag, attrs)
+
+
 def _read_any(xml_text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]]:
     """:func:`_read_leaves` for any document, with ElementTree."""
+    parser = ET.XMLParser(target=_Builder())
     try:
-        root = ET.fromstring(xml_text)
+        parser.feed(xml_text)
+        root = parser.close()
     except ET.ParseError as exc:
         line = exc.position[0] if getattr(exc, "position", None) else None
         raise XmlShapeError(f"not well-formed XML: {exc}", line=line) from None
@@ -273,9 +283,7 @@ def _read_any(xml_text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]]:
     target = root.get("main_tree_to_execute")
     if target is None:
         if len(trees) > 1:
-            raise XmlShapeError(
-                "multiple <BehaviorTree> elements but no main_tree_to_execute", path="root"
-            )
+            raise XmlShapeError("multiple <BehaviorTree> elements but no main_tree_to_execute", path="root")
         bt = trees[0]
     else:
         bt = next((t for t in trees if t.get("ID") == target), None)
@@ -287,34 +295,19 @@ def _read_any(xml_text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]]:
     sequence = children[0]
     if sequence.attrib:
         raise XmlShapeError("<Sequence> may not have attributes", path="Sequence")
-    # What has passed, so that each distinct fact is checked once: tags,
-    # with their action names; parameter names; values.
-    actions: dict[str, str] = {}
-    named: set[str] = set()
-    values: set[str] = set()
     leaves = []
     for index, leaf in enumerate(sequence):
+        path = f"Sequence child {index} <{leaf.tag}>"
         if len(leaf):
-            raise XmlShapeError("action leaves may not have children", path=_leaf_path(index, leaf))
-        name = actions.get(leaf.tag)
-        if name is None:
-            name = leaf.tag.lower()
-            if name == RESERVED_HEAD or not IDENT_RE.match(name):
-                raise XmlShapeError(f"element <{leaf.tag}> does not name an action", path=_leaf_path(index, leaf))
-            actions[leaf.tag] = name
+            raise XmlShapeError("action leaves may not have children", path=path)
+        name = leaf.tag.lower()
+        if name == RESERVED_HEAD or not IDENT_RE.match(name):
+            raise XmlShapeError(f"element <{leaf.tag}> does not name an action", path=path)
         params = tuple(leaf.items())
         for attr_name, attr_value in params:
-            if attr_name not in named:
-                if not IDENT_RE.match(attr_name):
-                    raise XmlShapeError(
-                        f"attribute {attr_name!r} is not a parameter name", path=_leaf_path(index, leaf)
-                    )
-                named.add(attr_name)
-            if attr_value not in values:
-                if not is_param_value(attr_value):
-                    raise XmlShapeError(
-                        f"attribute {attr_name!r} is not single-spaced paren-free tokens", path=_leaf_path(index, leaf)
-                    )
-                values.add(attr_value)
+            if not IDENT_RE.match(attr_name):
+                raise XmlShapeError(f"attribute {attr_name!r} is not a parameter name", path=path)
+            if not is_param_value(attr_value):
+                raise XmlShapeError(f"attribute {attr_name!r} is not single-spaced paren-free tokens", path=path)
         leaves.append((name, params))
     return leaves

@@ -32,7 +32,7 @@ from seqlang.evaluation import evaluate, format_report, report_lines
 from seqlang.frontend import Lexicon, LexiconError, NoVerbMatch, default_lexicon, load_lexicon, translate
 from seqlang.interpreter import MockPlant, format_trace, run
 from seqlang.logical_form import LogicalFormError, parse_logical_form, render
-from seqlang.registry import ActionRegistry, ConfigParseError, builtin_registry, load_registry, validate
+from seqlang.registry import ERROR, ActionRegistry, ConfigParseError, builtin_registry, load_registry, validate
 
 
 def _say(message: str) -> None:
@@ -77,7 +77,7 @@ def _report_diagnostics(diagnostics) -> bool:
     failed = False
     for diag in diagnostics:
         _say(str(diag))
-        failed = failed or diag.severity == "error"
+        failed = failed or diag.severity == ERROR
     return failed
 
 

@@ -113,7 +113,7 @@ class Lexicon:
     connectives: tuple[str, ...] = DEFAULT_CONNECTIVES
     triggers: dict[tuple[str, ...], str] = field(init=False, repr=False, compare=False)
     cues: dict[str, tuple[ParamRule, ...]] = field(init=False, repr=False, compare=False)
-    splitters: dict[str, tuple[tuple[str, ...], ...]] = field(init=False, repr=False, compare=False)
+    splitters: dict[str, list[tuple[str, ...]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         triggers: dict[tuple[str, ...], str] = {}
@@ -142,10 +142,10 @@ class Lexicon:
         for i, connective in enumerate(self.connectives):
             if not connective or " ".join(_tokens(connective)) != connective:
                 raise _BadEntry("connectives", i, f"connective '{connective}' is not normalized lowercase text")
-        splitters: dict[str, tuple[tuple[str, ...], ...]] = {}
+        splitters: dict[str, list[tuple[str, ...]]] = {}
         phrases = (tuple(c.split()) for c in self.connectives if c != "and")
         for phrase in sorted(phrases, key=len, reverse=True):
-            splitters[phrase[0]] = splitters.get(phrase[0], ()) + (phrase,)
+            splitters.setdefault(phrase[0], []).append(phrase)
         object.__setattr__(self, "triggers", triggers)
         object.__setattr__(self, "cues", cues)
         object.__setattr__(self, "splitters", splitters)
@@ -263,11 +263,12 @@ def _extract_params(tail: list[str], rules: tuple[ParamRule, ...]) -> dict[str, 
                     break
         elif rule.kind == "rest":
             remaining = [tok for i, tok in enumerate(tail) if not consumed[i]]
-            while remaining and remaining[0] in SKIP_WORDS:
-                remaining.pop(0)
-            if remaining:
+            start = 0
+            while start < len(remaining) and remaining[start] in SKIP_WORDS:
+                start += 1
+            if start < len(remaining):
                 consumed = [True] * len(tail)
-                found[rule.param] = " ".join(remaining)
+                found[rule.param] = " ".join(remaining[start:])
     return found
 
 

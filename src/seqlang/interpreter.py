@@ -7,10 +7,8 @@ come from the schemas in :mod:`seqlang.registry`, read once at import.
 
 :func:`run` ticks the leaves :func:`seqlang.btxml._read_leaves` checks
 and returns, so no tree is built: each leaf's (name, value) pairs are its
-trace entry's params.  A document in emit's exact layout is read without
-an XML parser, any other with ElementTree, to the same leaves and errors.
-:func:`run` ticks a record-only built-in itself, so :func:`_apply` holds
-only move, flatten and the unknown-action warning.
+trace entry's params.  :func:`run` ticks a record-only built-in itself,
+so :func:`_apply` holds only move, flatten and the unknown-action warning.
 """
 
 from __future__ import annotations

@@ -164,7 +164,8 @@ def load_registry(config: str) -> ActionRegistry:
     replaces its schema and leaves a warning on the returned registry.
     Malformed lines raise :class:`ConfigParseError`.
     """
-    schemas = list(BUILTIN_SCHEMAS)
+    # a redefined name keeps its place in the dict, and so in the registry
+    schemas = {schema.name: schema for schema in BUILTIN_SCHEMAS}
     warnings: list[Diagnostic] = []
     for lineno, line in config_lines(config):
         name, *params = line.split()
@@ -172,15 +173,10 @@ def load_registry(config: str) -> ActionRegistry:
             schema = ActionSchema(name, tuple(params))
         except ValueError as exc:
             raise ConfigParseError(lineno, str(exc)) from None
-        replacing = next((i for i, s in enumerate(schemas) if s.name == name), None)
-        if replacing is not None:
-            warnings.append(
-                Diagnostic(WARNING, "shadowed-action", f"line {lineno} redefines action '{name}'")
-            )
-            schemas[replacing] = schema
-        else:
-            schemas.append(schema)
-    return ActionRegistry(tuple(schemas), tuple(warnings))
+        if name in schemas:
+            warnings.append(Diagnostic(WARNING, "shadowed-action", f"line {lineno} redefines action '{name}'"))
+        schemas[name] = schema
+    return ActionRegistry(tuple(schemas.values()), tuple(warnings))
 
 
 def validate(tree: SequenceNode, registry: ActionRegistry, mode: str = "strict") -> list[Diagnostic]:

@@ -403,6 +403,8 @@ def test_parse_bt_xml_accepts_single_tree_without_selector():
     "xml, needle",
     [
         ("<root main_tree_to_execute='M'>", "not well-formed"),
+        # where the parser first fails, not where a later close() would
+        ('<root><BehaviorTree><Sequence xmlns:p="u"></BehaviorTree></root>', "mismatched tag: line 1, column 44"),
         ("<notroot/>", "document element must be <root>"),
         ("<root/>", "no <BehaviorTree>"),
         ('<root main_tree_to_execute="M"><BehaviorTree ID="X"><Sequence/></BehaviorTree></root>', "no <BehaviorTree> with ID"),
@@ -530,6 +532,50 @@ def test_a_name_read_before_does_not_hide_a_bad_one(leaves, needle, path):
             read(xml)
         assert needle in str(info.value)
         assert info.value.path == path
+
+
+@pytest.mark.parametrize(
+    "sequence, message, path",
+    [
+        (
+            '<Sequence xmlns:p="u"><Say xmlns:q="v" words="a"/></Sequence>',
+            "<Sequence> may not have attributes",
+            "Sequence",
+        ),
+        (
+            '<Sequence><Say xmlns:q="v" words="a"/></Sequence>',
+            "attribute 'xmlns:q' is not a parameter name",
+            "Sequence child 0 <Say>",
+        ),
+        # ahead of the leaf's own attributes, wherever it is written
+        (
+            '<Sequence><Goal/><Say words="a  b" xmlns:q="v"/></Sequence>',
+            "attribute 'xmlns:q' is not a parameter name",
+            "Sequence child 1 <Say>",
+        ),
+        (
+            '<Sequence><Say xmlns:q="v" q:words="a"/></Sequence>',
+            "attribute 'xmlns:q' is not a parameter name",
+            "Sequence child 0 <Say>",
+        ),
+    ],
+    ids=["on-sequence", "on-leaf", "after-an-attribute", "used-by-an-attribute"],
+)
+def test_a_namespace_declaration_with_a_prefix_is_an_attribute(sequence, message, path):
+    xml = f"<root><BehaviorTree>{sequence}</BehaviorTree></root>"
+    plant = MockPlant()
+    for read in (parse_bt_xml, lambda xml: run(xml, plant)):
+        with pytest.raises(XmlShapeError) as info:
+            read(xml)
+        assert (info.value.message, info.value.line, info.value.path) == (message, None, path)
+    assert plant.pose == [0.0] * 6
+    assert plant.transcript == []
+
+
+def test_namespace_declarations_on_root_and_behavior_tree_are_accepted():
+    xml = FLATTEN_GOAL_XML.replace("<root ", '<root xmlns:p="u" ').replace("<BehaviorTree ", '<BehaviorTree xmlns:q="v" ')
+    assert parse_bt_xml(xml) == parse_bt_xml(FLATTEN_GOAL_XML)
+    assert run(xml) == run(FLATTEN_GOAL_XML)
 
 
 def test_reader_and_renderer_agree_on_canonical_forms():

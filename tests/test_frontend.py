@@ -3,7 +3,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqlang.frontend import (
@@ -19,9 +19,10 @@ from seqlang.frontend import (
     split_clauses,
     translate,
 )
+from seqlang.frontend import _tokens
 from seqlang.btxml import emit, parse_bt_xml
 from seqlang.dataset import LINE_BREAKS
-from seqlang.logical_form import SequenceNode, parse_logical_form, render
+from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, parse_logical_form, render
 from seqlang.registry import builtin_registry, load_registry, validate
 from support import best_of_5_each, rebuild
 from test_frontend_oracle import NOUNS, NUMBERS, RIGGED
@@ -223,6 +224,37 @@ def test_translate_is_compositional_over_then():
     assert render(joined) == render(SequenceNode(left.actions + right.actions))
 
 
+def _renumbered(tree, offset):
+    return tuple(
+        ActionNode(a.name, tuple(ParamNode(p.name, p.var_index + offset, p.value) for p in a.params))
+        for a in tree.actions
+    )
+
+
+_SHIPPED = default_lexicon()
+# the shipped lexicon's whole triggers, cue words and values
+_CLAUSE_WORDS = sorted(
+    {" ".join(phrase) for phrase, _ in _SHIPPED.verbs}
+    | {rule.keyword for _, rules in _SHIPPED.params for rule in rules if rule.keyword}
+    | {*NOUNS, *NUMBERS}
+)
+_CONNECTIVE_TOKENS = {token for connective in _SHIPPED.connectives for token in _tokens(connective)}
+
+
+@pytest.mark.parametrize("connective", [" then ", " and then ", " after that ", ", "])
+@given(st.lists(st.sampled_from(_CLAUSE_WORDS), max_size=6), st.lists(st.sampled_from(_CLAUSE_WORDS), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_translate_is_compositional_over_unconditional_connectives(connective, left, right):
+    a, b = " ".join(left), " ".join(right)
+    assume(_CONNECTIVE_TOKENS.isdisjoint(_tokens(a)) and _CONNECTIVE_TOKENS.isdisjoint(_tokens(b)))
+    try:
+        first, second = translate(a), translate(b)
+    except NoVerbMatch:
+        assume(False)
+    offset = sum(len(action.params) for action in first.actions)
+    assert translate(a + connective + b) == SequenceNode(first.actions + _renumbered(second, offset))
+
+
 def test_translate_accepts_plain_text():
     assert render(translate("goal")) == "( seq ( goal ) )"
 
@@ -337,11 +369,19 @@ def test_edge_punctuation_changes_nothing(lexicon, data):
         lambda n: "say " + " and ".join(["hello"] * n),
         lambda n: " and ".join(["say hello"] * n),
         lambda n: "bring " + " and ".join(["the wrench"] * n),
+        lambda n: "say " + "the " * (100 * n) + "hi",
     ],
-    ids=["one-say-many-ands", "many-says", "one-long-value"],
+    ids=["one-say-many-ands", "many-says", "one-long-value", "leading-filler"],
 )
 def test_translate_time_at_most_triples_when_the_input_doubles(build):
     small, large = best_of_5_each(translate, build(100), build(200))
+    assert large <= 3 * small
+
+
+def test_lexicon_time_at_most_triples_when_its_connectives_double():
+    # every connective starts with "go", so all of them share one splitter entry
+    small, large = (tuple(f"go w{i}" for i in range(n)) for n in (8000, 16000))
+    small, large = best_of_5_each(lambda connectives: Lexicon(verbs=(), connectives=connectives), small, large)
     assert large <= 3 * small
 
 

@@ -15,7 +15,7 @@ from seqlang.registry import (
     load_registry,
     validate,
 )
-from support import random_messy_tree
+from support import best_of_5_each, random_messy_tree
 
 
 def test_builtins_cover_the_eight_actions():
@@ -82,6 +82,21 @@ def test_load_registry_warns_on_user_redefinition():
     registry = load_registry("ping\nping freq\n")
     assert registry.get("ping").params == ("freq",)
     assert len(registry.warnings) == 1
+
+
+def test_a_redefined_action_keeps_its_place():
+    registry = load_registry("ping\nflatten depth\nping freq\n")
+    assert registry.names() == ("move", "flatten", "say", "clean", "bring", "find", "goal", "gate", "ping")
+    assert [str(w) for w in registry.warnings] == [
+        "warning: line 2 redefines action 'flatten'",
+        "warning: line 3 redefines action 'ping'",
+    ]
+
+
+def test_load_registry_time_at_most_triples_when_the_config_doubles():
+    small, large = ("\n".join(f"a{i} p q" for i in range(n)) for n in (2000, 4000))
+    small, large = best_of_5_each(load_registry, small, large)
+    assert large <= 3 * small
 
 
 @pytest.mark.parametrize(
