@@ -3,12 +3,10 @@
 README "Mission XML and the mock plant" owns the document's skeleton,
 the attribute order, the escapes and what raises :class:`EmitError`.
 
-:func:`emit` writes a leaf with no parameter, or one, directly.  Only a
-leaf with two or more has a duplicate to check and an order to sort, so
-those are written from a template made once per (action, parameter
-names) shape in the call, which repeated shapes share.  A tag is
-``name.capitalize()``: for an ``IDENT_RE`` name, as every node holds,
-that is the name with its first letter uppercased.
+:func:`emit` writes a leaf with no parameter, or one, as one f-string;
+only a leaf with two or more has a duplicate to check and an order to
+sort.  A tag is ``name.capitalize()``: for an ``IDENT_RE`` name, as every
+node holds, that is the name with its first letter uppercased.
 
 Variable numbering is not stored in the XML; the reader re-assigns
 0, 1, 2, ... in document order.  All of the reader's checks run in one
@@ -76,22 +74,6 @@ _ASCII_CHARS = re.compile("[\t\n\r -\x7f]*")
 _FORBIDDEN = "".join(map(chr, [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF]))
 
 
-def _leaf_template(name: str, param_names: tuple[str, ...], registry: ActionRegistry) -> tuple[str, list[int]]:
-    """The ``str.format`` template of one action's line, and the order in
-
-    which its parameters fill the template's slots.
-    """
-    seen: set[str] = set()
-    for param in param_names:
-        if param in seen:
-            raise EmitError(f"duplicate parameter '{param}' in action '{name}'")
-        seen.add(param)
-    key = registry.param_order(name)
-    order = sorted(range(len(param_names)), key=lambda k: key(param_names[k]))
-    attrs = "".join(f' {param_names[k]}="{{}}"' for k in order)
-    return f"<{name.capitalize()}{attrs}/>", order
-
-
 def emit(tree: SequenceNode, registry: ActionRegistry | None = None, tree_id: str = "MainTree") -> str:
     """Serialize a mission to XML text.  Same tree, same registry, same
 
@@ -101,17 +83,17 @@ def emit(tree: SequenceNode, registry: ActionRegistry | None = None, tree_id: st
     """
     registry = builtin_registry() if registry is None else registry
     leaves = []
-    # one template per multi-parameter shape in this tree
-    templates: dict[tuple[str, tuple[str, ...]], tuple[str, list[int]]] = {}
     for action in tree.actions:
         params = action.params
         if len(params) > 1:
-            shape = (action.name, tuple([p.name for p in params]))
-            template = templates.get(shape)
-            if template is None:
-                template = templates[shape] = _leaf_template(*shape, registry)
-            text, order = template
-            leaves.append(text.format(*[params[k].value.translate(_ESCAPES) for k in order]))
+            seen: set[str] = set()
+            for param in params:
+                if param.name in seen:
+                    raise EmitError(f"duplicate parameter '{param.name}' in action '{action.name}'")
+                seen.add(param.name)
+            key = registry.param_order(action.name)
+            attrs = [f' {p.name}="{p.value.translate(_ESCAPES)}"' for p in sorted(params, key=lambda p: key(p.name))]
+            leaves.append(f"<{action.name.capitalize()}{''.join(attrs)}/>")
         elif params:
             (param,) = params
             leaves.append(f'<{action.name.capitalize()} {param.name}="{param.value.translate(_ESCAPES)}"/>')
@@ -150,20 +132,18 @@ def _reject_stray_text(root: ET.Element) -> None:
 
     order, with non-blank text inside it or right after it.
     """
-    # Walk in document order, keeping the path down to the element at hand.
-    element, steps, pending = root, ["root"], [enumerate(root)]
-    while True:
+    for element in root.iter():
         for where, text in (("inside", element.text), ("after", element.tail)):
             if text and text.strip(_BLANKS):
-                raise XmlShapeError(f"text {where} <{element.tag}> is not allowed", path="".join(steps))
-        while (step := next(pending[-1], None)) is None:
-            pending.pop()
-            steps.pop()
-            if not pending:
-                return
-        index, element = step
-        pending.append(enumerate(element))
-        steps.append(f" child {index} <{element.tag}>")
+                message = f"text {where} <{element.tag}> is not allowed"
+                # the parent map is built only here: few documents have stray text
+                parents = {child: (parent, index) for parent in root.iter() for index, child in enumerate(parent)}
+                steps = []
+                while element in parents:
+                    parent, index = parents[element]
+                    steps.append(f" child {index} <{element.tag}>")
+                    element = parent
+                raise XmlShapeError(message, path="".join(["root", *reversed(steps)]))
 
 
 def parse_bt_xml(xml_text: str) -> SequenceNode:

@@ -7,8 +7,7 @@ come from the schemas in :mod:`seqlang.registry`, read once at import.
 
 :func:`run` ticks the leaves :func:`seqlang.btxml._read_leaves` checks
 and returns, so no tree is built: each leaf's (name, value) pairs are its
-trace entry's params.  :func:`run` ticks a record-only built-in itself,
-so :func:`_apply` holds only move, flatten and the unknown-action warning.
+trace entry's params.
 """
 
 from __future__ import annotations
@@ -28,7 +27,9 @@ _MOVE = next(schema for schema in BUILTIN_SCHEMAS if schema.name == "move")
 # parameter name or alias -> pose slot
 _AXES = _MOVE.slots
 
-_RECORD_ONLY = frozenset(schema.name for schema in BUILTIN_SCHEMAS) - {"move", "flatten"}
+# action -> the pose slot of each parameter it reads; other built-ins only record
+_SLOTS = {"move": _AXES, "flatten": {"num": _AXES["z"]}}
+_RECORD_ONLY = frozenset(schema.name for schema in BUILTIN_SCHEMAS) - _SLOTS.keys()
 
 
 @dataclass
@@ -75,35 +76,17 @@ def _number(value: str) -> float | None:
     return number if isfinite(number) else None
 
 
-def _apply(plant: MockPlant, name: str, params: tuple[tuple[str, str], ...]) -> tuple[str, bool]:
-    """Run move, flatten or an unknown action against the plant; returns (status, warning)."""
-    if name == "move":
-        updates = {}
-        for param_name, value in params:
-            slot = _AXES.get(param_name)
-            if slot is None:
-                continue
-            number = _number(value)
-            if number is None:
-                return FAILURE, False
-            updates[slot] = number
-        for slot, number in updates.items():
-            plant.pose[slot] = number
-    elif name == "flatten":
-        depth = None
-        for param_name, value in params:
-            if param_name == "num":
-                depth = _number(value)
-                if depth is None:
-                    return FAILURE, False
-        plant.pose[_AXES["roll"]] = 0.0
-        plant.pose[_AXES["pitch"]] = 0.0
-        if depth is not None:
-            plant.pose[_AXES["z"]] = depth
-    else:
-        return SUCCESS, True
-    plant.transcript.append((name, params))
-    return SUCCESS, False
+def _pose(pose: list[float], name: str, params: tuple[tuple[str, str], ...]) -> list[float] | None:
+    """The pose a move or flatten leaf leaves behind, or None when a value it reads is not a finite number."""
+    pose, slots = list(pose), _SLOTS[name]
+    if name == "flatten":
+        pose[_AXES["roll"]] = pose[_AXES["pitch"]] = 0.0
+    for param_name, value in params:
+        if (slot := slots.get(param_name)) is not None:
+            if (number := _number(value)) is None:
+                return None
+            pose[slot] = number
+    return pose
 
 
 def run(xml_text: str, plant: MockPlant | None = None) -> tuple[list[TraceEntry], str]:
@@ -118,14 +101,19 @@ def run(xml_text: str, plant: MockPlant | None = None) -> tuple[list[TraceEntry]
     trace: list[TraceEntry] = []
     injections, record, tick = plant.fail_injections, plant.transcript.append, trace.append
     for step, (name, params) in enumerate(leaves):
+        status, warning = SUCCESS, False
         if step in injections:
-            tick(_entry(step, name, params, FAILURE, False))
-            return trace, FAILURE
-        if name in _RECORD_ONLY:
+            status = FAILURE
+        elif name in _RECORD_ONLY:
             record((name, params))
-            tick(_entry(step, name, params, SUCCESS, False))
-            continue
-        status, warning = _apply(plant, name, params)
+        elif name in _SLOTS:
+            if (pose := _pose(plant.pose, name, params)) is None:
+                status = FAILURE
+            else:
+                plant.pose[:] = pose
+                record((name, params))
+        else:
+            warning = True
         tick(_entry(step, name, params, status, warning))
         if status == FAILURE:
             return trace, FAILURE

@@ -408,6 +408,10 @@ def test_parse_bt_xml_accepts_single_tree_without_selector():
         ("<notroot/>", "document element must be <root>"),
         ("<root/>", "no <BehaviorTree>"),
         ('<root main_tree_to_execute="M"><BehaviorTree ID="X"><Sequence/></BehaviorTree></root>', "no <BehaviorTree> with ID"),
+        (
+            "<root><BehaviorTree><Sequence/></BehaviorTree><BehaviorTree><Sequence/></BehaviorTree></root>",
+            "multiple <BehaviorTree> elements but no main_tree_to_execute (at root)",
+        ),
         ("<root><BehaviorTree/></root>", "exactly one <Sequence>"),
         ("<root><BehaviorTree><Sequence/><Sequence/></BehaviorTree></root>", "exactly one <Sequence>"),
         ("<root><BehaviorTree><Fallback/></BehaviorTree></root>", "exactly one <Sequence>"),
@@ -492,6 +496,16 @@ def test_malformed_xml_reports_a_line():
             '<root main_tree_to_execute="A"><BehaviorTree ID="A"><Sequence/></BehaviorTree>'
             '<BehaviorTree ID="B"><Fallback><X/></Fallback>tail</BehaviorTree></root>',
             "root child 1 <BehaviorTree> child 0 <Fallback>",
+        ),
+        # an element's tail is reported ahead of text inside its children
+        (
+            "<root><BehaviorTree><Sequence><Goal>x</Goal></Sequence>tail</BehaviorTree></root>",
+            "root child 0 <BehaviorTree> child 0 <Sequence>",
+        ),
+        (
+            '<root main_tree_to_execute="A"><BehaviorTree ID="A"><Sequence/></BehaviorTree>'
+            '<BehaviorTree ID="B"><F><G><H><I>deep</I></H></G></F></BehaviorTree></root>',
+            "root child 1 <BehaviorTree> child 0 <F> child 0 <G> child 0 <H> child 0 <I>",
         ),
     ],
 )

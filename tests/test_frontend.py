@@ -1,6 +1,8 @@
 """Normalization, clause splitting, verb matching, and translation."""
 
 import re
+import string
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -253,6 +255,39 @@ def test_translate_is_compositional_over_unconditional_connectives(connective, l
         assume(False)
     offset = sum(len(action.params) for action in first.actions)
     assert translate(a + connective + b) == SequenceNode(first.actions + _renumbered(second, offset))
+
+
+# single words of the shipped lexicon, and every blank str.split() splits on
+_WORDS = sorted({word for phrase in _CLAUSE_WORDS for word in phrase.split()} | _CONNECTIVE_TOKENS)
+_SPLIT_BLANKS = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+
+# The tree, or the failing clause's index and text.  With no clause at all,
+# only the index: that error reports the utterance's own stripped text.
+def _tree_or_miss(text):
+    try:
+        return translate(text)
+    except NoVerbMatch as exc:
+        return exc.clause_index, (exc.clause if split_clauses(text, _SHIPPED) else None)
+
+
+@given(st.data(), st.lists(st.sampled_from(_WORDS), max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_translate_is_invariant_under_blank_runs(data, words):
+    blanks = st.text(st.sampled_from(_SPLIT_BLANKS), min_size=1, max_size=3)
+    ends = st.text(st.sampled_from(_SPLIT_BLANKS), max_size=3)
+    runs = [data.draw(ends), *[data.draw(blanks) for _ in words[1:]]]
+    spaced = "".join(run + word for run, word in zip(runs, words)) + data.draw(ends)
+    assert _tree_or_miss(spaced) == _tree_or_miss(" ".join(words))
+
+
+@given(st.data(), st.lists(st.sampled_from(_WORDS), max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_translate_is_invariant_under_ascii_case(data, words):
+    text = " ".join(words)
+    flips = data.draw(st.lists(st.booleans(), min_size=len(text), max_size=len(text)))
+    swapped = "".join(c.swapcase() if flip and c in string.ascii_letters else c for c, flip in zip(text, flips))
+    assert _tree_or_miss(swapped) == _tree_or_miss(text)
 
 
 def test_translate_accepts_plain_text():

@@ -168,6 +168,8 @@ def test_parse_agrees_with_oracle_on_random_trees():
         ("( sequence )", FormSyntaxError, 1),
         ("( seq", FormSyntaxError, 2),
         ("( seq ( goal )", FormSyntaxError, 5),
+        ("( seq ( goal (", FormSyntaxError, 5),
+        ("( seq ( goal ( x (", FormSyntaxError, 7),
         ("( seq ( seq ) )", FormSyntaxError, 3),
         ("( seq ( seq ( goal ) ) )", FormSyntaxError, 3),
         ("( seq ( goal ) ) )", TrailingTokensError, 6),
@@ -210,6 +212,14 @@ def test_syntax_error_reports_expected_and_found():
         parse_logical_form("( sequence )")
     assert info.value.expected == "'seq'"
     assert info.value.found == "sequence"
+
+    for text, message in (
+        ("( seq ( goal (", "syntax error at token 5: expected a parameter name, found end of input"),
+        ("( seq ( goal ( x (", "syntax error at token 7: expected a '$' variable, found end of input"),
+    ):
+        with pytest.raises(FormSyntaxError) as info:
+            parse_logical_form(text)
+        assert str(info.value) == message
 
 
 def test_parse_reports_the_first_token_after_the_sequence():
