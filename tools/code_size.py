@@ -25,10 +25,8 @@ def docstring_lines(tree: ast.AST) -> set[int]:
     """The line numbers that module, class and function docstrings span."""
     lines = set()
     for node in ast.walk(tree):
-        if isinstance(node, _HAS_DOCSTRING) and node.body:
-            first = node.body[0]
-            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
-                lines.update(range(first.lineno, first.end_lineno + 1))
+        if isinstance(node, _HAS_DOCSTRING) and ast.get_docstring(node, clean=False) is not None:
+            lines.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
     return lines
 
 
