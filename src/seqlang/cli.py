@@ -42,7 +42,7 @@ def _say(message: str) -> None:
 def _load_registry_arg(path: str | None) -> ActionRegistry:
     if path is None:
         return builtin_registry()
-    registry = load_registry(Path(path).read_text(encoding="utf-8"))
+    registry = load_registry(Path(path).read_text(encoding="utf-8-sig"))
     for warning in registry.warnings:
         _say(str(warning))
     return registry
@@ -54,7 +54,7 @@ def _load_lexicon_arg(path: str | None, registry: ActionRegistry) -> Lexicon:
     # validation reports.
     if path is None:
         return default_lexicon()
-    return load_lexicon(Path(path).read_text(encoding="utf-8"), registry)
+    return load_lexicon(Path(path).read_text(encoding="utf-8-sig"), registry)
 
 
 def _count(text: str) -> int:
@@ -128,7 +128,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     registry = _load_registry_arg(args.registry)
     lexicon = _load_lexicon_arg(args.lexicon, registry)
-    corpus = read_tsv(Path(args.corpus).read_text(encoding="utf-8"), split="eval")
+    corpus = read_tsv(Path(args.corpus).read_text(encoding="utf-8-sig"), split="eval")
     report = evaluate(lambda text: translate(text, lexicon, registry), corpus)
     if args.lines:
         for line in report_lines(report):
@@ -142,7 +142,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     plant = MockPlant()
     if args.fail_at is not None:
         plant.fail_injections.add(args.fail_at)
-    trace, status = run(Path(args.xml).read_text(encoding="utf-8"), plant)
+    trace, status = run(Path(args.xml).read_text(encoding="utf-8-sig"), plant)
     for entry, line in zip(trace, format_trace(trace)):
         print(line)
         if entry.warning:

@@ -19,6 +19,8 @@ from itertools import accumulate
 from seqlang.logical_form import IDENT_RE, RESERVED_HEAD, ActionNode, SequenceNode, _action, _Fault, _param, _sequence
 from seqlang.registry import ActionRegistry, builtin_registry, config_lines
 
+_Index = dict[str, dict[int, dict[tuple[str, ...], str]]]
+
 NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
 
 # Stripped from token edges, after commas are split off.
@@ -101,32 +103,28 @@ class Lexicon:
     nodes unchecked.  A refused entry raises ``ValueError`` naming its
     section and index.
 
-    Built once from these: ``triggers`` maps each trigger phrase to its
-    action, and each proper prefix of one to ``""`` so a scan can stop at
-    the first miss; ``cues`` maps an action to its cue list; ``splitters``
-    maps the first token of each connective other than "and" to its
-    phrases, longest first.
+    Built once from these: ``cues`` maps an action to its cue list, and
+    two indexes of one shape (:func:`_index`) map each trigger phrase to
+    its action (``triggers``) and each connective but "and" to itself.
     """
 
     verbs: tuple[tuple[tuple[str, ...], str], ...]
     params: tuple[tuple[str, tuple[ParamRule, ...]], ...] = ()
     connectives: tuple[str, ...] = DEFAULT_CONNECTIVES
-    triggers: dict[tuple[str, ...], str] = field(init=False, repr=False, compare=False)
+    triggers: _Index = field(init=False, repr=False, compare=False)
     cues: dict[str, tuple[ParamRule, ...]] = field(init=False, repr=False, compare=False)
-    splitters: dict[str, list[tuple[str, ...]]] = field(init=False, repr=False, compare=False)
+    splitters: _Index = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        triggers: dict[tuple[str, ...], str] = {}
+        actions: dict[tuple[str, ...], str] = {}
         for i, (phrase, action) in enumerate(self.verbs):
             if not phrase or normalize(" ".join(phrase)) != list(phrase):
                 raise _BadEntry("verbs", i, f"trigger {phrase!r} is not normalized lowercase text")
             if not IDENT_RE.match(action) or action == RESERVED_HEAD:
                 raise _BadEntry("verbs", i, f"action name {action!r} is not a lowercase identifier other than 'seq'")
-            if triggers.get(phrase):
+            if phrase in actions:
                 raise _BadEntry("verbs", i, f"duplicate trigger '{' '.join(phrase)}'")
-            for size in range(1, len(phrase)):
-                triggers.setdefault(phrase[:size], "")
-            triggers[phrase] = action
+            actions[phrase] = action
         cues: dict[str, tuple[ParamRule, ...]] = {}
         named = {action for _, action in self.verbs}
         for index, (action, rules) in enumerate(self.params):
@@ -142,13 +140,28 @@ class Lexicon:
         for i, connective in enumerate(self.connectives):
             if not connective or " ".join(_tokens(connective)) != connective:
                 raise _BadEntry("connectives", i, f"connective '{connective}' is not normalized lowercase text")
-        splitters: dict[str, list[tuple[str, ...]]] = {}
-        phrases = (tuple(c.split()) for c in self.connectives if c != "and")
-        for phrase in sorted(phrases, key=len, reverse=True):
-            splitters.setdefault(phrase[0], []).append(phrase)
-        object.__setattr__(self, "triggers", triggers)
+        object.__setattr__(self, "triggers", _index(actions))
         object.__setattr__(self, "cues", cues)
-        object.__setattr__(self, "splitters", splitters)
+        object.__setattr__(self, "splitters", _index({tuple(c.split()): c for c in self.connectives if c != "and"}))
+
+
+def _index(phrases: dict[tuple[str, ...], str]) -> _Index:
+    """First word -> its phrases' lengths, longest first -> {phrase: value}."""
+    index: _Index = {}
+    for phrase in sorted(phrases, key=len, reverse=True):
+        index.setdefault(phrase[0], {}).setdefault(len(phrase), {})[phrase] = phrases[phrase]
+    return index
+
+
+def _matches(tokens: list[str], index: _Index) -> list[tuple[int, int, str]]:
+    """(start, end, value) per phrase of ``index`` in ``tokens``, by start, longest first."""
+    found = []
+    for start in [i for i, tok in enumerate(tokens) if tok in index]:
+        for size, phrases in index[tokens[start]].items():
+            value = phrases.get(tuple(tokens[start : start + size]))
+            if value is not None:
+                found.append((start, start + size, value))
+    return found
 
 
 def _tokens(text: str) -> list[str]:
@@ -177,22 +190,16 @@ def normalize(text: str) -> list[str]:
 def _clauses(text: str, lexicon: Lexicon) -> list[tuple[list[str], list[str], str]]:
     """(tokens, tail after the winning trigger, its action or ``""``) per
 
-    clause.  Commas no connective takes are dropped; each fragment between
-    connectives is scanned for trigger hits once, visiting only the tokens
-    that can start a connective or a trigger.
+    clause: :func:`_matches` finds the connectives, then, once commas no
+    connective takes are dropped, the triggers in each fragment between.
     """
     tokens = _tokens(text)
-    splitters, triggers = lexicon.splitters, lexicon.triggers
     fragments = []
     done = 0  # tokens before this are in a fragment or a connective
-    for i in [i for i, tok in enumerate(tokens) if tok in splitters]:
-        if i < done:
-            continue
-        for phrase in splitters[tokens[i]]:
-            if tuple(tokens[i : i + len(phrase)]) == phrase:
-                fragments.append(tokens[done:i])
-                done = i + len(phrase)
-                break
+    for start, end, _ in _matches(tokens, lexicon.splitters):
+        if start >= done:
+            fragments.append(tokens[done:start])
+            done = end
     fragments.append(tokens[done:])
     clauses = []
     for fragment in fragments:
@@ -200,14 +207,7 @@ def _clauses(text: str, lexicon: Lexicon) -> list[tuple[list[str], list[str], st
             fragment = [tok for tok in fragment if tok != ","]
         if not fragment:
             continue
-        hits = []  # (start, end, action) in start order
-        for start in [i for i, tok in enumerate(fragment) if (tok,) in triggers]:
-            for end in range(start + 1, len(fragment) + 1):
-                action = triggers.get(tuple(fragment[start:end]))
-                if action is None:
-                    break
-                if action:
-                    hits.append((start, end, action))
+        hits = _matches(fragment, lexicon.triggers)
         # cut at each "and" with a whole hit since the last cut and one after
         # it; latest[e] is the largest start of a hit ending by e, else -1
         cuts = [-1]

@@ -6,7 +6,8 @@ actions, alphabetical for unknown ones), so emit round trips are exact.
 random_messy_tree() relaxes ordering and mixes custom parameters into
 known actions; only the parse/render laws hold for those.
 best_of_5_each() times a call at two sizes for the size-scaling tests,
-in thread CPU time and in units of a calibration kernel run beside each call.
+in thread CPU time and in units of a calibration kernel run beside each call;
+bytecodes() counts the bytecodes a call executes, which no host load moves.
 rebuild() copies a tree node by node through the checked constructors.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import gc
 import random
 import re
+import sys
 from time import thread_time
 
 from seqlang.logical_form import ActionNode, ParamNode, SequenceNode
@@ -153,3 +155,37 @@ def best_of_5_each(fn, small, large) -> tuple[float, float]:
             best[k] = min(best[k], took / min(before, after))
             before = after
     return best[0], best[1]
+
+
+def bytecodes(fn, *args) -> int:
+    """The number of bytecodes ``fn(*args)`` executes in Python frames.
+
+    Work done inside C functions counts as the one bytecode that calls
+    them, so a count catches a Python loop but not, say, a list copy.
+    """
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        count += event == "opcode"
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def bytecode_growth(fn, small, large) -> float:
+    """``bytecodes(fn, large)`` over ``bytecodes(fn, small)``, each counted
+
+    after one warm-up call, so that first-call work such as filling a cache
+    falls on neither.
+    """
+    fn(small)
+    fn(large)
+    return bytecodes(fn, large) / bytecodes(fn, small)

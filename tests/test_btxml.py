@@ -24,7 +24,7 @@ from seqlang.logical_form import (
 )
 from seqlang.logical_form import _action, _param, _sequence
 from seqlang.registry import builtin_registry, load_registry
-from support import best_of_5_each, random_tree, rebuild
+from support import best_of_5_each, bytecode_growth, random_tree, rebuild
 from test_logical_form_oracle import identifiers, shaped_soup
 
 FLATTEN_GOAL_XML = (
@@ -757,3 +757,21 @@ def test_emit_time_at_most_triples_when_the_input_doubles():
     assert {len(action.params) for action in tree.actions} == {0, 1, 2, 3}
     small, large = best_of_5_each(emit, tree, SequenceNode(tree.actions * 2))
     assert large <= 3 * small
+
+
+# Bytecode counts beside the clocks above, on the same documents and trees
+def test_parse_bt_xml_bytecodes_at_most_2_5x_when_the_input_doubles():
+    tree = random_tree(random.Random(81), 1000, 1000)
+    assert bytecode_growth(parse_bt_xml, emit(tree), emit(SequenceNode(tree.actions * 2))) <= 2.5
+
+
+def test_the_element_tree_reader_bytecodes_at_most_2_5x_when_the_input_doubles():
+    tree = random_tree(random.Random(81), 1000, 1000)
+    small, large = (emit(t).replace("  ", "\t") for t in (tree, SequenceNode(tree.actions * 2)))
+    assert _recognize(small) is None and _recognize(large) is None
+    assert bytecode_growth(parse_bt_xml, small, large) <= 2.5
+
+
+def test_emit_bytecodes_at_most_2_5x_when_the_input_doubles():
+    tree = random_tree(random.Random(82), 1000, 1000)
+    assert bytecode_growth(emit, tree, SequenceNode(tree.actions * 2)) <= 2.5

@@ -402,6 +402,30 @@ def test_non_utf8_file_exits_5(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+# The registry line "warp" would read as "\ufeffwarp", the lexicon's first
+# line as an entry before any section, the corpus's first utterance as a
+# miss, and the mission would miss the reader for emit's own layout.
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("warp speed\n", ("parse", "( seq ( warp ( speed ( $0 ( 2 ) ) ) ) )", "--strict", "--registry", "{file}")),
+        ("[verbs]\nfetch = bring\n", ("compile", "fetch the buoy", "--lexicon", "{file}", "--out", "{out}")),
+        ("fetch the buoy\t( seq ( bring ( val ( $0 ( buoy ) ) ) ) )\n", ("eval", "{file}")),
+        (emit(SequenceNode((ActionNode("say", (ParamNode("words", 0, "hi"),)), ActionNode("goal")))), ("run", "{file}")),
+    ],
+    ids=["registry", "lexicon", "eval-corpus", "run-mission"],
+)
+def test_a_byte_order_mark_changes_nothing(tmp_path, capsys, text, argv):
+    outcomes = []
+    for bom in ("", "\ufeff"):
+        file, out = tmp_path / f"in{len(bom)}.txt", tmp_path / f"out{len(bom)}.xml"
+        file.write_text(bom + text, encoding="utf-8")
+        outcome = invoke(capsys, *(arg.format(file=file, out=out) for arg in argv))
+        outcomes.append((outcome, out.read_text(encoding="utf-8") if out.exists() else None))
+    assert outcomes[0][0][0] == 0
+    assert outcomes[1] == outcomes[0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [("run", "\ud800"), ("compile", "goal", "--lexicon", "\ud800", "--out", "{out}")],

@@ -26,8 +26,8 @@ from seqlang.btxml import emit, parse_bt_xml
 from seqlang.dataset import LINE_BREAKS
 from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, parse_logical_form, render
 from seqlang.registry import builtin_registry, load_registry, validate
-from support import best_of_5_each, rebuild
-from test_frontend_oracle import NOUNS, NUMBERS, RIGGED
+from support import best_of_5_each, bytecode_growth, rebuild
+from test_frontend_oracle import NOUNS, NUMBERS, RIGGED, _vocabulary
 
 
 def lf(text):
@@ -264,11 +264,11 @@ _SPLIT_BLANKS = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.issp
 
 # The tree, or the failing clause's index and text.  With no clause at all,
 # only the index: that error reports the utterance's own stripped text.
-def _tree_or_miss(text):
+def _tree_or_miss(text, lexicon=_SHIPPED):
     try:
-        return translate(text)
+        return translate(text, lexicon)
     except NoVerbMatch as exc:
-        return exc.clause_index, (exc.clause if split_clauses(text, _SHIPPED) else None)
+        return exc.clause_index, (exc.clause if split_clauses(text, lexicon) else None)
 
 
 @given(st.data(), st.lists(st.sampled_from(_WORDS), max_size=10))
@@ -288,6 +288,30 @@ def test_translate_is_invariant_under_ascii_case(data, words):
     flips = data.draw(st.lists(st.booleans(), min_size=len(text), max_size=len(text)))
     swapped = "".join(c.swapcase() if flip and c in string.ascii_letters else c for c, flip in zip(text, flips))
     assert _tree_or_miss(swapped) == _tree_or_miss(text)
+
+
+# RIGGED's words hold "rock and roll" and a bare "and" trigger, so the
+# "and" rule sees triggers the shipped lexicon lacks
+_RIGGED_WORDS = _vocabulary(RIGGED)
+
+
+@given(st.data(), st.lists(st.sampled_from(_RIGGED_WORDS), max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_translate_over_a_rigged_lexicon_is_invariant_under_blank_runs(data, words):
+    blanks = st.text(st.sampled_from(_SPLIT_BLANKS), min_size=1, max_size=3)
+    ends = st.text(st.sampled_from(_SPLIT_BLANKS), max_size=3)
+    runs = [data.draw(ends), *[data.draw(blanks) for _ in words[1:]]]
+    spaced = "".join(run + word for run, word in zip(runs, words)) + data.draw(ends)
+    assert _tree_or_miss(spaced, RIGGED) == _tree_or_miss(" ".join(words), RIGGED)
+
+
+@given(st.data(), st.lists(st.sampled_from(_RIGGED_WORDS), max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_translate_over_a_rigged_lexicon_is_invariant_under_ascii_case(data, words):
+    text = " ".join(words)
+    flips = data.draw(st.lists(st.booleans(), min_size=len(text), max_size=len(text)))
+    swapped = "".join(c.swapcase() if flip and c in string.ascii_letters else c for c, flip in zip(text, flips))
+    assert _tree_or_miss(swapped, RIGGED) == _tree_or_miss(text, RIGGED)
 
 
 def test_translate_accepts_plain_text():
@@ -420,6 +444,43 @@ def test_lexicon_time_at_most_triples_when_its_connectives_double():
     assert large <= 3 * small
 
 
+# The bytecode count beside the clock above: deterministic, so host load
+# cannot fail it, but blind to work done inside C functions.
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: "say " + " and ".join(["hello"] * n),
+        lambda n: " and ".join(["say hello"] * n),
+        lambda n: "bring " + " and ".join(["the wrench"] * n),
+        lambda n: "say " + "the " * (100 * n) + "hi",
+    ],
+    ids=["one-say-many-ands", "many-says", "one-long-value", "leading-filler"],
+)
+def test_translate_bytecodes_at_most_2_5x_when_the_input_doubles(build):
+    assert bytecode_growth(translate, build(100), build(200)) <= 2.5
+
+
+@pytest.mark.parametrize(
+    "lexicon, text",
+    [
+        # 20 clauses split at "go on", listed after n connectives "go wN"
+        (
+            lambda n: Lexicon(verbs=((("say",), "say"),), connectives=(*(f"go w{i}" for i in range(n)), "go on")),
+            " go on ".join(["say hello"] * 20),
+        ),
+        # 20 clauses, each with one of n triggers "go to wN"
+        (
+            lambda n: Lexicon(verbs=((("say",), "say"), *((("go", "to", f"w{i}"), "move") for i in range(n)))),
+            " then ".join(["go to w3 now"] * 20),
+        ),
+    ],
+    ids=["connectives", "triggers"],
+)
+def test_translate_bytecodes_stay_flat_when_the_phrases_sharing_a_first_word_double(lexicon, text):
+    growth = bytecode_growth(lambda lexicon: translate(text, lexicon), lexicon(500), lexicon(1000))
+    assert growth <= 1.1
+
+
 def test_a_400_clause_and_chain_translates():
     tree = translate(" and ".join(["say hello"] * 400))
     assert len(tree.actions) == 400
@@ -482,6 +543,76 @@ def test_commas_no_connective_takes_are_dropped():
 )
 def test_split_clauses_fixed_cases(text, lexicon, expected):
     assert split_clauses(text, lexicon) == expected
+
+
+# Overlapping connectives, one holding a comma, and a trigger that a
+# dropped comma can join: "c , d" holds "c d" once the comma goes.
+OVERLAP = Lexicon(
+    verbs=((("go",), "goal"), (("c", "d"), "say"), (("b",), "find")),
+    connectives=("a b", "b c d", "and", "d , go"),
+)
+
+
+def _readme_split(text, lexicon):
+    """Clauses by README "The lexicon", rule by rule, with no index."""
+    tokens = _tokens(text)
+    connectives = sorted({tuple(c.split()) for c in lexicon.connectives if c != "and"}, key=len, reverse=True)
+    triggers = {phrase for phrase, _ in lexicon.verbs}
+
+    def holds_a_trigger(words):
+        return any(tuple(words[i:j]) in triggers for i in range(len(words)) for j in range(i + 1, len(words) + 1))
+
+    # connectives split unconditionally, the longest at the leftmost position first
+    fragments, fragment, i = [], [], 0
+    while i < len(tokens):
+        taken = next((c for c in connectives if tuple(tokens[i : i + len(c)]) == c), None)
+        if taken is None:
+            fragment.append(tokens[i])
+            i += 1
+        else:
+            fragments.append(fragment)
+            fragment = []
+            i += len(taken)
+    fragments.append(fragment)
+    clauses = []
+    for fragment in fragments:
+        # commas no connective takes are dropped before triggers match
+        words = [word for word in fragment if word != ","]
+        # "and" splits where the part since the last split and the rest of
+        # the fragment each hold a whole trigger
+        last = 0
+        for i, word in enumerate(words):
+            if word == "and" and "and" in lexicon.connectives:
+                if holds_a_trigger(words[last:i]) and holds_a_trigger(words[i + 1 :]):
+                    clauses.append(words[last:i])
+                    last = i + 1
+        clauses.append(words[last:])
+    # empty fragments vanish
+    return [clause for clause in clauses if clause]
+
+
+@pytest.mark.parametrize("lexicon", [default_lexicon(), RIGGED, OVERLAP], ids=["shipped", "rigged", "overlap"])
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_split_clauses_follows_the_readme_rules(lexicon, data):
+    text = " ".join(data.draw(st.lists(st.sampled_from(_vocabulary(lexicon)), max_size=20)))
+    assert split_clauses(text, lexicon) == _readme_split(text, lexicon)
+
+
+@pytest.mark.parametrize(
+    "text, lexicon, expected",
+    [
+        # "everything after" an "and" ends at the next unconditional connective
+        ("say hello and there then goal", default_lexicon(), [["say", "hello", "and", "there"], ["goal"]]),
+        # the leftmost position wins: "a b" is taken, not the longer "b c d"
+        ("go a b c d go", OVERLAP, [["go"], ["c", "d", "go"]]),
+        # the comma goes before triggers match, so "c , d" holds "c d"
+        ("go and c , d", OVERLAP, [["go"], ["c", "d"]]),
+    ],
+    ids=["and-rest-ends-at-a-connective", "leftmost-connective-wins", "comma-dropped-before-triggers"],
+)
+def test_split_clauses_readme_examples(text, lexicon, expected):
+    assert split_clauses(text, lexicon) == expected == _readme_split(text, lexicon)
 
 
 @pytest.mark.parametrize(

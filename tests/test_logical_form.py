@@ -20,7 +20,7 @@ from seqlang.logical_form import (
     render,
 )
 from sexpr_oracle import as_sequence, nest, split_tokens
-from support import best_of_5_each, random_messy_tree, random_tree
+from support import best_of_5_each, bytecode_growth, random_messy_tree, random_tree
 
 FLATTEN_GOAL = "( seq ( flatten ( num ( $0 ( 2 ) ) ) ) ( goal ) )"
 
@@ -395,3 +395,8 @@ def test_parse_time_at_most_triples_when_the_input_doubles():
     tree = random_messy_tree(random.Random(6), 1000, 1000)
     small, large = best_of_5_each(parse_logical_form, render(tree), render(SequenceNode(tree.actions * 2)))
     assert large <= 3 * small
+
+
+def test_parse_bytecodes_at_most_2_5x_when_the_input_doubles():
+    tree = random_messy_tree(random.Random(6), 1000, 1000)
+    assert bytecode_growth(parse_logical_form, render(tree), render(SequenceNode(tree.actions * 2))) <= 2.5
