@@ -22,6 +22,7 @@ from seqlang.registry import ERROR, ActionRegistry, builtin_registry, validate
 
 # Weighted mission lengths, percent. Short missions dominate.
 LENGTH_WEIGHTS = ((1, 30), (2, 25), (3, 15), (4, 10), (5, 8), (6, 7), (7, 5))
+_LENGTHS, _WEIGHTS = zip(*LENGTH_WEIGHTS)
 
 # Value pools are deliberately small so output vocabulary stays compact.
 NUMBERS = ("0.5", "1", "2", "3.5", "5", "7", "-2.5", "-10")
@@ -165,9 +166,7 @@ def _build_pair(
 
 
 def _draw_length(rng: random.Random) -> int:
-    lengths = [length for length, _ in LENGTH_WEIGHTS]
-    weights = [weight for _, weight in LENGTH_WEIGHTS]
-    return rng.choices(lengths, weights=weights, k=1)[0]
+    return rng.choices(_LENGTHS, weights=_WEIGHTS, k=1)[0]
 
 
 def generate(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from seqlang.logical_form import IDENT_RE, RESERVED_HEAD, SequenceNode, _Fault
+from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, _Fault
 
 ERROR = "error"
 WARNING = "warning"
@@ -66,13 +66,10 @@ class ActionSchema:
     slots: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not IDENT_RE.match(self.name):
-            raise ValueError(f"action name {self.name!r} is not a lowercase identifier")
-        if self.name == RESERVED_HEAD:
-            raise ValueError(f"actions may not be named '{RESERVED_HEAD}'")
+        # the nodes own the name rules and their texts: action, seq, then each parameter
+        SequenceNode((ActionNode(self.name),))
         for param in self.params:
-            if not IDENT_RE.match(param):
-                raise ValueError(f"parameter name {param!r} is not a lowercase identifier")
+            ParamNode(param, 0, param)
         if len(set(self.params)) != len(self.params):
             raise ValueError(f"duplicate parameter names for '{self.name}'")
         slots = {param: slot for slot, param in enumerate(self.params)}
@@ -201,8 +198,6 @@ def validate(tree: SequenceNode, registry: ActionRegistry, mode: str = "strict")
             diagnostics.append(
                 Diagnostic(name_severity, "unknown-action", f"unknown action '{action.name}'", ai)
             )
-        if not action.params:
-            continue
         seen: set[str] = set()
         for pi, param in enumerate(action.params):
             if param.name in seen:

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqlang.dataset import LINE_BREAKS
 from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, parse_logical_form
@@ -114,6 +116,44 @@ def test_load_registry_rejects_malformed_lines(config, line):
         load_registry(config)
     assert info.value.line == line
     assert str(info.value).startswith(f"registry config line {line}")
+
+
+# Names as a config line can hold them: no blank, no comment sign.
+_NAMES = st.one_of(
+    st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True),
+    st.just("seq"),
+    st.text(min_size=1).filter(lambda s: "#" not in s and s.split() == [s]),
+)
+
+
+def _node_refusal(name, params):
+    """What the nodes say of a schema's names, in its order: the action, then each parameter."""
+    try:
+        SequenceNode((ActionNode(name),))
+        for param in params:
+            ParamNode(param, 0, "v")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(_NAMES, st.lists(_NAMES, unique=True, max_size=4))
+@settings(max_examples=500, deadline=None)
+def test_schemas_refuse_exactly_the_names_the_nodes_refuse(name, params):
+    refusal = _node_refusal(name, params)
+    try:
+        ActionSchema(name, tuple(params))
+    except ValueError as exc:
+        assert str(exc) == refusal
+    else:
+        assert refusal is None
+    config = f"ping\n{name} {' '.join(params)}\n"
+    if refusal is None:
+        assert load_registry(config).get(name).params == tuple(params)
+    else:
+        with pytest.raises(ConfigParseError) as info:
+            load_registry(config)
+        assert str(info.value) == f"registry config line 2: {refusal}"
 
 
 # LF is the one line end; every other break is a blank or comment text.
