@@ -172,8 +172,9 @@ def _tokens(text: str) -> list[str]:
     """
     # Deleting first lets the strip see the edges deletion uncovers; no
     # UTF-8 encoder takes a lone surrogate, so "ignore" deletes those.
-    text = _DELETED.sub("", text.lower()).replace("\ufffe", "").replace("\uffff", "")
-    text = text.encode("utf-8", "ignore").decode("utf-8")
+    text = _DELETED.sub("", text.lower())
+    if not text.isascii():
+        text = text.replace("\ufffe", "").replace("\uffff", "").encode("utf-8", "ignore").decode("utf-8")
     cleaned = (tok.strip(_EDGE_PUNCT) for tok in text.replace(",", " , ").split())
     return [tok for tok in cleaned if tok]
 
