@@ -11,12 +11,12 @@ the cue rules and the "and" rule.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 from itertools import accumulate
 
-from seqlang.logical_form import IDENT_RE, RESERVED_HEAD, ActionNode, SequenceNode, _action, _Fault, _param, _sequence
+from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, _action, _Fault, _param, _sequence
 from seqlang.registry import ActionRegistry, builtin_registry, config_lines
 
 _Index = dict[str, dict[int, dict[tuple[str, ...], str]]]
@@ -36,12 +36,8 @@ SKIP_WORDS = ("the", "a", "an", "me", "to", "at", "out", "up", "for")
 DEFAULT_CONNECTIVES = ("and then", "after that", "then", "and", ",")
 
 
-class FrontendError(Exception):
-    """Base class for translation failures."""
-
-
 @dataclass(eq=False)
-class NoVerbMatch(FrontendError):
+class NoVerbMatch(Exception):
     """A clause with no verb trigger in it (clause_index is zero-based)."""
 
     clause_index: int
@@ -88,6 +84,7 @@ class ParamRule:
     keyword: str | None = None
 
     def __post_init__(self) -> None:
+        ParamNode(self.param, 0, self.param)  # the node owns the name rule and its text
         if self.kind not in ("after", "number", "rest"):
             raise ValueError(f"unknown cue kind {self.kind!r} (want 'after', 'number' or 'rest')")
         if self.kind == "after" and (not self.keyword or normalize(self.keyword) != [self.keyword]):
@@ -120,8 +117,10 @@ class Lexicon:
         for i, (phrase, action) in enumerate(self.verbs):
             if not phrase or normalize(" ".join(phrase)) != list(phrase):
                 raise _BadEntry("verbs", i, f"trigger {phrase!r} is not normalized lowercase text")
-            if not IDENT_RE.match(action) or action == RESERVED_HEAD:
-                raise _BadEntry("verbs", i, f"action name {action!r} is not a lowercase identifier other than 'seq'")
+            try:
+                SequenceNode((ActionNode(action),))
+            except ValueError as exc:
+                raise _BadEntry("verbs", i, str(exc)) from None
             if phrase in actions:
                 raise _BadEntry("verbs", i, f"duplicate trigger '{' '.join(phrase)}'")
             actions[phrase] = action
@@ -130,10 +129,6 @@ class Lexicon:
         for index, (action, rules) in enumerate(self.params):
             if action in cues:
                 raise _BadEntry("params", index, f"duplicate cue list for action '{action}'")
-            for i, rule in enumerate(rules):
-                if not IDENT_RE.match(rule.param):
-                    message = f"parameter name {rule.param!r} is not a lowercase identifier"
-                    raise _BadEntry(f"params.{action}", i, message)
             if rules and action not in named:
                 raise _BadEntry(f"params.{action}", 0, f"no trigger names action '{action}'")
             cues[action] = rules
@@ -353,11 +348,6 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
                     raise LexiconError(f"unknown action '{right}'", lineno)
                 verbs.append((phrase, right))
                 continue
-            # ahead of the registry lookup, which would call 'Words' an unknown parameter
-            if not IDENT_RE.match(right):
-                raise LexiconError(f"parameter name {right!r} is not a lowercase identifier", lineno)
-            if registry.get(action).canonical_param(right) is None:
-                raise LexiconError(f"'{action}' takes no parameter '{right}'", lineno)
             cue = left.split()
             if len(cue) != (2 if cue[0] == "after" else 1):
                 raise LexiconError(f"unknown cue '{left}' (want 'after <word>', 'number', or 'rest')", lineno)
@@ -365,7 +355,11 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
                 rule = ParamRule(cue[0], right, *cue[1:])
             except ValueError as exc:
                 raise LexiconError(str(exc), lineno) from None
-            params.setdefault(action, []).append(rule)
+            param = registry.get(action).canonical_param(right)
+            if param is None:
+                raise LexiconError(f"'{action}' takes no parameter '{right}'", lineno)
+            # an alias cue binds its target, so one slot has one name
+            params.setdefault(action, []).append(replace(rule, param=param))
         read_all = True
     finally:
         try:

@@ -180,8 +180,9 @@ def validate(tree: SequenceNode, registry: ActionRegistry, mode: str = "strict")
     """Check a sequence against a registry; returns findings in tree order.
 
     Strict mode reports errors for unknown action names, parameter names
-    outside the action's schema, duplicate parameter names within one
-    action, and variable indices that stray from sequence-global
+    outside the action's schema, two parameters of one action that
+    address one schema slot (an alias beside its target, or a name
+    written twice), and variable indices that stray from sequence-global
     0, 1, 2, ... numbering.  Lenient mode downgrades the two unknown-name
     checks to warnings; the structural two stay errors.  Parameters a
     schema lists but the tree omits are never flagged.
@@ -198,9 +199,12 @@ def validate(tree: SequenceNode, registry: ActionRegistry, mode: str = "strict")
             diagnostics.append(
                 Diagnostic(name_severity, "unknown-action", f"unknown action '{action.name}'", ai)
             )
-        seen: set[str] = set()
+        slots = {} if schema is None else schema.slots
+        # a known name is keyed by its slot, an unknown one by itself
+        seen: set[int | str] = set()
         for pi, param in enumerate(action.params):
-            if param.name in seen:
+            slot = slots.get(param.name, param.name)
+            if slot in seen:
                 diagnostics.append(
                     Diagnostic(
                         ERROR,
@@ -210,8 +214,8 @@ def validate(tree: SequenceNode, registry: ActionRegistry, mode: str = "strict")
                         pi,
                     )
                 )
-            seen.add(param.name)
-            if schema is not None and param.name not in schema.slots:
+            seen.add(slot)
+            if schema is not None and slot is param.name:
                 diagnostics.append(
                     Diagnostic(
                         name_severity,

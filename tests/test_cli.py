@@ -191,6 +191,26 @@ def test_parse_duplicate_param_fails_even_lenient(capsys):
     assert "error: duplicate parameter 'words'" in stderr
 
 
+def test_parse_strict_refuses_an_alias_beside_its_target(capsys):
+    form = "( seq ( move ( raw ( $0 ( 2 ) ) ) ( yaw ( $1 ( 1 ) ) ) ) )"
+    code, stdout, stderr = invoke(capsys, "parse", "--strict", form)
+    assert code == 3
+    assert stdout == ""
+    assert stderr == "error: duplicate parameter 'yaw' in action 'move' [action 0, param 1]\n"
+
+
+def test_an_alias_cue_binds_its_target(tmp_path, capsys):
+    lexicon = tmp_path / "lex.txt"
+    lexicon.write_text("[verbs]\nmove = move\n[params.move]\nafter yaw = yaw\nafter raw = raw\n", encoding="utf-8")
+    out = tmp_path / "m.xml"
+    code, stdout, _ = invoke(capsys, "compile", "move raw 2 yaw 1", "--lexicon", str(lexicon), "--out", str(out))
+    assert code == 0
+    assert stdout == "( seq ( move ( raw ( $0 ( 1 ) ) ) ) )\n"
+    assert parse_bt_xml(out.read_text(encoding="utf-8")) == translate("move to yaw 1")
+    code, stdout, _ = invoke(capsys, "run", str(out))
+    assert (code, stdout) == (0, "0\tmove\traw=1\tSUCCESS\n")
+
+
 # ----------------------------------------------------------------- generate
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from seqlang.frontend import (
     DEFAULT_CONNECTIVES,
-    FrontendError,
     Lexicon,
     LexiconError,
     NoVerbMatch,
@@ -380,7 +379,7 @@ def test_translate_is_deterministic():
 def test_translate_is_total(text):
     try:
         tree = translate(text)
-    except FrontendError:
+    except NoVerbMatch:
         return
     assert validate(tree, builtin_registry(), "strict") == []
     assert parse_logical_form(render(tree)) == tree
@@ -391,7 +390,7 @@ def test_translate_is_total(text):
 def test_translated_trees_always_become_missions(prefix, text):
     try:
         tree = translate(prefix + text)
-    except FrontendError:
+    except NoVerbMatch:
         return
     assert parse_bt_xml(emit(tree)) == tree
 
@@ -403,7 +402,7 @@ _PUNCT = st.text(st.sampled_from("\"'!?.;:()[]"), max_size=2)
 def _outcome(text, lexicon):
     try:
         return translate(text, lexicon)
-    except FrontendError as exc:
+    except NoVerbMatch as exc:
         return type(exc), exc.clause_index
 
 
@@ -616,17 +615,17 @@ def test_split_clauses_readme_examples(text, lexicon, expected):
 
 
 @pytest.mark.parametrize(
-    "verbs, params, needle",
+    "build, needle",
     [
-        (((("go",), "Go"),), (), "action name 'Go'"),
-        (((("go",), "seq"),), (), "action name 'seq'"),
-        (((("say",), "say"),), (("say", (ParamRule("rest", "Words"),)),), "parameter name 'Words'"),
+        (lambda: Lexicon(verbs=((("go",), "Go"),)), "action name 'Go'"),
+        (lambda: Lexicon(verbs=((("go",), "seq"),)), "named 'seq'"),
+        (lambda: ParamRule("rest", "Words"), "parameter name 'Words'"),
     ],
     ids=["action-Go", "action-seq", "param-Words"],
 )
-def test_lexicon_refuses_names_no_node_may_hold(verbs, params, needle):
+def test_lexicon_refuses_names_no_node_may_hold(build, needle):
     with pytest.raises(ValueError, match=needle):
-        Lexicon(verbs=verbs, params=params)
+        build()
 
 
 # Entries no input can reach: load_lexicon refuses them in a file, with a
@@ -671,12 +670,11 @@ def test_lexicon_refuses_a_connective_the_tokenizer_changes(connective):
     [
         ({"verbs": ((("say",), "say"), (("Go",), "goal"))}, "verbs[1]"),
         ({"verbs": ((("say",), "Say"),)}, "verbs[0]"),
-        ({"verbs": SAY, "params": (("say", (ParamRule("rest", "words"), ParamRule("number", "Num"))),)}, "params.say[1]"),
         ({"verbs": SAY, "connectives": ("then", "Then")}, "connectives[1]"),
         ({"verbs": SAY, "params": (("say", ()), ("goal", ()), ("say", (ParamRule("rest", "words"),)))}, "params[2]"),
         ({"verbs": SAY, "params": (("goal", ()), ("move", (ParamRule("after", "x", "x"),)))}, "params.move[0]"),
     ],
-    ids=["trigger", "action", "cue", "connective", "repeated-cue-list", "cue-list-no-trigger-names"],
+    ids=["trigger", "action", "connective", "repeated-cue-list", "cue-list-no-trigger-names"],
 )
 def test_a_lexicon_entry_error_names_its_section_and_index(kwargs, where):
     with pytest.raises(ValueError) as info:
@@ -752,8 +750,8 @@ def test_lexicon_names_are_checked_at_construction(actions, rules, words):
         or any(not _LOWER_IDENT.fullmatch(name) for _, name in rules)
         or len(set(actions)) < len(actions)
     )
-    cues = tuple(ParamRule(kind, name, "x" if kind == "after" else None) for kind, name in rules)
     try:
+        cues = tuple(ParamRule(kind, name, "x" if kind == "after" else None) for kind, name in rules)
         lexicon = Lexicon(
             verbs=tuple(((word,), action) for word, action in zip(_TRIGGER_WORDS, actions)),
             params=tuple((action, cues) for action in actions),
@@ -764,9 +762,57 @@ def test_lexicon_names_are_checked_at_construction(actions, rules, words):
     assert not breaks
     try:
         tree = translate(" ".join(["go", *words]), lexicon)
-    except FrontendError:
+    except NoVerbMatch:
         return
     assert rebuild(tree) == tree
+
+
+# Names as a cue line's right side can hold them: no comment sign, no line
+# end, nothing config_lines or the "=" split would strip.
+_CUE_NAMES = st.one_of(
+    st.from_regex(_LOWER_IDENT, fullmatch=True),
+    st.sampled_from(["seq", "words"]),
+    st.text(min_size=1).filter(lambda s: "#" not in s and "\n" not in s and s.strip() == s),
+)
+
+
+def _node_refusal(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(
+    actions=st.lists(_CUE_NAMES, min_size=1, max_size=3),
+    param=_CUE_NAMES,
+    cue=st.sampled_from(["rest", "number", "after x"]),
+)
+@settings(max_examples=500, deadline=None)
+def test_entries_refuse_exactly_the_names_the_nodes_refuse(actions, param, cue):
+    verbs = tuple(((word,), action) for word, action in zip(_TRIGGER_WORDS, actions))
+    refusals = [_node_refusal(lambda: SequenceNode((ActionNode(action),))) for action in actions]
+    bad = [i for i, refusal in enumerate(refusals) if refusal is not None]
+    try:
+        Lexicon(verbs=verbs)
+    except ValueError as exc:
+        assert bad and str(exc) == f"verbs[{bad[0]}]: {refusals[bad[0]]}"
+    else:
+        assert not bad
+
+    refusal = _node_refusal(lambda: ParamNode(param, 0, "v"))
+    kind, *keyword = cue.split()
+    assert _node_refusal(lambda: ParamRule(kind, param, *keyword)) == refusal
+    # a name the nodes allow, seq included, is then the registry's to know
+    registry = load_registry("warp seq words\n")
+    text = f"[verbs]\nwarp = warp\n[params.warp]\n{cue} = {param}\n"
+    if refusal is None and param in ("seq", "words"):
+        assert load_lexicon(text, registry).cues["warp"] == (ParamRule(kind, param, *keyword),)
+        return
+    with pytest.raises(LexiconError) as info:
+        load_lexicon(text, registry)
+    assert str(info.value) == "lexicon line 4: " + (refusal or f"'warp' takes no parameter '{param}'")
 
 
 def test_load_lexicon_minimal_file():

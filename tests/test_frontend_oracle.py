@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import frontend_oracle as oracle
 from seqlang.dataset import generate
-from seqlang.frontend import FrontendError, Lexicon, ParamRule, default_lexicon, split_clauses, translate
+from seqlang.frontend import Lexicon, NoVerbMatch, ParamRule, default_lexicon, split_clauses, translate
 from seqlang.registry import builtin_registry
 from support import rebuild
 
@@ -47,7 +47,7 @@ def _vocabulary(lexicon):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except FrontendError as exc:
+    except NoVerbMatch as exc:
         return type(exc), str(exc)
 
 
@@ -99,6 +99,6 @@ def test_translated_trees_hold_what_the_node_constructors_allow(lexicon, data):
     text = " ".join(data.draw(words)) if data.draw(st.booleans()) else data.draw(st.text())
     try:
         tree = translate(text, lexicon)
-    except FrontendError:
+    except NoVerbMatch:
         return
     assert rebuild(tree) == tree

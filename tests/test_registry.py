@@ -218,6 +218,20 @@ def test_validate_duplicate_param_is_error_in_both_modes():
         assert diags[0].param_index == 1
 
 
+# move's parameters, its alias yaw for raw, and a name outside the schema
+@given(st.lists(st.sampled_from(["x", "y", "z", "roll", "pitch", "raw", "yaw", "q"]), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_duplicate_param_is_reported_exactly_when_two_params_share_a_slot(names):
+    tree = SequenceNode((ActionNode("move", tuple(ParamNode(name, i, "1") for i, name in enumerate(names))),))
+    slot = {"yaw": "raw"}
+    shared = [i for i, name in enumerate(names) if slot.get(name, name) in [slot.get(n, n) for n in names[:i]]]
+    diags = validate(tree, builtin_registry(), "strict")
+    duplicates = [d for d in diags if d.code == "duplicate-param"]
+    assert [d.param_index for d in duplicates] == shared
+    assert [d.message for d in duplicates] == [f"duplicate parameter '{names[i]}' in action 'move'" for i in shared]
+    assert [d.code for d in diags if d.code != "duplicate-param"] == ["unknown-param"] * names.count("q")
+
+
 def test_validate_numbering_is_sequence_global_and_positional():
     registry = builtin_registry()
     tree = _tree("( seq ( flatten ( num ( $4 ( 2 ) ) ) ) )")
