@@ -200,7 +200,8 @@ def validate(tree: SequenceNode, registry: ActionRegistry, mode: str = "strict")
                 Diagnostic(name_severity, "unknown-action", f"unknown action '{action.name}'", ai)
             )
         slots = {} if schema is None else schema.slots
-        # a known name is keyed by its slot, an unknown one by itself
+        # a known name is keyed by its slot, an unknown one by itself, so
+        # slot is param.name only for a name outside the schema
         seen: set[int | str] = set()
         for pi, param in enumerate(action.params):
             slot = slots.get(param.name, param.name)
