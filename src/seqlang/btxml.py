@@ -22,11 +22,14 @@ and so every error, takes :func:`_read_any`, the ElementTree reader.
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from seqlang.logical_form import IDENT_RE, RESERVED_HEAD, SequenceNode, _action, _param, _sequence, is_param_value
+from seqlang.logical_form import _Fault
 from seqlang.registry import ActionRegistry, builtin_registry
+
+if TYPE_CHECKING:
+    import xml.etree.ElementTree as ET
 
 # emit's layout, which _recognize reads back: the tree ID goes between the
 # pieces of _TOP.
@@ -40,17 +43,15 @@ class EmitError(Exception):
     """A tree that cannot be represented as attribute-style XML."""
 
 
-@dataclass(eq=False)
-class XmlShapeError(Exception):
+class XmlShapeError(_Fault):
     """Input XML that is not a well-formed mission document.
 
     ``line`` is set when the underlying XML parser reports one;
     ``path`` locates shape problems by element position instead.
     """
 
-    message: str
-    line: int | None = None
-    path: str | None = None
+    fields = ("message", "line", "path")
+    line = path = None
 
     def __str__(self) -> str:
         parts = [self.message]
@@ -218,13 +219,14 @@ def _recognize(xml_text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]] |
     return leaves
 
 
-class _Builder(ET.TreeBuilder):
-    """ElementTree's tree builder, except that a namespace declaration
+class _Builder:
+    """A parser target that feeds ``builder``, but keeps prefixed namespace declarations as leading attributes."""
 
-    with a prefix stays on its element as an attribute, ahead of its own.
-    """
+    def __init__(self, builder: ET.TreeBuilder) -> None:
+        self.builder, self.declared = builder, ()
 
-    declared: tuple[tuple[str, str], ...] = ()
+    def __getattr__(self, event: str) -> object:
+        return getattr(self.builder, event)
 
     def start_ns(self, prefix: str, uri: str) -> None:
         if prefix:
@@ -232,12 +234,13 @@ class _Builder(ET.TreeBuilder):
 
     def start(self, tag: str, attrs: dict[str, str]) -> ET.Element:
         attrs, self.declared = dict(self.declared) | attrs, ()
-        return super().start(tag, attrs)
+        return self.builder.start(tag, attrs)
 
 
 def _read_any(xml_text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]]:
-    """:func:`_read_leaves` for any document, with ElementTree."""
-    parser = ET.XMLParser(target=_Builder())
+    """:func:`_read_leaves` for any document, with ElementTree, which only this imports."""
+    import xml.etree.ElementTree as ET
+    parser = ET.XMLParser(target=_Builder(ET.TreeBuilder()))
     try:
         parser.feed(xml_text)
         root = parser.close()

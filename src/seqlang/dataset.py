@@ -36,16 +36,13 @@ CONNECTIVES = (" then ", " and then ", " after that ", " and ", ", ")
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-@dataclass(eq=False)
 class FormatError(_Fault):
     """A corpus line that is not utterance<TAB>logicalform, or whose form does not parse."""
 
     template = "corpus line {line}: {message}"
-    line: int
-    message: str
+    fields = ("line", "message")
 
 
-@dataclass(eq=False)
 class InsufficientSpace(_Fault):
     """The template space cannot supply the requested number of distinct
 
@@ -53,8 +50,7 @@ class InsufficientSpace(_Fault):
     """
 
     template = "ran out of distinct pairs: requested {requested}, managed {generated}"
-    requested: int
-    generated: int
+    fields = ("requested", "generated")
 
 
 class TemplateError(ValueError):

@@ -83,17 +83,15 @@ def report_lines(report: EvalReport) -> list[str]:
 
 def format_report(report: EvalReport) -> str:
     """Human-readable summary with one block per failure."""
+    failures = report.failures
     lines = [
         f"pairs:         {report.total}",
         f"exact matches: {report.exact_matches}",
         f"accuracy:      {report.accuracy:.4f}",
+        f"failures:      {len(failures) or 'none'}",
     ]
-    if not report.failures:
-        lines.append("failures:      none")
-    else:
-        lines.append(f"failures:      {len(report.failures)}")
-        for row in report.failures:
-            lines.append(f"  pair {row.index}")
-            lines.append(f"    expected: {row.expected}")
-            lines.append(f"    produced: {row.produced}")
+    for row in failures:
+        lines.append(f"  pair {row.index}")
+        lines.append(f"    expected: {row.expected}")
+        lines.append(f"    produced: {row.produced}")
     return "\n".join(lines)

@@ -36,27 +36,22 @@ SKIP_WORDS = ("the", "a", "an", "me", "to", "at", "out", "up", "for")
 DEFAULT_CONNECTIVES = ("and then", "after that", "then", "and", ",")
 
 
-@dataclass(eq=False)
-class NoVerbMatch(Exception):
+class NoVerbMatch(_Fault):
     """A clause with no verb trigger in it (clause_index is zero-based)."""
 
-    clause_index: int
-    clause: str
+    fields = ("clause_index", "clause")
 
     def __str__(self) -> str:
         return f"clause {self.clause_index + 1}: no verb trigger matches '{self.clause}'"
 
 
-@dataclass(eq=False)
 class LexiconError(_Fault):
     """A malformed lexicon file (1-based line number)."""
 
     template = "lexicon line {line}: {message}"
-    message: str
-    line: int
+    fields = ("message", "line")
 
 
-@dataclass(eq=False)
 class _BadEntry(_Fault, ValueError):
     """A lexicon entry refused at construction: ``section`` and ``index``
 
@@ -67,9 +62,7 @@ class _BadEntry(_Fault, ValueError):
     """
 
     template = "{section}[{index}]: {message}"
-    section: str
-    index: int
-    message: str
+    fields = ("section", "index", "message")
 
 
 @dataclass(frozen=True)
@@ -98,7 +91,9 @@ class Lexicon:
     The constructor owns the entry rules README "The lexicon" states, and
     :class:`ParamRule` those of a cue, so :func:`translate` builds its
     nodes unchecked.  A refused entry raises ``ValueError`` naming its
-    section and index.
+    section and index.  A cue binds its parameter as written: only
+    :func:`load_lexicon`, which has a registry, resolves an alias to its
+    target, so only a loaded lexicon's output always strict-validates.
 
     Built once from these: ``cues`` maps an action to its cue list, and
     two indexes of one shape (:func:`_index`) map each trigger phrase to
@@ -274,8 +269,8 @@ def translate(
 ) -> SequenceNode:
     """Translate an utterance into a logical-form tree.
 
-    The result always strict-validates against the registry the lexicon
-    was loaded for: every action comes from a verb entry, every parameter
+    For a lexicon :func:`load_lexicon` read, the result always
+    strict-validates against the registry it was loaded for: every action comes from a verb entry, every parameter
     from a cue rule, parameters sit in the order the XML emitter writes
     them (:meth:`ActionRegistry.param_order`), and variables are
     numbered globally in order.  Untranslatable input raises

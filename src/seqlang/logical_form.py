@@ -19,65 +19,73 @@ RESERVED_HEAD = "seq"
 
 
 class _Fault(Exception):
-    """An error whose text is its class's ``template`` filled from its fields."""
+    """An error whose text is its class's ``template`` filled from its fields.
+
+    ``fields`` names the constructor's arguments in order; each is kept as
+    the attribute of that name, and may be left out where the class sets
+    that attribute.  ``args`` holds every field, so a copy rebuilds it.
+    """
+
+    fields: tuple[str, ...] = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        rest = self.fields[len(args) :]
+        self.__dict__.update(zip(self.fields, args), **kwargs)
+        if len(args) > len(self.fields) or not kwargs.keys() <= set(rest) or not all(hasattr(self, n) for n in rest):
+            raise TypeError(f"{type(self).__name__}() takes the arguments ({', '.join(self.fields)})")
+        self.args = tuple([getattr(self, name) for name in self.fields])
 
     def __str__(self) -> str:
         return self.template.format_map(vars(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.fields])
+        return f"{type(self).__qualname__}({shown})"
 
 
 class LogicalFormError(_Fault):
     """Base class for every tokenize/parse failure in this module."""
 
 
-@dataclass(eq=False)
 class FormSyntaxError(LogicalFormError):
     """Structural mismatch: the token at ``position`` is not what the
 
     grammar requires there.  ``found`` is None past the end of input.
     """
 
-    position: int
-    expected: str
-    found: str | None
+    fields = ("position", "expected", "found")
 
     def __str__(self) -> str:
         found = "end of input" if self.found is None else f"'{self.found}'"
         return f"syntax error at token {self.position}: expected {self.expected}, found {found}"
 
 
-@dataclass(eq=False)
 class TrailingTokensError(LogicalFormError):
     """A complete sequence parsed but unconsumed tokens remain."""
 
     template = "trailing tokens at token {position}: '{found}'"
-    position: int
-    found: str
+    fields = ("position", "found")
 
 
-@dataclass(eq=False)
 class InvalidNameError(LogicalFormError):
     """An action or parameter name that is not a lowercase identifier."""
 
     template = "invalid name at token {position}: '{found}' (want [a-z][a-z0-9_]*)"
-    position: int
-    found: str
+    fields = ("position", "found")
 
 
-@dataclass(eq=False)
 class BadVariableError(LogicalFormError):
     """The variable slot does not hold ``$`` plus a plain decimal index."""
 
     template = "bad variable at token {position}: '{found}' (want $ followed by a decimal index)"
-    position: int
-    found: str
+    fields = ("position", "found")
 
 
-@dataclass(eq=False)
 class EmptyValueError(LogicalFormError):
     """A parameter whose value group closed without a single token."""
 
     template = "empty parameter value at token {position}"
-    position: int
+    fields = ("position",)
 
 
 def is_param_value(value: object) -> bool:

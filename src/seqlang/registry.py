@@ -19,13 +19,11 @@ ERROR = "error"
 WARNING = "warning"
 
 
-@dataclass(eq=False)
 class ConfigParseError(_Fault):
     """A malformed registry config line (1-based line number)."""
 
     template = "registry config line {line}: {message}"
-    line: int
-    message: str
+    fields = ("line", "message")
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ class ActionSchema:
     slots: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # the nodes own the name rules and their texts: action, seq, then each parameter
+        # the nodes own the name rules and their texts: action, seq, each parameter, then each alias
         SequenceNode((ActionNode(self.name),))
         for param in self.params:
             ParamNode(param, 0, param)
@@ -74,6 +72,7 @@ class ActionSchema:
             raise ValueError(f"duplicate parameter names for '{self.name}'")
         slots = {param: slot for slot, param in enumerate(self.params)}
         for alias, target in self.aliases:
+            ParamNode(alias, 0, alias)
             if target not in slots:
                 raise ValueError(f"alias {alias!r} targets unknown parameter {target!r}")
             slots.setdefault(alias, slots[target])

@@ -775,3 +775,50 @@ def test_the_element_tree_reader_bytecodes_at_most_2_5x_when_the_input_doubles()
 def test_emit_bytecodes_at_most_2_5x_when_the_input_doubles():
     tree = random_tree(random.Random(82), 1000, 1000)
     assert bytecode_growth(emit, tree, SequenceNode(tree.actions * 2)) <= 2.5
+
+
+
+# Run as `python -I -c` with the package's directory as its one argument:
+# it prints, as JSON, which of ElementTree's modules compile, run and the
+# reader loaded, then what the reader makes of a tab-indented document
+# and of a cut one.
+_FRESH_INTERPRETER = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import seqlang, seqlang.cli
+from seqlang import emit, parse_bt_xml, run, translate
+from seqlang.btxml import XmlShapeError
+tree = translate(sys.argv[2])
+document = emit(tree)
+trace, status = run(document)
+assert status == "SUCCESS" and len(trace) == 3 and parse_bt_xml(document) == tree
+loaded = [name for name in ("xml.etree.ElementTree", "pyexpat") if name in sys.modules]
+tabbed = parse_bt_xml(document.replace("      ", "\\t"))
+try:
+    parse_bt_xml(document[:-2])
+except XmlShapeError as exc:
+    refusal = str(exc)
+print(json.dumps([loaded, repr(tabbed), refusal]))
+"""
+
+
+def test_emitted_documents_never_load_elementtree():
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import seqlang
+    from seqlang.frontend import translate
+
+    text = "move to x 3 then say hello there and flatten out at 2"
+    package_dir = str(Path(seqlang.__file__).resolve().parent.parent)
+    command = [sys.executable, "-I", "-c", _FRESH_INTERPRETER, package_dir, text]
+    loaded, tabbed, refusal = json.loads(subprocess.run(command, capture_output=True, text=True, check=True).stdout)
+    assert loaded == []
+    # the ElementTree reader, loaded there only after run, reads as it does here
+    document = emit(translate(text))
+    assert tabbed == repr(parse_bt_xml(document.replace("      ", "\t")))
+    with pytest.raises(XmlShapeError) as info:
+        parse_bt_xml(document[:-2])
+    assert refusal == str(info.value)

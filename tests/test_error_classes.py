@@ -60,6 +60,14 @@ def test_an_error_survives_pickle_and_copy(cls, fields):
 
 
 @pytest.mark.parametrize("cls, fields", CASES, ids=IDS)
+def test_an_error_built_by_keyword_survives_pickle_and_copy(cls, fields):
+    error = cls(**fields)
+    assert error.args == tuple(fields.values())
+    for twin in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
+        assert str(twin) == str(error) and _fields(twin, fields) == fields
+
+
+@pytest.mark.parametrize("cls, fields", CASES, ids=IDS)
 def test_an_error_refuses_a_surplus_or_missing_argument(cls, fields):
     with pytest.raises(TypeError):
         cls(*fields.values(), "surplus")
@@ -75,4 +83,5 @@ def test_an_error_refuses_a_surplus_or_missing_argument(cls, fields):
 def test_an_xml_shape_error_has_no_line_or_path_unless_given():
     error = XmlShapeError("m")
     assert (error.message, error.line, error.path) == ("m", None, None)
+    assert str(pickle.loads(pickle.dumps(XmlShapeError("m", path="p")))) == "m (at p)"
     assert XmlShapeError("m", path="p").line is None and XmlShapeError("m", 4).path is None

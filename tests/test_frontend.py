@@ -346,6 +346,14 @@ def test_a_cue_for_a_bound_parameter_binds_nothing():
     assert [(p.name, p.value) for p in tree.actions[0].params] == [("raw", "2")]
 
 
+def test_a_lexicon_built_in_code_binds_an_alias_as_written():
+    # only load_lexicon resolves an alias, so here both names bind
+    cues = (ParamRule("after", "raw", "raw"), ParamRule("after", "yaw", "yaw"))
+    tree = translate("move raw 1 yaw 2", Lexicon(((("move",), "move"),), (("move", cues),)))
+    assert [(p.name, p.value) for p in tree.actions[0].params] == [("raw", "1"), ("yaw", "2")]
+    assert [d.code for d in validate(tree, builtin_registry(), "strict")] == ["duplicate-param"]
+
+
 def test_no_verb_match_names_the_clause():
     with pytest.raises(NoVerbMatch) as info:
         translate("say hi then do a barrel roll")

@@ -55,6 +55,19 @@ def test_schema_guards():
         ActionRegistry((ActionSchema("a"), ActionSchema("a")))
 
 
+# An alias is a parameter name, so the node's rule and text apply to it too.
+@pytest.mark.parametrize("alias", ["Yaw", "seq x", "", "2x", "x-y"])
+def test_schemas_refuse_an_alias_the_nodes_refuse(alias):
+    with pytest.raises(ValueError) as refusal:
+        ParamNode(alias, 0, "v")
+    with pytest.raises(ValueError) as info:
+        ActionSchema("move", ("raw",), (("yaw", "raw"), (alias, "raw")))
+    assert str(info.value) == str(refusal.value) == f"parameter name {alias!r} is not a lowercase identifier"
+    with pytest.raises(ValueError) as info:
+        ActionSchema("move", ("raw",), ((alias, "nope"),))
+    assert str(info.value) == str(refusal.value)
+
+
 def test_load_registry_adds_custom_actions():
     registry = load_registry(
         """
