@@ -269,11 +269,11 @@ def translate(
 ) -> SequenceNode:
     """Translate an utterance into a logical-form tree.
 
-    For a lexicon :func:`load_lexicon` read, the result always
-    strict-validates against the registry it was loaded for: every action comes from a verb entry, every parameter
-    from a cue rule, parameters sit in the order the XML emitter writes
-    them (:meth:`ActionRegistry.param_order`), and variables are
-    numbered globally in order.  Untranslatable input raises
+    With a lexicon from :func:`load_lexicon`, the result always strict-validates
+    against the registry it was loaded for: every action comes from a verb
+    entry, every parameter from a cue rule, parameters sit in the order the
+    XML emitter writes them (:meth:`ActionRegistry.param_order`), and
+    variables are numbered globally in order.  Untranslatable input raises
     :class:`NoVerbMatch`; nothing else escapes.
     """
     lexicon = default_lexicon() if lexicon is None else lexicon

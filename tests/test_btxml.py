@@ -1,16 +1,22 @@
 """XML emission bytes, ordering rules, and the reader's shape checks."""
 
+import json
 import operator
 import random
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from string import ascii_letters, ascii_lowercase, digits
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import seqlang
 from seqlang.btxml import EmitError, XmlShapeError, _read_any, _read_leaves, _recognize, emit, parse_bt_xml
 from seqlang.dataset import generate
+from seqlang.frontend import translate
 from seqlang.interpreter import MockPlant, run
 from seqlang.logical_form import (
     RESERVED_HEAD,
@@ -803,22 +809,15 @@ print(json.dumps([loaded, repr(tabbed), refusal]))
 
 
 def test_emitted_documents_never_load_elementtree():
-    import json
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import seqlang
-    from seqlang.frontend import translate
-
     text = "move to x 3 then say hello there and flatten out at 2"
     package_dir = str(Path(seqlang.__file__).resolve().parent.parent)
     command = [sys.executable, "-I", "-c", _FRESH_INTERPRETER, package_dir, text]
     loaded, tabbed, refusal = json.loads(subprocess.run(command, capture_output=True, text=True, check=True).stdout)
     assert loaded == []
     # the ElementTree reader, loaded there only after run, reads as it does here
-    document = emit(translate(text))
-    assert tabbed == repr(parse_bt_xml(document.replace("      ", "\t")))
+    tree = translate(text)
+    document = emit(tree)
+    assert tabbed == repr(parse_bt_xml(document.replace("      ", "\t"))) == repr(tree)
     with pytest.raises(XmlShapeError) as info:
         parse_bt_xml(document[:-2])
     assert refusal == str(info.value)
