@@ -13,10 +13,12 @@ Variable numbering is not stored in the XML; the reader re-assigns
 pass that returns the action leaves: :func:`parse_bt_xml` builds a tree
 from them, and :func:`seqlang.interpreter.run` ticks them as they are,
 so it refuses exactly what :func:`parse_bt_xml` refuses without
-building a tree.  An ASCII document in emit's exact layout takes
-:func:`_recognize`, which matches it against emit's own layout constants,
-reads each distinct line once and never raises; every other document,
-and so every error, takes :func:`_read_any`, the ElementTree reader.
+building a tree.  An ASCII document in emit's exact layout whose tree
+ID and values hold no character reference takes :func:`_recognize`,
+which matches it against emit's own layout constants, reads each
+distinct line once and never raises; every other document, and so every
+reference and every error, takes :func:`_read_any`, the ElementTree
+reader.
 """
 
 from __future__ import annotations
@@ -172,25 +174,24 @@ def _read_leaves(xml_text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]]
 
 
 # _recognize's patterns, which see only ASCII.  A value is printable ASCII
-# but the four characters emit escapes, and emit's references; a tag is a
-# name with its first letter uppercased.
+# but the four characters emit escapes, so it holds no reference; a tag is
+# a name with its first letter uppercased.
 _PLAIN = '[^"&<>\\x00-\\x1f\\x7f]*'
-_VALUE = f"{_PLAIN}(?:(?:{'|'.join(_REFERENCES.values())}){_PLAIN})*"
 _NAME = IDENT_RE.pattern.removesuffix(r"\Z")
 _SKELETON = re.compile(
-    f"{re.escape(_TOP[0])}({_VALUE}){re.escape(_TOP[1])}\\1{re.escape(_TOP[2])}"
+    f"{re.escape(_TOP[0])}({_PLAIN}){re.escape(_TOP[1])}\\1{re.escape(_TOP[2])}"
     + f"(?:{re.escape(_EMPTY)}|{re.escape(_OPEN)}(.*\\n){re.escape(_CLOSE)}){re.escape(_BOTTOM)}\\Z",
     re.S,
 )
-_LEAF = re.compile(f'{re.escape(_INDENT)}<({_NAME.replace("a-z", "A-Z", 1)})((?: {_NAME}="{_VALUE}")*)/>')
-_ATTRIBUTE = re.compile(f' ({_NAME})="({_VALUE})"')
-_REFERENCE = re.compile("|".join(_REFERENCES.values()))
-_UNESCAPES = {reference: char for char, reference in _REFERENCES.items()}
+_LEAF = re.compile(f'{re.escape(_INDENT)}<({_NAME.replace("a-z", "A-Z", 1)})((?: {_NAME}="{_PLAIN}")*)/>')
+_ATTRIBUTE = re.compile(f' ({_NAME})="({_PLAIN})"')
 
 
 def _recognize(xml_text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]] | None:
     """The leaves of a document in :func:`emit`'s exact layout, or None.
 
+    It takes only a document whose tree ID and values hold no character
+    reference, so :func:`_read_any` is the one reader that decodes them.
     It never raises: :func:`_read_any` gives the same leaves for every
     document this takes, and all that this does not take goes there.
     """
@@ -206,8 +207,6 @@ def _recognize(xml_text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]] |
                 return None
             tag, attributes = match.groups()
             params = tuple(_ATTRIBUTE.findall(attributes))
-            if "&" in attributes:
-                params = tuple([(k, _REFERENCE.sub(lambda ref: _UNESCAPES[ref[0]], v)) for k, v in params])
             if (name := tag.lower()) == RESERVED_HEAD or len(params) > 1 and len({k for k, _ in params}) < len(params):
                 return None
             for k, v in params:
@@ -245,8 +244,7 @@ def _read_any(xml_text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]]:
         parser.feed(xml_text)
         root = parser.close()
     except ET.ParseError as exc:
-        line = exc.position[0] if getattr(exc, "position", None) else None
-        raise XmlShapeError(f"not well-formed XML: {exc}", line=line) from None
+        raise XmlShapeError(f"not well-formed XML: {exc}", line=exc.position[0]) from None
     except UnicodeEncodeError as exc:  # a lone surrogate: no UTF-8 parser can be given one
         before = xml_text[: exc.start].replace("\r\n", "\n")
         message = f"not well-formed XML: character U+{ord(xml_text[exc.start]):04X} is not allowed in XML 1.0"

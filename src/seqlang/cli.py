@@ -8,7 +8,9 @@ and ``repl`` compiles stdin lines interactively.
 
 stdout carries only data (logical forms, XML, corpus summaries, traces,
 reports); everything else goes to stderr.  README.md's exit-code table
-is the one list of exit codes; :func:`main` returns them.
+is the one list of exit codes; :func:`main` returns them.  :func:`main`
+also loads ``--registry`` and then ``--lexicon`` for each command whose
+parser declares them, and passes the command what it loaded.
 """
 
 from __future__ import annotations
@@ -91,14 +93,11 @@ def _compile(text: str, lexicon: Lexicon, registry: ActionRegistry, out: str) ->
     return True
 
 
-def cmd_compile(args: argparse.Namespace) -> int:
-    registry = _load_registry_arg(args.registry)
-    lexicon = _load_lexicon_arg(args.lexicon, registry)
+def cmd_compile(args: argparse.Namespace, registry: ActionRegistry, lexicon: Lexicon) -> int:
     return 0 if _compile(_text_or_stdin(args.utterance), lexicon, registry, args.out) else 3
 
 
-def cmd_parse(args: argparse.Namespace) -> int:
-    registry = _load_registry_arg(args.registry)
+def cmd_parse(args: argparse.Namespace, registry: ActionRegistry) -> int:
     tree = parse_logical_form(_text_or_stdin(args.form))
     mode = "strict" if args.strict else "lenient"
     if _report_diagnostics(validate(tree, registry, mode)):
@@ -111,8 +110,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    registry = _load_registry_arg(args.registry)
+def cmd_generate(args: argparse.Namespace, registry: ActionRegistry) -> int:
     train, test = generate(args.train, args.test, args.seed, registry)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -125,9 +123,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    registry = _load_registry_arg(args.registry)
-    lexicon = _load_lexicon_arg(args.lexicon, registry)
+def cmd_eval(args: argparse.Namespace, registry: ActionRegistry, lexicon: Lexicon) -> int:
     corpus = read_tsv(Path(args.corpus).read_text(encoding="utf-8-sig"), split="eval")
     report = evaluate(lambda text: translate(text, lexicon, registry), corpus)
     if args.lines:
@@ -151,9 +147,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_repl(args: argparse.Namespace) -> int:
-    registry = _load_registry_arg(args.registry)
-    lexicon = _load_lexicon_arg(args.lexicon, registry)
+def cmd_repl(args: argparse.Namespace, registry: ActionRegistry, lexicon: Lexicon) -> int:
     for line in sys.stdin:
         text = line.strip()
         if not text:
@@ -219,7 +213,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the registry, then the lexicon, for the commands whose parser declares them
+        loaded = [_load_registry_arg(args.registry)] if "registry" in args else []
+        if "lexicon" in args:
+            loaded.append(_load_lexicon_arg(args.lexicon, loaded[0]))
+        return args.func(args, *loaded)
     except NoVerbMatch as exc:
         _say(f"error: {exc}")
         return 2

@@ -706,6 +706,20 @@ def test_reading_without_a_parser_changes_no_outcome(xml):
     assert _read_outcome(_read_leaves, xml) == _read_outcome(_read_any, xml)
 
 
+# A value holding each character emit writes as a reference, and a tree ID
+# holding "&".  Tab and LF make values the reader refuses, which the
+# ElementTree reader reports.
+_REFERENCED = [*((f"a{char}b", "MainTree") for char in '&<>"\t\n\r'), ("a", "a&b")]
+
+
+@pytest.mark.parametrize("value, tree_id", _REFERENCED, ids=repr)
+def test_only_the_element_tree_reader_decodes_references(value, tree_id):
+    xml = emit(_sequence((_action("say", (_param("words", 0, value),)),)), tree_id=tree_id)
+    assert "&" in xml
+    assert _recognize(xml) is None
+    assert _read_outcome(_read_leaves, xml) == _read_outcome(_read_any, xml)
+
+
 def test_every_emitted_corpus_document_is_read_without_a_parser():
     for corpus in generate(300, 100, seed=11):
         for pair in corpus:
@@ -821,3 +835,21 @@ def test_emitted_documents_never_load_elementtree():
     with pytest.raises(XmlShapeError) as info:
         parse_bt_xml(document[:-2])
     assert refusal == str(info.value)
+
+
+# Run as `python -I -c` with the package's directory and an utterance: it
+# prints run's status and whether ElementTree is loaded after it.
+_FRESH_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from seqlang import emit, run, translate
+trace, status = run(emit(translate(sys.argv[2])))
+print(json.dumps([status, "xml.etree.ElementTree" in sys.modules]))
+"""
+
+
+def test_running_a_document_holding_a_reference_loads_elementtree():
+    package_dir = str(Path(seqlang.__file__).resolve().parent.parent)
+    command = [sys.executable, "-I", "-c", _FRESH_RUN, package_dir, "say fish & chips"]
+    status, loaded = json.loads(subprocess.run(command, capture_output=True, text=True, check=True).stdout)
+    assert status == "SUCCESS" and loaded

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from seqlang.frontend import (
     DEFAULT_CONNECTIVES,
+    NUMBER_RE,
     Lexicon,
     LexiconError,
     NoVerbMatch,
@@ -426,6 +427,77 @@ def test_edge_punctuation_changes_nothing(lexicon, data):
     assert _outcome(" ".join(punctuated), lexicon) == _outcome(" ".join(tokens), lexicon)
 
 
+def _readme_cues(tokens, rules):
+    """The ``after`` and ``number`` cues' bindings by README "The lexicon":
+
+    applied in written order, up to the first ``rest`` cue, to the tokens
+    after the trigger.  ``after WORD`` takes the token after the first
+    ``WORD`` where neither is consumed, ``number`` the first numeric token
+    not consumed, and a cue whose parameter is bound binds nothing.
+    """
+    consumed, bound = set(), {}
+    for rule in rules:
+        if rule.kind == "rest":
+            break
+        if rule.param in bound:
+            continue
+        if rule.kind == "after":
+            spans = [{i, i + 1} for i in range(len(tokens) - 1) if tokens[i] == rule.keyword]
+        else:
+            spans = [{i} for i, tok in enumerate(tokens) if NUMBER_RE.fullmatch(tok)]
+        span = next((span for span in spans if not span & consumed), None)
+        if span is not None:
+            consumed |= span
+            bound[rule.param] = tokens[max(span)]
+    return bound
+
+
+# Tail words: cue keywords, values and number spellings near NUMBER_RE.
+_CUE_WORDS = ("at", "now", "x1", "2.", ".5", "-.5", "+2", "1e3", "1_000", "-", "-0", *NOUNS, *NUMBERS)
+
+
+def _assert_cues_follow_the_readme(lexicon, kind, data):
+    """Translate one of ``kind``'s actions' triggers, then a tail of words
+
+    that hold no trigger and no connective, so the clause split leaves the
+    tail whole; check each ``kind`` cue before a ``rest`` cue.
+    """
+    heads = {}
+    for action, rules in lexicon.params:
+        ends = [k for k, rule in enumerate(rules) if rule.kind == "rest"]
+        if any(rule.kind == kind for rule in rules[: min(ends, default=len(rules))]):
+            heads[action] = rules[: min(ends, default=len(rules))]
+    action = data.draw(st.sampled_from(sorted(heads)))
+    trigger = data.draw(st.sampled_from(sorted(" ".join(p) for p, name in lexicon.verbs if name == action)))
+    banned = {word for phrase, _ in lexicon.verbs for word in phrase}
+    banned.update(word for connective in lexicon.connectives for word in connective.split())
+    keywords = {rule.keyword for rule in heads[action] if rule.keyword}
+    words = sorted(word for word in {*keywords, *_CUE_WORDS} if not banned & set(normalize(word)))
+    drawn = data.draw(st.lists(st.sampled_from(words), max_size=12))
+    tail = " ".join(data.draw(_PUNCT) + word + data.draw(_PUNCT) for word in drawn)
+    (translated,) = translate(f"{trigger} {tail}", lexicon).actions
+    bound = {param.name: param.value for param in translated.params}
+    expected = _readme_cues(normalize(tail), heads[action])
+    rest = {rule.param for rule in lexicon.cues[action] if rule.kind == "rest"}
+    for rule in heads[action]:
+        if rule.kind == kind and (rule.param in expected or rule.param not in rest):
+            assert bound.get(rule.param) == expected.get(rule.param)
+
+
+@pytest.mark.parametrize("lexicon", [default_lexicon(), RIGGED], ids=["shipped", "rigged"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_number_cue_binds_the_first_unconsumed_number(lexicon, data):
+    _assert_cues_follow_the_readme(lexicon, "number", data)
+
+
+@pytest.mark.parametrize("lexicon", [default_lexicon(), RIGGED], ids=["shipped", "rigged"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_an_after_cue_binds_the_token_after_its_first_unconsumed_keyword(lexicon, data):
+    _assert_cues_follow_the_readme(lexicon, "after", data)
+
+
 # ----------------------------------------------------------------- scaling
 
 
@@ -449,6 +521,12 @@ def test_lexicon_time_at_most_triples_when_its_connectives_double():
     small, large = (tuple(f"go w{i}" for i in range(n)) for n in (8000, 16000))
     small, large = best_of_5_each(lambda connectives: Lexicon(verbs=(), connectives=connectives), small, large)
     assert large <= 3 * small
+
+
+def test_lexicon_bytecodes_at_most_2_5x_when_its_connectives_double():
+    # the bytecode count beside the clock above, on the same connectives
+    small, large = (tuple(f"go w{i}" for i in range(n)) for n in (8000, 16000))
+    assert bytecode_growth(lambda connectives: Lexicon(verbs=(), connectives=connectives), small, large) <= 2.5
 
 
 # The bytecode count beside the clock above: deterministic, so host load

@@ -17,7 +17,7 @@ from seqlang.registry import (
     load_registry,
     validate,
 )
-from support import best_of_5_each, random_messy_tree
+from support import best_of_5_each, bytecode_growth, random_messy_tree
 
 
 def test_builtins_cover_the_eight_actions():
@@ -112,6 +112,12 @@ def test_load_registry_time_at_most_triples_when_the_config_doubles():
     small, large = ("\n".join(f"a{i} p q" for i in range(n)) for n in (2000, 4000))
     small, large = best_of_5_each(load_registry, small, large)
     assert large <= 3 * small
+
+
+def test_load_registry_bytecodes_at_most_2_5x_when_the_config_doubles():
+    # the bytecode count beside the clock above, on the same configs
+    small, large = ("\n".join(f"a{i} p q" for i in range(n)) for n in (2000, 4000))
+    assert bytecode_growth(load_registry, small, large) <= 2.5
 
 
 @pytest.mark.parametrize(
