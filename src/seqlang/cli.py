@@ -41,22 +41,9 @@ def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_registry_arg(path: str | None) -> ActionRegistry:
-    if path is None:
-        return builtin_registry()
-    registry = load_registry(Path(path).read_text(encoding="utf-8-sig"))
-    for warning in registry.warnings:
-        _say(str(warning))
-    return registry
-
-
-def _load_lexicon_arg(path: str | None, registry: ActionRegistry) -> Lexicon:
-    # A registry file may redefine a built-in: its name stays, but it can
-    # lose parameters the shipped lexicon binds, which _compile's strict
-    # validation reports.
-    if path is None:
-        return default_lexicon()
-    return load_lexicon(Path(path).read_text(encoding="utf-8-sig"), registry)
+def _read(path: str) -> str:
+    """An input file's text: UTF-8, with any byte-order mark skipped."""
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _count(text: str) -> int:
@@ -124,7 +111,7 @@ def cmd_generate(args: argparse.Namespace, registry: ActionRegistry) -> int:
 
 
 def cmd_eval(args: argparse.Namespace, registry: ActionRegistry, lexicon: Lexicon) -> int:
-    corpus = read_tsv(Path(args.corpus).read_text(encoding="utf-8-sig"), split="eval")
+    corpus = read_tsv(_read(args.corpus), split="eval")
     report = evaluate(lambda text: translate(text, lexicon, registry), corpus)
     if args.lines:
         for line in report_lines(report):
@@ -138,7 +125,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     plant = MockPlant()
     if args.fail_at is not None:
         plant.fail_injections.add(args.fail_at)
-    trace, status = run(Path(args.xml).read_text(encoding="utf-8-sig"), plant)
+    trace, status = run(_read(args.xml), plant)
     for entry, line in zip(trace, format_trace(trace)):
         print(line)
         if entry.warning:
@@ -214,9 +201,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         # the registry, then the lexicon, for the commands whose parser declares them
-        loaded = [_load_registry_arg(args.registry)] if "registry" in args else []
+        loaded = []
+        if "registry" in args:
+            registry = builtin_registry() if args.registry is None else load_registry(_read(args.registry))
+            for warning in registry.warnings:
+                _say(str(warning))
+            loaded.append(registry)
         if "lexicon" in args:
-            loaded.append(_load_lexicon_arg(args.lexicon, loaded[0]))
+            # A registry file may redefine a built-in: its name stays, but it can
+            # lose parameters the shipped lexicon binds, which _compile's strict
+            # validation reports.
+            loaded.append(default_lexicon() if args.lexicon is None else load_lexicon(_read(args.lexicon), registry))
         return args.func(args, *loaded)
     except NoVerbMatch as exc:
         _say(f"error: {exc}")

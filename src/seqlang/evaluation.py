@@ -30,6 +30,8 @@ class EvalRow:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """A corpus's score: one :class:`EvalRow` per pair, in corpus order."""
+
     total: int
     exact_matches: int
     accuracy: float

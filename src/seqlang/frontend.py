@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
-from itertools import accumulate
+from itertools import accumulate, compress, count, repeat
 
 from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, _action, _Fault, _param, _sequence
 from seqlang.registry import ActionRegistry, builtin_registry, config_lines
@@ -146,7 +146,7 @@ def _index(phrases: dict[tuple[str, ...], str]) -> _Index:
 def _matches(tokens: list[str], index: _Index) -> list[tuple[int, int, str]]:
     """(start, end, value) per phrase of ``index`` in ``tokens``, by start, longest first."""
     found = []
-    for start in [i for i, tok in enumerate(tokens) if tok in index]:
+    for start in compress(count(), map(index.__contains__, tokens)):
         for size, phrases in index[tokens[start]].items():
             value = phrases.get(tuple(tokens[start : start + size]))
             if value is not None:
@@ -165,8 +165,7 @@ def _tokens(text: str) -> list[str]:
     text = _DELETED.sub("", text.lower())
     if not text.isascii():
         text = text.replace("\ufffe", "").replace("\uffff", "").encode("utf-8", "ignore").decode("utf-8")
-    cleaned = (tok.strip(_EDGE_PUNCT) for tok in text.replace(",", " , ").split())
-    return [tok for tok in cleaned if tok]
+    return list(filter(None, map(str.strip, text.replace(",", " , ").split(), repeat(_EDGE_PUNCT))))
 
 
 def normalize(text: str) -> list[str]:
@@ -206,7 +205,7 @@ def _clauses(text: str, lexicon: Lexicon) -> list[tuple[list[str], list[str], st
             for start, end, _ in hits:
                 latest[end] = start
             latest = list(accumulate(latest, max))
-            for i in [i for i, tok in enumerate(fragment) if tok == "and"]:
+            for i in compress(count(), map("and".__eq__, fragment)):
                 if latest[i] > cuts[-1] and latest[-1] > i:
                     cuts.append(i)
         cuts.append(len(fragment))
@@ -239,7 +238,7 @@ def _extract_params(tail: list[str], rules: tuple[ParamRule, ...]) -> dict[str, 
     for rule in rules:
         if rule.param in found:
             continue
-        if rule.kind == "after":
+        if rule.kind == "after" and rule.keyword in tail:
             for i, tok in enumerate(tail[:-1]):
                 if tok == rule.keyword and not consumed[i] and not consumed[i + 1]:
                     consumed[i] = consumed[i + 1] = True
@@ -288,7 +287,7 @@ def translate(
             raise NoVerbMatch(index, " ".join(clause))
         params = _extract_params(tail, lexicon.cues.get(action, ()))
         names = sorted(params, key=registry.param_order(action)) if len(params) > 1 else params
-        nodes = tuple(_param(name, counter + k, params[name]) for k, name in enumerate(names))
+        nodes = tuple([_param(name, counter + k, params[name]) for k, name in enumerate(names)])
         actions.append(_action(action, nodes))
         counter += len(nodes)
     return _sequence(tuple(actions))

@@ -3,6 +3,7 @@
 import re
 import string
 import sys
+from itertools import dropwhile
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from seqlang.frontend import (
     DEFAULT_CONNECTIVES,
     NUMBER_RE,
+    SKIP_WORDS,
     Lexicon,
     LexiconError,
     NoVerbMatch,
@@ -428,18 +430,23 @@ def test_edge_punctuation_changes_nothing(lexicon, data):
 
 
 def _readme_cues(tokens, rules):
-    """The ``after`` and ``number`` cues' bindings by README "The lexicon":
+    """The cues' bindings by README "The lexicon": applied in written order
 
-    applied in written order, up to the first ``rest`` cue, to the tokens
-    after the trigger.  ``after WORD`` takes the token after the first
-    ``WORD`` where neither is consumed, ``number`` the first numeric token
-    not consumed, and a cue whose parameter is bound binds nothing.
+    to the tokens after the trigger.  ``after WORD`` takes the token after
+    the first ``WORD`` where neither is consumed, ``number`` the first
+    numeric token not consumed, and ``rest`` every token not consumed, less
+    the ``SKIP_WORDS`` at its front.  A cue that finds nothing, or whose
+    parameter is bound, binds nothing and consumes nothing.
     """
     consumed, bound = set(), {}
     for rule in rules:
-        if rule.kind == "rest":
-            break
         if rule.param in bound:
+            continue
+        if rule.kind == "rest":
+            words = list(dropwhile(SKIP_WORDS.__contains__, [t for i, t in enumerate(tokens) if i not in consumed]))
+            if words:
+                consumed = set(range(len(tokens)))
+                bound[rule.param] = " ".join(words)
             continue
         if rule.kind == "after":
             spans = [{i, i + 1} for i in range(len(tokens) - 1) if tokens[i] == rule.keyword]
@@ -450,6 +457,11 @@ def _readme_cues(tokens, rules):
             consumed |= span
             bound[rule.param] = tokens[max(span)]
     return bound
+
+
+def _bindings(lexicon, text):
+    (translated,) = translate(text, lexicon).actions
+    return {param.name: param.value for param in translated.params}
 
 
 # Tail words: cue keywords, values and number spellings near NUMBER_RE.
@@ -475,8 +487,7 @@ def _assert_cues_follow_the_readme(lexicon, kind, data):
     words = sorted(word for word in {*keywords, *_CUE_WORDS} if not banned & set(normalize(word)))
     drawn = data.draw(st.lists(st.sampled_from(words), max_size=12))
     tail = " ".join(data.draw(_PUNCT) + word + data.draw(_PUNCT) for word in drawn)
-    (translated,) = translate(f"{trigger} {tail}", lexicon).actions
-    bound = {param.name: param.value for param in translated.params}
+    bound = _bindings(lexicon, f"{trigger} {tail}")
     expected = _readme_cues(normalize(tail), heads[action])
     rest = {rule.param for rule in lexicon.cues[action] if rule.kind == "rest"}
     for rule in heads[action]:
@@ -496,6 +507,74 @@ def test_a_number_cue_binds_the_first_unconsumed_number(lexicon, data):
 @settings(max_examples=300, deadline=None)
 def test_an_after_cue_binds_the_token_after_its_first_unconsumed_keyword(lexicon, data):
     _assert_cues_follow_the_readme(lexicon, "after", data)
+
+
+def _cue_pool(lexicon):
+    """Parameter -> cues to draw for it: the lexicon's own, a ``number`` and a ``rest`` cue."""
+    pool = {}
+    for _, rules in lexicon.params:
+        for rule in rules:
+            pool.setdefault(rule.param, {ParamRule("number", rule.param), ParamRule("rest", rule.param)}).add(rule)
+    return {param: sorted(rules, key=repr) for param, rules in sorted(pool.items())}
+
+
+def _with_cues(lexicon, action, rules):
+    others = tuple((name, cues) for name, cues in lexicon.params if name != action)
+    return Lexicon(lexicon.verbs, ((action, tuple(rules)), *others), lexicon.connectives)
+
+
+def _drawn_clause(lexicon, rules, data):
+    """An action, one of its triggers, and a tail of words that hold no
+
+    trigger and no connective, ``SKIP_WORDS`` included, so the clause split
+    leaves the tail whole.  Only the drawn trigger matches, so the tail's
+    tokens are all the cues see.
+    """
+    action = data.draw(st.sampled_from(sorted({name for _, name in lexicon.verbs})))
+    trigger = data.draw(st.sampled_from(sorted(" ".join(p) for p, name in lexicon.verbs if name == action)))
+    banned = {word for phrase, _ in lexicon.verbs for word in phrase}
+    banned.update(word for connective in lexicon.connectives for word in connective.split())
+    keywords = {rule.keyword for rule in rules if rule.keyword}
+    words = sorted({*SKIP_WORDS, *(word for word in {*keywords, *_CUE_WORDS} if not banned & set(normalize(word)))})
+    drawn = data.draw(st.lists(st.sampled_from(words), max_size=12))
+    tail = " ".join(data.draw(_PUNCT) + word + data.draw(_PUNCT) for word in drawn)
+    tokens, n = normalize(f"{trigger} {tail}"), len(trigger.split())
+    triggers = {phrase for phrase, _ in lexicon.verbs}
+    # no trigger phrase ends past the drawn trigger
+    spans = [(i, j) for i in range(len(tokens)) for j in range(max(i, n) + 1, len(tokens) + 1)]
+    assume(not any(tuple(tokens[i:j]) in triggers for i, j in spans))
+    return action, trigger, tail
+
+
+@pytest.mark.parametrize("lexicon", [default_lexicon(), RIGGED], ids=["shipped", "rigged"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_rest_cue_takes_every_unconsumed_token_less_the_skip_words_in_front(lexicon, data):
+    pool = _cue_pool(lexicon)
+    rules = data.draw(st.lists(st.sampled_from([rule for cues in pool.values() for rule in cues]), max_size=4))
+    rules.insert(data.draw(st.integers(0, len(rules))), ParamRule("rest", data.draw(st.sampled_from(sorted(pool)))))
+    action, trigger, tail = _drawn_clause(lexicon, rules, data)
+    assert _bindings(_with_cues(lexicon, action, rules), f"{trigger} {tail}") == _readme_cues(normalize(tail), rules)
+
+
+@pytest.mark.parametrize("lexicon", [default_lexicon(), RIGGED], ids=["shipped", "rigged"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_cue_whose_parameter_is_bound_binds_nothing_and_consumes_nothing(lexicon, data):
+    # two cues for one parameter, a rest cue possibly either; once the cues
+    # before the later one bind that parameter, deleting it changes nothing
+    pool = _cue_pool(lexicon)
+    param = data.draw(st.sampled_from(sorted(pool)))
+    rules = data.draw(st.lists(st.sampled_from([rule for cues in pool.values() for rule in cues]), max_size=4))
+    late = data.draw(st.integers(0, len(rules)))
+    rules.insert(late, data.draw(st.sampled_from(pool[param])))
+    rules.insert(data.draw(st.integers(0, late)), data.draw(st.sampled_from(pool[param])))
+    late += 1
+    action, trigger, tail = _drawn_clause(lexicon, rules, data)
+    text = f"{trigger} {tail}"
+    assume(param in _bindings(_with_cues(lexicon, action, rules[:late]), text))
+    without = _with_cues(lexicon, action, rules[:late] + rules[late + 1 :])
+    assert translate(text, _with_cues(lexicon, action, rules)) == translate(text, without)
 
 
 # ----------------------------------------------------------------- scaling

@@ -165,6 +165,13 @@ def test_record_only_actions_append_to_the_transcript():
     assert all(entry.status == SUCCESS for entry in trace)
 
 
+def test_every_built_in_that_succeeds_is_recorded_and_an_unknown_action_is_not():
+    plant = MockPlant()
+    xml = mission(act("move", ("x", "1")), act("flatten", ("num", "2")), act("say", ("words", "hi")), act("dance"))
+    run(xml, plant)
+    assert plant.transcript == [("move", (("x", "1"),)), ("flatten", (("num", "2"),)), ("say", (("words", "hi"),))]
+
+
 def test_unknown_action_is_a_warned_no_op():
     plant = MockPlant()
     trace, status = run(mission(act("warp", ("speed", "9"))), plant)

@@ -1,9 +1,12 @@
 """The package's compatibility surface: its exported names and node behaviour."""
 
+import ast
 import copy
 import dataclasses
+import importlib
 import inspect
 import pickle
+import pkgutil
 
 import pytest
 
@@ -63,6 +66,28 @@ def test_package_exports_exactly_the_public_names():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == PUBLIC_NAMES
+
+
+def test_every_dataclass_has_a_docstring_of_its_own():
+    # @dataclass gives a class without one a generated signature, calling
+    # inspect.signature at every import
+    undocumented = []
+    for info in pkgutil.iter_modules(seqlang.__path__):
+        module = importlib.import_module(f"seqlang.{info.name}")
+        documented = {
+            node.name
+            for node in ast.walk(ast.parse(inspect.getsource(module)))
+            if isinstance(node, ast.ClassDef) and ast.get_docstring(node) is not None
+        }
+        undocumented += [
+            f"{module.__name__}.{value.__name__}"
+            for value in vars(module).values()
+            if dataclasses.is_dataclass(value)
+            and isinstance(value, type)
+            and value.__module__ == module.__name__
+            and value.__name__ not in documented
+        ]
+    assert undocumented == []
 
 
 def test_split_clauses_takes_text_and_lexicon():
