@@ -43,7 +43,13 @@ def _say(message: str) -> None:
 
 def _read(path: str) -> str:
     """An input file's text: UTF-8, with any byte-order mark skipped."""
-    return Path(path).read_text(encoding="utf-8-sig")
+    with open(path, encoding="utf-8-sig") as file:
+        return file.read()
+
+
+def _write(path: str | Path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(text)
 
 
 def _count(text: str) -> int:
@@ -75,7 +81,7 @@ def _compile(text: str, lexicon: Lexicon, registry: ActionRegistry, out: str) ->
     tree = translate(text, lexicon, registry)
     if _report_diagnostics(validate(tree, registry, "strict")):
         return False
-    Path(out).write_text(emit(tree, registry), encoding="utf-8")
+    _write(out, emit(tree, registry))
     print(render(tree))
     return True
 
@@ -93,7 +99,7 @@ def cmd_parse(args: argparse.Namespace, registry: ActionRegistry) -> int:
     if args.out is None:
         print(xml, end="")
     else:
-        Path(args.out).write_text(xml, encoding="utf-8")
+        _write(args.out, xml)
     return 0
 
 
@@ -102,7 +108,7 @@ def cmd_generate(args: argparse.Namespace, registry: ActionRegistry) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for corpus, name in ((train, "train.tsv"), (test, "test.tsv")):
-        (out_dir / name).write_text(write_tsv(corpus), encoding="utf-8")
+        _write(out_dir / name, write_tsv(corpus))
         print(f"{corpus.split} pairs: {len(corpus)} -> {out_dir / name}")
     input_size, output_size = vocab_stats(Corpus(train.pairs + test.pairs, "all"))
     print(f"input vocabulary: {input_size}")

@@ -161,10 +161,6 @@ def _build_pair(
     return CorpusPair(utterance, render(tree)), tree
 
 
-def _draw_length(rng: random.Random) -> int:
-    return rng.choices(_LENGTHS, weights=_WEIGHTS, k=1)[0]
-
-
 def generate(
     n_train: int,
     n_test: int,
@@ -191,7 +187,7 @@ def generate(
     def fill(count: int, split: str) -> Corpus:
         pairs = []
         for slot in range(count):
-            length = slot + 1 if count >= 7 and slot < 7 else _draw_length(rng)
+            length = slot + 1 if count >= 7 and slot < 7 else rng.choices(_LENGTHS, weights=_WEIGHTS, k=1)[0]
             stalls = 0
             while True:
                 pair, tree = _build_pair(rng, length, templates, names)

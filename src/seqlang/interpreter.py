@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from math import isfinite
 
 from seqlang.btxml import _read_leaves
-from seqlang.logical_form import _twin
+from seqlang.logical_form import _builder
 from seqlang.registry import BUILTIN_SCHEMAS
 
 SUCCESS = "SUCCESS"
@@ -52,19 +52,8 @@ class TraceEntry:
     warning: bool = False
 
 
-_EntryTwin = _twin("_EntryTwin", TraceEntry)
-
-
-def _entry(step: int, action: str, params: tuple[tuple[str, str], ...], status: str, warning: bool) -> TraceEntry:
-    """``TraceEntry(step, action, params, status, warning)``, filled as a twin (``logical_form._twin``)."""
-    entry = object.__new__(_EntryTwin)
-    entry.step = step
-    entry.action = action
-    entry.params = params
-    entry.status = status
-    entry.warning = warning
-    entry.__class__ = TraceEntry
-    return entry
+# trace entries are built unchecked, like the nodes (logical_form._builder)
+_entry = _builder(TraceEntry, "_entry")
 
 
 def _number(value: str) -> float | None:

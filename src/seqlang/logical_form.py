@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Any, Callable
 
 IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 VAR_RE = re.compile(r"\$(0|[1-9][0-9]*)\Z")
@@ -148,48 +149,31 @@ class SequenceNode:
                 raise ValueError("actions may not be named 'seq'")
 
 
-def _twin(name: str, cls: type) -> type:
-    """A plain class ``name`` with ``cls``'s own ``__slots__``.
+def _builder(cls: type, name: str) -> Callable[..., Any]:
+    """An unchecked ``cls(...)`` named ``name``, for a frozen slotted dataclass.
 
-    An instance of it, filled by plain assignment at slot speed (a frozen
-    class's setter call is slower), can then be made a ``cls`` by setting
-    its ``__class__``: CPython allows that because both are heap types
-    with the same slots and no ``__dict__`` or ``__weakref__``.
+    Its parameters are ``cls``'s slots, which are its fields in order; its
+    source is written here and compiled, as ``dataclasses`` writes ``__init__``.
+    It fills a ``builder.twin`` (``_param``'s is ``_ParamTwin``), a plain class
+    with ``cls``'s own ``__slots__``, by plain assignment at slot speed (a frozen
+    class's setter call is slower), then makes it a ``cls`` by setting its
+    ``__class__``: CPython allows that because both are heap types with the
+    same slots and no ``__dict__`` or ``__weakref__``.
     """
-    return type(name, (), {"__slots__": cls.__slots__})
+    slots = cls.__slots__
+    fill = "".join(f"    node.{slot} = {slot}\n" for slot in slots)
+    source = f"def {name}({', '.join(slots)}):\n    node = new(twin)\n{fill}    node.__class__ = cls\n    return node\n"
+    scope = {"new": object.__new__, "twin": type(f"{name.title()}Twin", (), {"__slots__": slots}), "cls": cls}
+    exec(source, scope)
+    scope[name].twin = scope["twin"]
+    return scope[name]
 
 
 # Unchecked builders, for the readers and frontend.translate, which have
 # already checked all that the constructors check (translate: names in its
 # Lexicon, values in _tokens): names match IDENT_RE, indices are ints >= 0,
 # values pass is_param_value, no action is named RESERVED_HEAD; tuples throughout.
-_ParamTwin = _twin("_ParamTwin", ParamNode)
-_ActionTwin = _twin("_ActionTwin", ActionNode)
-_SequenceTwin = _twin("_SequenceTwin", SequenceNode)
-
-
-def _param(name: str, var_index: int, value: str) -> ParamNode:
-    node = object.__new__(_ParamTwin)
-    node.name = name
-    node.var_index = var_index
-    node.value = value
-    node.__class__ = ParamNode
-    return node
-
-
-def _action(name: str, params: tuple[ParamNode, ...]) -> ActionNode:
-    node = object.__new__(_ActionTwin)
-    node.name = name
-    node.params = params
-    node.__class__ = ActionNode
-    return node
-
-
-def _sequence(actions: tuple[ActionNode, ...]) -> SequenceNode:
-    node = object.__new__(_SequenceTwin)
-    node.actions = actions
-    node.__class__ = SequenceNode
-    return node
+_param, _action, _sequence = map(_builder, (ParamNode, ActionNode, SequenceNode), ("_param", "_action", "_sequence"))
 
 
 def parse_logical_form(text: str) -> SequenceNode:

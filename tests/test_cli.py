@@ -462,6 +462,46 @@ def test_a_path_no_file_system_can_name_exits_5(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", ""),
+        ("eval", ""),
+        ("compile", "goal", "--registry", "", "--out", "m.xml"),
+        ("compile", "goal", "--out", ""),
+        ("parse", "( seq ( goal ) )", "--out", ""),
+    ],
+    ids=["run", "eval", "compile-registry", "compile-out", "parse-out"],
+)
+def test_an_empty_path_exits_5_and_is_named_as_given(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = invoke(capsys, *argv)
+    assert (code, stdout) == (5, "")
+    assert stderr.startswith("error: ") and stderr.endswith(": ''\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "{path}"),
+        ("eval", "{path}"),
+        ("compile", "goal", "--lexicon", "{path}", "--out", "m.xml"),
+        ("parse", "( seq ( goal ) )", "--registry", "{path}"),
+        ("compile", "goal", "--out", "{path}"),
+        ("parse", "( seq ( goal ) )", "--out", "{path}"),
+    ],
+    ids=["run", "eval", "compile-lexicon", "parse-registry", "compile-out", "parse-out"],
+)
+def test_a_missing_path_is_named_as_written(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    path = "./nope//x.txt"
+    code, stdout, stderr = invoke(capsys, *(arg.format(path=path) for arg in argv))
+    assert (code, stdout) == (5, "")
+    assert stderr.startswith("error: ") and stderr.endswith(f": '{path}'\n")
+    assert not list(tmp_path.iterdir())
+
+
 # --------------------------------------------------------------------- repl
 
 

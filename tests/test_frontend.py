@@ -779,6 +779,39 @@ def test_split_clauses_readme_examples(text, lexicon, expected):
     assert split_clauses(text, lexicon) == expected == _readme_split(text, lexicon)
 
 
+def _readme_verb(clause, lexicon):
+    """The clause's action and the tokens after its trigger, by README "The
+
+    lexicon": the longest trigger anywhere in the clause wins, and the
+    leftmost breaks a tie in length.  None when no trigger is in the clause.
+    """
+    triggers = dict(lexicon.verbs)
+    spans = [(i, j) for i in range(len(clause)) for j in range(i + 1, len(clause) + 1)]
+    spans = [(i, j) for i, j in spans if tuple(clause[i:j]) in triggers]
+    if not spans:
+        return None
+    i, j = min(spans, key=lambda span: (span[0] - span[1], span[0]))
+    return triggers[tuple(clause[i:j])], clause[j:]
+
+
+@pytest.mark.parametrize("lexicon", [default_lexicon(), RIGGED], ids=["shipped", "rigged"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_longest_trigger_in_a_clause_wins_and_the_leftmost_breaks_a_tie(lexicon, data):
+    # whole trigger phrases beside single words, so triggers overlap and nest
+    phrases = sorted({*_vocabulary(lexicon), *(" ".join(phrase) for phrase, _ in lexicon.verbs)})
+    text = " ".join(data.draw(st.lists(st.sampled_from(phrases), max_size=16)))
+    expected = [_readme_verb(clause, lexicon) for clause in _readme_split(text, lexicon)]
+    if None in expected or not expected:
+        with pytest.raises(NoVerbMatch) as caught:
+            translate(text, lexicon)
+        assert caught.value.clause_index == (expected.index(None) if expected else 0)
+        return
+    tree = translate(text, lexicon)
+    actions = [(action.name, {param.name: param.value for param in action.params}) for action in tree.actions]
+    assert actions == [(action, _readme_cues(tail, lexicon.cues.get(action, ()))) for action, tail in expected]
+
+
 @pytest.mark.parametrize(
     "build, needle",
     [

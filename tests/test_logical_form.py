@@ -1,5 +1,7 @@
 """Tokenizer, parser, renderer, and their laws."""
 
+import dataclasses
+import inspect
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from seqlang.logical_form import (
     ParamNode,
     SequenceNode,
     TrailingTokensError,
+    _builder,
     parse_logical_form,
     render,
 )
@@ -400,3 +403,27 @@ def test_parse_time_at_most_triples_when_the_input_doubles():
 def test_parse_bytecodes_at_most_2_5x_when_the_input_doubles():
     tree = random_messy_tree(random.Random(6), 1000, 1000)
     assert bytecode_growth(parse_logical_form, render(tree), render(SequenceNode(tree.actions * 2))) <= 2.5
+
+
+# ---------------------------------------------------------------- builders
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _Probe:
+    """A frozen slotted class with a defaulted field, as TraceEntry has."""
+
+    first: int
+    second: tuple[str, ...]
+    flag: bool = False
+
+
+def test_a_builder_takes_the_fields_in_order_and_makes_what_the_constructor_makes():
+    build = _builder(_Probe, "_probe")
+    assert list(inspect.signature(build).parameters) == [field.name for field in dataclasses.fields(_Probe)]
+    assert build.__name__ == "_probe" and build.twin.__slots__ is _Probe.__slots__
+    for args in ((1, ("a",), False), (2, (), True)):
+        built, made = build(*args), _Probe(*args)
+        assert type(built) is _Probe
+        assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.first = 0

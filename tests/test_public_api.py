@@ -23,8 +23,8 @@ from seqlang import (
     run,
     translate,
 )
-from seqlang.interpreter import _EntryTwin
-from seqlang.logical_form import _ActionTwin, _ParamTwin, _SequenceTwin
+from seqlang.interpreter import _entry
+from seqlang.logical_form import _action, _param, _sequence
 
 PUBLIC_NAMES = {
     "ActionNode",
@@ -154,7 +154,7 @@ def test_built_nodes_are_what_the_constructors_make(node):
 
 @pytest.mark.parametrize(
     "node_class, twin",
-    [(ParamNode, _ParamTwin), (ActionNode, _ActionTwin), (SequenceNode, _SequenceTwin), (TraceEntry, _EntryTwin)],
+    [(ParamNode, _param.twin), (ActionNode, _action.twin), (SequenceNode, _sequence.twin), (TraceEntry, _entry.twin)],
     ids=lambda c: c.__name__,
 )
 def test_each_twin_has_its_node_class_slots_and_no_dict_or_weakref(node_class, twin):
