@@ -16,6 +16,7 @@ parser declares them, and passes the command what it loaded.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -106,7 +107,7 @@ def cmd_parse(args: argparse.Namespace, registry: ActionRegistry) -> int:
 def cmd_generate(args: argparse.Namespace, registry: ActionRegistry) -> int:
     train, test = generate(args.train, args.test, args.seed, registry)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     for corpus, name in ((train, "train.tsv"), (test, "test.tsv")):
         _write(out_dir / name, write_tsv(corpus))
         print(f"{corpus.split} pairs: {len(corpus)} -> {out_dir / name}")

@@ -182,22 +182,19 @@ def generate(
     registry = builtin_registry() if registry is None else registry
     templates = default_templates() if templates is None else templates
     names = tuple(templates)
-    seen: set[tuple[str, str]] = set()
+    seen: set[CorpusPair] = set()
 
     def fill(count: int, split: str) -> Corpus:
         pairs = []
         for slot in range(count):
             length = slot + 1 if count >= 7 and slot < 7 else rng.choices(_LENGTHS, weights=_WEIGHTS, k=1)[0]
-            stalls = 0
-            while True:
+            for _ in range(_STALL_LIMIT):
                 pair, tree = _build_pair(rng, length, templates, names)
-                key = (pair.utterance, pair.logical_form)
-                if key not in seen:
+                if pair not in seen:
                     break
-                stalls += 1
-                if stalls >= _STALL_LIMIT:
-                    raise InsufficientSpace(n_train + n_test, len(seen))
-            seen.add(key)
+            else:
+                raise InsufficientSpace(n_train + n_test, len(seen))
+            seen.add(pair)
             # Templates number every parameter 0; the pair's form is renumbered.
             problems = validate(tree, registry, "strict")
             errors = [d for d in problems if d.severity == ERROR and d.code != "bad-numbering"]

@@ -50,7 +50,6 @@ def evaluate(frontend: Callable[[str], SequenceNode], corpus: Corpus) -> EvalRep
     1-based number, which is its line in a file :func:`read_tsv` read.
     """
     rows = []
-    matches = 0
     for index, pair in enumerate(corpus.pairs):
         try:
             expected = render(parse_logical_form(pair.logical_form))
@@ -63,12 +62,10 @@ def evaluate(frontend: Callable[[str], SequenceNode], corpus: Corpus) -> EvalRep
             matched = False
         else:
             matched = produced == expected
-        if matched:
-            matches += 1
         rows.append(EvalRow(index, matched, expected, produced))
-    total = len(corpus.pairs)
-    accuracy = matches / total if total else 1.0
-    return EvalReport(total, matches, accuracy, tuple(rows))
+    matches = sum(row.matched for row in rows)
+    accuracy = matches / len(rows) if rows else 1.0
+    return EvalReport(len(rows), matches, accuracy, tuple(rows))
 
 
 # What a TSV field may not hold becomes a space.

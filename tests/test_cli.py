@@ -265,6 +265,14 @@ def test_generate_impossible_request_exits_5(tmp_path, capsys):
     assert "error:" in stderr
 
 
+def test_generate_to_an_empty_out_exits_5_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = invoke(capsys, "generate", "--train", "3", "--test", "1", "--out", "")
+    assert (code, stdout) == (5, "")
+    assert stderr.startswith("error: ") and stderr.endswith(": ''\n")
+    assert not (tmp_path / "train.tsv").exists()
+
+
 # --------------------------------------------------------------------- eval
 
 

@@ -12,6 +12,7 @@ from seqlang.dataset import (
     FormatError,
     InsufficientSpace,
     TemplateError,
+    _STALL_LIMIT,
     _TEMPLATES,
     default_templates,
     generate,
@@ -99,13 +100,19 @@ def test_generate_accepts_custom_templates():
 
 def test_generate_runs_out_of_distinct_pairs():
     # Only one distinct length-1 pair exists, but both pinned splits need one.
+    calls = 0
+
     def fixed(rng):
+        nonlocal calls
+        calls += 1
         return "score a goal", ActionNode("goal")
 
     with pytest.raises(InsufficientSpace) as info:
         generate(7, 7, seed=9, templates={"goal": fixed})
     assert info.value.requested == 14
     assert info.value.generated == 7
+    # 28 draws fill train's pinned lengths 1..7; then _STALL_LIMIT duplicates.
+    assert calls == 28 + _STALL_LIMIT
 
 
 def test_generate_rejects_templates_that_break_validation():

@@ -112,6 +112,49 @@ def test_normalize_deletes_characters_xml_forbids():
         assert normalize(" ".join(f"a{char}b" for char in chars)) == expected, hex(start)
 
 
+def _readme_tokens(text):
+    """Tokens by README "The lexicon", rule by rule: lowercase, then delete,
+
+    then split and strip.
+    """
+    # lowercased first: str.lower() reads context (a final sigma), so it sees
+    # the characters deletion takes out
+    text = text.lower()
+    text = "".join(char for char in text if not _readme_deletes(char))
+    # split on str.split() blanks and at every comma, each comma a token
+    tokens = []
+    for word in text.split():
+        for k, piece in enumerate(word.split(",")):
+            tokens.extend((",", piece) if k else (piece,))
+    # each token sheds !?.;: at its edges; a token of nothing else is dropped
+    return [token for token in (token.strip("!?.;:") for token in tokens) if token]
+
+
+# Deleted characters beside edge punctuation, commas, blanks and a sigma.
+_TOKEN_CHARS = st.sampled_from("aΣ,.!?;:()[]\"' \t\x00\x08\x0b\x1b\x1c\x85\u2028\ud800\udfff\ufffe\uffff\u0130")
+
+
+@given(st.text(_ANY_CHAR) | st.text(_TOKEN_CHARS))
+@settings(max_examples=1000, deadline=None)
+def test_the_tokenizer_follows_the_readme_paragraph(text):
+    assert _tokens(text) == _readme_tokens(text)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # deletion uncovers the edge the strip then sheds
+        ("say 'hi.'", ["say", "hi"]),
+        # a final sigma before a deleted quote stays final
+        ('ΑΣ"Β', ["αςβ"]),
+        ("a,,b;, c", ["a", ",", ",", "b", ",", "c"]),
+    ],
+    ids=["delete-then-strip", "final-sigma", "commas"],
+)
+def test_the_tokenizer_readme_examples(text, expected):
+    assert _tokens(text) == expected == _readme_tokens(text)
+
+
 def test_utterance_carries_normalized_view():
     assert normalize("Find the  BUOY!") == ["find", "the", "buoy"]
     assert lf("Find the  BUOY!") == lf("find the buoy")
