@@ -18,7 +18,7 @@ from functools import partial
 from typing import Callable
 
 from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, _Fault, render
-from seqlang.registry import ERROR, ActionRegistry, builtin_registry, validate
+from seqlang.registry import ActionRegistry, builtin_registry, validate
 
 # Weighted mission lengths, percent. Short missions dominate.
 LENGTH_WEIGHTS = ((1, 30), (2, 25), (3, 15), (4, 10), (5, 8), (6, 7), (7, 5))
@@ -196,8 +196,7 @@ def generate(
                 raise InsufficientSpace(n_train + n_test, len(seen))
             seen.add(pair)
             # Templates number every parameter 0; the pair's form is renumbered.
-            problems = validate(tree, registry, "strict")
-            errors = [d for d in problems if d.severity == ERROR and d.code != "bad-numbering"]
+            errors = [d for d in validate(tree, registry, "strict") if d.code != "bad-numbering"]
             if errors:
                 raise TemplateError(f"template produced invalid form {pair.logical_form!r}: {errors[0]}")
             pairs.append(pair)

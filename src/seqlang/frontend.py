@@ -17,11 +17,9 @@ from importlib import resources
 from itertools import accumulate, compress, count, repeat
 
 from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, _action, _Fault, _param, _sequence
-from seqlang.registry import ActionRegistry, builtin_registry, config_lines
+from seqlang.registry import ActionRegistry, builtin_registry, config_lines, finite_number
 
 _Index = dict[str, dict[int, dict[tuple[str, ...], str]]]
-
-NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
 
 # Stripped from token edges, after commas are split off.
 _EDGE_PUNCT = "!?.;:"
@@ -246,7 +244,7 @@ def _extract_params(tail: list[str], rules: tuple[ParamRule, ...]) -> dict[str, 
                     break
         elif rule.kind == "number":
             for i, tok in enumerate(tail):
-                if not consumed[i] and NUMBER_RE.match(tok):
+                if not consumed[i] and finite_number(tok) is not None:
                     consumed[i] = True
                     found[rule.param] = tok
                     break

@@ -13,11 +13,10 @@ trace entry's params.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite
 
 from seqlang.btxml import _read_leaves
 from seqlang.logical_form import _builder
-from seqlang.registry import BUILTIN_SCHEMAS
+from seqlang.registry import BUILTIN_SCHEMAS, finite_number
 
 SUCCESS = "SUCCESS"
 FAILURE = "FAILURE"
@@ -56,15 +55,6 @@ class TraceEntry:
 _entry = _builder(TraceEntry, "_entry")
 
 
-def _number(value: str) -> float | None:
-    """The finite number ``value`` spells, or None."""
-    try:
-        number = float(value)
-    except ValueError:
-        return None
-    return number if isfinite(number) else None
-
-
 def _pose(pose: list[float], name: str, params: tuple[tuple[str, str], ...]) -> list[float] | None:
     """The pose a move or flatten leaf leaves behind, or None when a value it reads is not a finite number."""
     pose, slots = list(pose), _SLOTS[name]
@@ -72,7 +62,7 @@ def _pose(pose: list[float], name: str, params: tuple[tuple[str, str], ...]) -> 
         pose[_AXES["roll"]] = pose[_AXES["pitch"]] = 0.0
     for param_name, value in params:
         if (slot := slots.get(param_name)) is not None:
-            if (number := _number(value)) is None:
+            if (number := finite_number(value)) is None:
                 return None
             pose[slot] = number
     return pose

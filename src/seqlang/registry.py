@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import isfinite
 from typing import Callable, Iterator
 
 from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, _Fault
@@ -46,6 +47,16 @@ class Diagnostic:
             where = f" [action {self.action_index}"
             where += f", param {self.param_index}]" if self.param_index is not None else "]"
         return f"{self.severity}: {self.message}{where}"
+
+
+def finite_number(value: str) -> float | None:
+    """The finite float ``float()`` reads from ``value``, or None: the one
+    rule for a number, which the ``number`` cue and the plant both use."""
+    try:
+        number = float(value)
+    except ValueError:
+        return None
+    return number if isfinite(number) else None
 
 
 @dataclass(frozen=True)

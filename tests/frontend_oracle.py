@@ -6,7 +6,7 @@ is quadratic or worse in utterance length, but its rules are written out
 in the most direct way.  The library's indexed, single-pass version must
 agree with it on every input.
 
-Two rules differ from the original on purpose, each the library's
+Three rules differ from the original on purpose, each the library's
 documented rule:
 
 - in ``_extract_params``, a cue whose parameter is already bound binds
@@ -14,6 +14,10 @@ documented rule:
 - in ``split_clauses``, connectives are matched on normalized words,
   with each comma kept as a word of its own, not on raw lowercased
   words, so "then!" is the connective "then".
+- in ``_extract_params``, a ``number`` cue takes a token that
+  ``float()`` reads as a finite number, not one that matches
+  ``-?[0-9]+([.][0-9]+)?``, so it binds ``-.5`` and ``1e3`` but not a
+  run of digits that ``float()`` reads as infinite.
 
 Only ``normalize``, the exception type and the registry's parameter
 order are shared with the library.
@@ -21,12 +25,18 @@ order are shared with the library.
 
 from __future__ import annotations
 
-import re
+from math import isfinite
 
 from seqlang.frontend import NoVerbMatch, normalize
 from seqlang.logical_form import ActionNode, ParamNode, SequenceNode
 
-NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
+
+def _is_number(token):
+    try:
+        return isfinite(float(token))
+    except ValueError:
+        return False
+
 
 SKIP_WORDS = ("the", "a", "an", "me", "to", "at", "out", "up", "for")
 
@@ -130,7 +140,7 @@ def _extract_params(tail, rules):
                     break
         elif rule.kind == "number":
             for i, tok in enumerate(tail):
-                if not consumed[i] and NUMBER_RE.match(tok):
+                if not consumed[i] and _is_number(tok):
                     consumed[i] = True
                     found.append((rule.param, tok))
                     break

@@ -341,6 +341,18 @@ def test_run_prints_trace_and_overall_status(tmp_path, capsys):
     assert stderr == "overall: SUCCESS\n"
 
 
+def test_a_number_the_plant_reads_as_infinite_is_not_compiled(tmp_path, capsys):
+    # float() reads this run of digits as inf, so the number cue binds nothing
+    out = tmp_path / "m.xml"
+    code, stdout, _ = invoke(capsys, "compile", "flatten out at 1" + "0" * 309, "--out", str(out))
+    assert (code, stdout) == (0, "( seq ( flatten ) )\n")
+    assert "<Flatten/>" in out.read_text(encoding="utf-8")
+    code, stdout, stderr = invoke(capsys, "run", str(out))
+    assert code == 0
+    assert stdout == "0\tflatten\t\tSUCCESS\n"
+    assert stderr.endswith("overall: SUCCESS\n")
+
+
 def test_run_fail_at_truncates_the_trace(tmp_path, capsys):
     invoke(capsys, "compile", "goal then gate then say hi", "--out", str(tmp_path / "m.xml"))
     code, stdout, stderr = invoke(capsys, "run", str(tmp_path / "m.xml"), "--fail-at", "1")

@@ -4,6 +4,7 @@ import re
 import string
 import sys
 from itertools import dropwhile
+from math import isfinite
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from seqlang.frontend import (
     DEFAULT_CONNECTIVES,
-    NUMBER_RE,
     SKIP_WORDS,
     Lexicon,
     LexiconError,
@@ -472,14 +472,23 @@ def test_edge_punctuation_changes_nothing(lexicon, data):
     assert _outcome(" ".join(punctuated), lexicon) == _outcome(" ".join(tokens), lexicon)
 
 
+def _readme_number(token):
+    """README: a number is a token ``float()`` reads as a finite number."""
+    try:
+        return isfinite(float(token))
+    except ValueError:
+        return False
+
+
 def _readme_cues(tokens, rules):
     """The cues' bindings by README "The lexicon": applied in written order
 
     to the tokens after the trigger.  ``after WORD`` takes the token after
-    the first ``WORD`` where neither is consumed, ``number`` the first
-    numeric token not consumed, and ``rest`` every token not consumed, less
-    the ``SKIP_WORDS`` at its front.  A cue that finds nothing, or whose
-    parameter is bound, binds nothing and consumes nothing.
+    the first ``WORD`` where neither is consumed, ``number`` the first token
+    not consumed that ``float()`` reads as a finite number, and ``rest``
+    every token not consumed, less the ``SKIP_WORDS`` at its front.  A cue
+    that finds nothing, or whose parameter is bound, binds nothing and
+    consumes nothing.
     """
     consumed, bound = set(), {}
     for rule in rules:
@@ -494,7 +503,7 @@ def _readme_cues(tokens, rules):
         if rule.kind == "after":
             spans = [{i, i + 1} for i in range(len(tokens) - 1) if tokens[i] == rule.keyword]
         else:
-            spans = [{i} for i, tok in enumerate(tokens) if NUMBER_RE.fullmatch(tok)]
+            spans = [{i} for i, tok in enumerate(tokens) if _readme_number(tok)]
         span = next((span for span in spans if not span & consumed), None)
         if span is not None:
             consumed |= span
@@ -507,7 +516,7 @@ def _bindings(lexicon, text):
     return {param.name: param.value for param in translated.params}
 
 
-# Tail words: cue keywords, values and number spellings near NUMBER_RE.
+# Tail words: cue keywords, values, and spellings on both sides of the number rule.
 _CUE_WORDS = ("at", "now", "x1", "2.", ".5", "-.5", "+2", "1e3", "1_000", "-", "-0", *NOUNS, *NUMBERS)
 
 
@@ -1163,6 +1172,116 @@ def test_which_fault_a_file_with_several_reports(text, line):
     with pytest.raises(LexiconError) as info:
         load_lexicon(text, builtin_registry())
     assert info.value.line == line
+
+
+def _readme_lexicon_fault(lines):
+    """The line README "The lexicon" says a file of ``lines`` (none blank)
+
+    is refused at, or None.  Reading stops at the first line that breaks a
+    file rule or holds a refused cue.  Then the first refused trigger read
+    before it is reported; else, if reading reached the end, a cue list no
+    trigger names, at its first cue's line; else the first refused
+    connective read before it; else the line reading stopped at.
+    """
+    registry = builtin_registry()
+    section, stop = None, None
+    triggers, connectives, cue_lists = [], [], {}  # cue_lists: action -> its first cue's line
+    for lineno, line in enumerate(lines, 1):
+        if line.startswith("["):
+            section = line[1:-1]
+            action = section[len("params.") :] if section.startswith("params.") else None
+            if not line.endswith("]") or section not in ("verbs", "connectives") and action not in registry:
+                stop = lineno
+                break
+            continue
+        if section is None:  # an entry before any header
+            stop = lineno
+            break
+        if section == "connectives":
+            connectives.append((lineno, " ".join(_readme_tokens(line)) == line))
+            continue
+        # a trigger or cue line: the "=" and its two sides, then the word count
+        left, eq, right = (part.strip() for part in line.partition("="))
+        words = left.split()
+        if not (eq and left and right):
+            stop = lineno
+            break
+        if section == "verbs":
+            # then the action the registry holds; the text and a repeat are the constructor's
+            if not 1 <= len(words) <= 3 or right not in registry:
+                stop = lineno
+                break
+            triggers.append((lineno, words, right))
+            continue
+        # then the cue itself, then the parameter the action takes
+        kind, *keyword = words
+        cue_ok = (
+            len(words) == (2 if kind == "after" else 1)
+            and _LOWER_IDENT.fullmatch(right)
+            and kind in ("after", "number", "rest")
+            and all(_readme_tokens(word) == [word] for word in keyword)
+        )
+        if not cue_ok or registry.get(action).canonical_param(right) is None:
+            stop = lineno
+            break
+        cue_lists.setdefault(action, lineno)
+    seen = []
+    for lineno, words, _ in triggers:
+        if _readme_tokens(" ".join(words)) != words or words in seen:
+            return lineno
+        seen.append(words)
+    if stop is None:
+        named = {action for _, _, action in triggers}
+        orphans = [lineno for action, lineno in cue_lists.items() if action not in named]
+        if orphans:
+            return min(orphans)
+    return next((lineno for lineno, ok in connectives if not ok), stop)
+
+
+# Lines by the section they are written for, good and faulty; a line
+# drawn into another section means what that section makes of it.
+_LEXICON_ENTRIES = {
+    "[verbs]": (
+        ("goal = goal", "gate = gate", "move = move", "say = say"),
+        ("goal = gate", "Goal = goal", "go = warp", "swim to the big gate = gate", "goal goal"),
+    ),
+    "[params.move]": (("after x = x", "after yaw = yaw", "number = y"), ("after X = x", "after q = q")),
+    "[params.say]": (("rest = words",), ("rest = Words", "number = words")),
+    "[connectives]": (("then", "and then"), ("Then",)),
+    "[chapter]": ((), ()),
+    "[params.warp]": ((), ()),
+}
+_ANY_ENTRY = st.sampled_from(sorted({line for pools in _LEXICON_ENTRIES.values() for pool in pools for line in pool}))
+_GOOD_HEADERS = ("[verbs]", "[params.move]", "[params.say]", "[connectives]")
+
+
+@st.composite
+def _lexicon_files(draw):
+    """Sections of entries, mostly good ones written for their section, so
+
+    that several faults come before reading stops.  A section may have no
+    header: first in the file, its entries come before any.
+    """
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        header = draw(st.sampled_from(_GOOD_HEADERS) | st.sampled_from(sorted(_LEXICON_ENTRIES)) | st.none())
+        good, bad = _LEXICON_ENTRIES.get(header, ((), ()))
+        pools = [st.sampled_from(pool) for pool in (good, good, bad) if pool] + [_ANY_ENTRY]
+        lines += [header] if header else []
+        lines += draw(st.lists(st.one_of(pools), max_size=3))
+    return lines
+
+
+@given(_lexicon_files())
+@settings(max_examples=1000, deadline=None)
+def test_a_file_with_several_faults_reports_the_one_the_readme_names(lines):
+    try:
+        load_lexicon("\n".join(lines) + "\n", builtin_registry())
+    except LexiconError as exc:
+        line = exc.line
+    else:
+        line = None
+    assert line == _readme_lexicon_fault(lines)
 
 
 # LF is the one line end; every other break is a blank or comment text.

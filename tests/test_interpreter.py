@@ -4,11 +4,11 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seqlang.btxml import XmlShapeError, emit, parse_bt_xml
-from seqlang.frontend import translate
+from seqlang.frontend import default_lexicon, normalize, translate
 from seqlang.interpreter import (
     FAILURE,
     SUCCESS,
@@ -275,6 +275,23 @@ def test_format_trace_marks_failures():
     plant.fail_injections.add(0)
     trace, _ = run(mission(act("gate")), plant)
     assert format_trace(trace) == ["0\tgate\t\tFAILURE"]
+
+
+# The lexicon's own words: a drawn word that holds one changes the clause.
+_LEXICON_WORDS = {word for phrase, _ in default_lexicon().verbs for word in phrase}
+_LEXICON_WORDS.update(word for connective in default_lexicon().connectives for word in connective.split())
+
+
+@given(st.text(alphabet="0123456789.-+eE_infaty\u0663", min_size=1, max_size=12))
+@example("1" + "0" * 309)
+@example("1e3")
+@settings(max_examples=500, deadline=None)
+def test_the_number_cue_binds_a_token_exactly_when_the_plant_runs_it(word):
+    # one rule for a number: a value the cue binds runs, and one it passes over would fail
+    assume(normalize(word) == [word] and word not in _LEXICON_WORDS)
+    (flatten,) = translate(f"flatten out at {word}").actions
+    _, status = run(mission(act("flatten", ("num", word))))
+    assert ("num" in {param.name for param in flatten.params}) == (status == SUCCESS)
 
 
 @given(drawn_documents(), st.sets(st.integers(0, 5), max_size=2))
