@@ -1246,7 +1246,7 @@ _LEXICON_ENTRIES = {
         ("goal = gate", "Goal = goal", "go = warp", "swim to the big gate = gate", "goal goal"),
     ),
     "[params.move]": (("after x = x", "after yaw = yaw", "number = y"), ("after X = x", "after q = q")),
-    "[params.say]": (("rest = words",), ("rest = Words", "number = words")),
+    "[params.say]": (("rest = words", "number = words"), ("rest = Words", "rest = obj")),
     "[connectives]": (("then", "and then"), ("Then",)),
     "[chapter]": ((), ()),
     "[params.warp]": ((), ()),
