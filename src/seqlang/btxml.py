@@ -13,12 +13,12 @@ Variable numbering is not stored in the XML; the reader re-assigns
 pass that returns the action leaves: :func:`parse_bt_xml` builds a tree
 from them, and :func:`seqlang.interpreter.run` ticks them as they are,
 so it refuses exactly what :func:`parse_bt_xml` refuses without
-building a tree.  An ASCII document in emit's exact layout whose tree
-ID and values hold no character reference takes :func:`_recognize`,
-which matches it against emit's own layout constants, reads each
-distinct line once and never raises; every other document, and so every
-reference and every error, takes :func:`_read_any`, the ElementTree
-reader.
+building a tree.  An ASCII document in emit's exact layout, its one
+head with tree ID ``MainTree`` included, whose values hold no character
+reference takes :func:`_recognize`, which matches it against emit's own
+layout constants, reads each distinct line once and never raises; every
+other document, and so every other tree ID, every reference and every
+error, takes :func:`_read_any`, the ElementTree reader.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from seqlang.registry import ActionRegistry, builtin_registry
 if TYPE_CHECKING:
     import xml.etree.ElementTree as ET
 
-# emit's layout, which _recognize reads back: the tree ID goes between the
-# pieces of _TOP.
-_TOP = ('<?xml version="1.0" encoding="UTF-8"?>\n<root main_tree_to_execute="', '">\n  <BehaviorTree ID="', '">\n')
+# emit's layout, which _recognize reads back.
+_HEAD = '<?xml version="1.0" encoding="UTF-8"?>\n<root main_tree_to_execute="MainTree">\n  <BehaviorTree ID="MainTree">\n'
 _OPEN, _EMPTY, _CLOSE = "    <Sequence>\n", "    <Sequence/>\n", "    </Sequence>\n"
 _BOTTOM = "  </BehaviorTree>\n</root>\n"
 _INDENT = "      "
@@ -77,7 +76,7 @@ _ASCII_CHARS = re.compile("[\t\n\r -\x7f]*")
 _FORBIDDEN = "".join(map(chr, [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF]))
 
 
-def emit(tree: SequenceNode, registry: ActionRegistry | None = None, tree_id: str = "MainTree") -> str:
+def emit(tree: SequenceNode, registry: ActionRegistry | None = None) -> str:
     """Serialize a mission to XML text.  Same tree, same registry, same
 
     bytes: all ordering and escaping here is deterministic.  Raises
@@ -102,11 +101,10 @@ def emit(tree: SequenceNode, registry: ActionRegistry | None = None, tree_id: st
             leaves.append(f'<{action.name.capitalize()} {param.name}="{param.value.translate(_ESCAPES)}"/>')
         else:
             leaves.append(f"<{action.name.capitalize()}/>")
-    top = tree_id.translate(_ESCAPES).join(_TOP)
     if leaves:
-        document = "".join([top, _OPEN, _INDENT, ("\n" + _INDENT).join(leaves), "\n", _CLOSE, _BOTTOM])
+        document = "".join([_HEAD, _OPEN, _INDENT, ("\n" + _INDENT).join(leaves), "\n", _CLOSE, _BOTTOM])
     else:
-        document = top + _EMPTY + _BOTTOM
+        document = _HEAD + _EMPTY + _BOTTOM
     # Only a parameter can write this, as values escape '"'.  XML readers
     # take an attribute named xmlns for a namespace declaration.
     if ' xmlns="' in document:
@@ -179,8 +177,7 @@ def _read_leaves(xml_text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]]
 _PLAIN = '[^"&<>\\x00-\\x1f\\x7f]*'
 _NAME = IDENT_RE.pattern.removesuffix(r"\Z")
 _SKELETON = re.compile(
-    f"{re.escape(_TOP[0])}({_PLAIN}){re.escape(_TOP[1])}\\1{re.escape(_TOP[2])}"
-    + f"(?:{re.escape(_EMPTY)}|{re.escape(_OPEN)}(.*\\n){re.escape(_CLOSE)}){re.escape(_BOTTOM)}\\Z",
+    f"{re.escape(_HEAD)}(?:{re.escape(_EMPTY)}|{re.escape(_OPEN)}(.*\\n){re.escape(_CLOSE)}){re.escape(_BOTTOM)}\\Z",
     re.S,
 )
 _LEAF = re.compile(f'{re.escape(_INDENT)}<({_NAME.replace("a-z", "A-Z", 1)})((?: {_NAME}="{_PLAIN}")*)/>')
@@ -190,8 +187,9 @@ _ATTRIBUTE = re.compile(f' ({_NAME})="({_PLAIN})"')
 def _recognize(xml_text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]] | None:
     """The leaves of a document in :func:`emit`'s exact layout, or None.
 
-    It takes only a document whose tree ID and values hold no character
-    reference, so :func:`_read_any` is the one reader that decodes them.
+    It takes only emit's own head, tree ID ``MainTree`` included, and
+    values that hold no character reference, so :func:`_read_any` is the
+    one reader that decodes references or picks among tree IDs.
     It never raises: :func:`_read_any` gives the same leaves for every
     document this takes, and all that this does not take goes there.
     """
@@ -200,7 +198,7 @@ def _recognize(xml_text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]] |
     # The body ends in LF, so any text before </Sequence> is in some line.
     read: dict[str, tuple[str, tuple[tuple[str, str], ...]]] = {}
     leaves = []
-    for line in (skeleton[2] or "").split("\n")[:-1]:
+    for line in (skeleton[1] or "").split("\n")[:-1]:
         leaf = read.get(line)
         if leaf is None:
             if (match := _LEAF.fullmatch(line)) is None:

@@ -75,15 +75,20 @@ class ActionSchema:
     slots: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # the nodes own the name rules and their texts: action, seq, each parameter, then each alias
+        # the nodes own the name rules and their texts: action, seq, each parameter, then each alias;
+        # emit refuses xmlns, which XML readers take for a namespace declaration, so a schema does too
         SequenceNode((ActionNode(self.name),))
         for param in self.params:
             ParamNode(param, 0, param)
+            if param == "xmlns":
+                raise ValueError(f"parameter 'xmlns' in action '{self.name}' would declare an XML namespace")
         if len(set(self.params)) != len(self.params):
             raise ValueError(f"duplicate parameter names for '{self.name}'")
         slots = {param: slot for slot, param in enumerate(self.params)}
         for alias, target in self.aliases:
             ParamNode(alias, 0, alias)
+            if alias == "xmlns":
+                raise ValueError(f"parameter 'xmlns' in action '{self.name}' would declare an XML namespace")
             if target not in slots:
                 raise ValueError(f"alias {alias!r} targets unknown parameter {target!r}")
             slots.setdefault(alias, slots[target])
@@ -117,9 +122,6 @@ class ActionRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self.by_name
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(schema.name for schema in self.schemas)
 
     def param_order(self, action: str) -> Callable[[str], tuple[int, str]]:
         """Sort key over parameter names giving an action's canonical order:

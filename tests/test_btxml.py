@@ -118,17 +118,10 @@ def test_emit_sorts_unknown_action_params_alphabetically():
     assert '<Warp speed="9" target="b"/>' in emit(tree)
 
 
-def test_emit_custom_tree_id_is_escaped_everywhere():
-    xml = emit(SequenceNode(()), tree_id='Survey "A"')
-    assert 'main_tree_to_execute="Survey &quot;A&quot;"' in xml
-    assert 'ID="Survey &quot;A&quot;"' in xml
-
-
 def test_emit_writes_blanks_as_character_references():
     tree = SequenceNode((ActionNode("say", (ParamNode("words", 0, "a\rb"),)),))
-    xml = emit(tree, tree_id="A\tB\nC\rD")
+    xml = emit(tree)
     assert 'words="a&#13;b"' in xml
-    assert 'ID="A&#9;B&#10;C&#13;D"' in xml
     assert parse_bt_xml(xml) == tree
 
 
@@ -138,8 +131,6 @@ def test_emit_rejects_characters_xml_forbids(value):
     with pytest.raises(EmitError) as info:
         emit(tree)
     assert "not allowed in XML 1.0" in str(info.value)
-    with pytest.raises(EmitError):
-        emit(SequenceNode(()), tree_id=value)
 
 
 _ANY_CHAR = st.characters(min_codepoint=0, max_codepoint=0x10FFFF, blacklist_categories=())
@@ -160,11 +151,12 @@ def test_emitted_values_round_trip_or_raise(value):
 
 
 def test_emit_names_each_character_xml_forbids():
-    # each one, after allowed text in the tree ID and ahead of another in a value
-    tree = SequenceNode((ActionNode("say", (ParamNode("words", 0, "a\x0bb"),)),))
+    # each one, after allowed text in the first value and ahead of another in it and in a later value
+    later = ActionNode("say", (ParamNode("words", 1, "a\x0bb"),))
     for code in [*range(0x00, 0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF]:
+        first = ActionNode("say", (ParamNode("words", 0, f"Main&Tree{chr(code)}\x00"),))
         with pytest.raises(EmitError) as info:
-            emit(tree, tree_id=f"Main&Tree{chr(code)}\x00")
+            emit(SequenceNode((first, later)))
         assert str(info.value) == f"character U+{code:04X} is not allowed in XML 1.0"
 
 
@@ -197,7 +189,7 @@ def test_a_duplicate_parameter_is_reported_ahead_of_a_forbidden_character(bad_fi
     say = ActionNode("say", (ParamNode("words", 0, "a\x0bb"),))
     move = ActionNode("move", (ParamNode("x", 1, "1"), ParamNode("x", 2, "2")))
     with pytest.raises(EmitError) as info:
-        emit(SequenceNode((say, move) if bad_first else (move, say)), tree_id="\x0b")
+        emit(SequenceNode((say, move) if bad_first else (move, say)))
     assert str(info.value) == "duplicate parameter 'x' in action 'move'"
 
 
@@ -306,17 +298,18 @@ def _outcome(write, *args):
         return f"EmitError: {exc}"
 
 
-# A forbidden character in the tree ID comes ahead of one in a value, so
-# the character named must be the document's first.
-@given(
-    shaped_trees(),
-    st.sampled_from(["MainTree", 'A "b" & <c>', "t\tid"]) | st.text(_ANY_CHAR) | _with_forbidden(st.text(_ANY_CHAR)),
-)
-@example(SequenceNode((ActionNode("say", (ParamNode("words", 0, "a\x00b"),)),)), "t\ud800")
-@example(SequenceNode((ActionNode("say", (ParamNode("words", 0, _EVERY_XML_CHAR),)),)), "\t\n" + _EVERY_XML_CHAR[:97])
+def _says(*values):
+    """An unchecked sequence of one ``say`` per value, so a value may hold a tab or LF."""
+    return _sequence(tuple(_action("say", (_param("words", k, value),)) for k, value in enumerate(values)))
+
+
+# Of two characters XML forbids in a document, the one named must be the first.
+@given(shaped_trees())
+@example(_says("t\ud800", "a\x00b"))
+@example(_says(_EVERY_XML_CHAR, "\t\n" + _EVERY_XML_CHAR[:97]))
 @settings(max_examples=500, deadline=None)
-def test_emit_agrees_with_a_reference_writer(tree, tree_id):
-    assert _outcome(emit, tree, _SHAPE_REGISTRY, tree_id) == _outcome(reference_emit, tree, _SHAPE_REGISTRY, tree_id)
+def test_emit_agrees_with_a_reference_writer(tree):
+    assert _outcome(emit, tree, _SHAPE_REGISTRY) == _outcome(reference_emit, tree, _SHAPE_REGISTRY)
 
 
 def test_emit_is_byte_deterministic():
@@ -336,7 +329,7 @@ def test_emitted_documents_are_well_formed():
 
 def test_emit_defaults_to_the_builtin_registry():
     tree = parse_logical_form("( seq ( goal ) )")
-    assert emit(tree, tree_id="Alt") == emit(tree, builtin_registry(), "Alt")
+    assert emit(tree) == emit(tree, builtin_registry())
 
 
 # ------------------------------------------------------------------ reader
@@ -369,11 +362,22 @@ def named_trees(draw):
     return SequenceNode(tuple(actions))
 
 
+@given(named_trees())
+@settings(max_examples=200, deadline=None)
+def test_parse_bt_xml_inverts_emit_for_any_names(tree):
+    try:
+        xml = emit(tree)
+    except EmitError:
+        assume(False)
+    assert parse_bt_xml(xml) == tree
+
+
 @given(named_trees(), st.text())
 @settings(max_examples=200, deadline=None)
-def test_parse_bt_xml_inverts_emit_for_any_names_and_tree_id(tree, tree_id):
+def test_parse_bt_xml_reads_a_document_of_any_tree_id(tree, tree_id):
+    # emit writes only MainTree, so the reference writer names the tree
     try:
-        xml = emit(tree, tree_id=tree_id)
+        xml = reference_emit(tree, builtin_registry(), tree_id)
     except EmitError:
         assume(False)
     assert parse_bt_xml(xml) == tree
@@ -662,7 +666,8 @@ def edited_documents(draw):
     """Emitted documents with 0-3 edits.  The trees are built unchecked,
 
     so a name may be ``seq`` or ``xmlns`` and a value may hold a tab.  A
-    tree emit refuses for its ``xmlns`` is written by the reference writer.
+    tree emit refuses for its ``xmlns``, and any tree ID but ``MainTree``,
+    is written by the reference writer.
     """
     names = IDENTS | st.sampled_from(("seq", "xmlns", "xml", "say", "words"))
     values = st.sampled_from(_SHAPE_VALUES[:5]) | st.text(st.sampled_from('ab &<>"\t\ré'), max_size=5)
@@ -674,7 +679,7 @@ def edited_documents(draw):
     odd_ids = st.text(st.sampled_from('ab &<>"\t\r\né'), max_size=4)
     tree_id = draw(st.sampled_from(("MainTree", "", "a>b", 'q"&')) | odd_ids)
     try:
-        xml = emit(tree, _SHAPE_REGISTRY, tree_id)
+        xml = emit(tree, _SHAPE_REGISTRY) if tree_id == "MainTree" else reference_emit(tree, _SHAPE_REGISTRY, tree_id)
     except EmitError:
         xml = reference_emit(tree, _SHAPE_REGISTRY, tree_id)
     for _ in range(draw(st.integers(0, 3))):
@@ -699,7 +704,7 @@ _SAY_HI = emit(parse_logical_form("( seq ( say ( words ( $0 ( hi ) ) ) ) ( goal 
 @example(_SAY_HI.replace("<Say ", '<Say xmlns="u" '))
 @example(_SAY_HI.replace('words="hi"', 'words="hi" words="ho"'))
 @example(_SAY_HI.replace("<Goal/>", "<Seq/>"))
-@example(emit(SequenceNode(()), tree_id="a>b").replace("&gt;", "&#62;", 1))
+@example(reference_emit(SequenceNode(()), builtin_registry(), "a>b").replace("&gt;", "&#62;", 1))
 @example(_SAY_HI.replace('ID="MainTree"', 'ID="Other"'))
 @settings(max_examples=1000, deadline=None)
 def test_reading_without_a_parser_changes_no_outcome(xml):
@@ -714,7 +719,7 @@ _REFERENCED = [*((f"a{char}b", "MainTree") for char in '&<>"\t\n\r'), ("a", "a&b
 
 @pytest.mark.parametrize("value, tree_id", _REFERENCED, ids=repr)
 def test_only_the_element_tree_reader_decodes_references(value, tree_id):
-    xml = emit(_sequence((_action("say", (_param("words", 0, value),)),)), tree_id=tree_id)
+    xml = reference_emit(_sequence((_action("say", (_param("words", 0, value),)),)), builtin_registry(), tree_id)
     assert "&" in xml
     assert _recognize(xml) is None
     assert _read_outcome(_read_leaves, xml) == _read_outcome(_read_any, xml)

@@ -605,6 +605,20 @@ def test_reserved_head_in_a_registry_file_exits_5(tmp_path, capsys):
     assert stderr.startswith("error: registry config line 1")
 
 
+@pytest.mark.parametrize("command", ["compile", "repl"])
+def test_a_parameter_named_xmlns_in_a_registry_file_exits_5(tmp_path, capsys, monkeypatch, command):
+    # emit would refuse every mission that binds it, so the registry refuses it first
+    (tmp_path / "actions.txt").write_text("ping xmlns\n", encoding="utf-8")
+    (tmp_path / "lex.txt").write_text("[verbs]\nping = ping\n[params.ping]\nrest = xmlns\n", encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO("ping hello\nping\n"))
+    files = ["--registry", str(tmp_path / "actions.txt"), "--lexicon", str(tmp_path / "lex.txt")]
+    argv = [command, *(["ping hello"] if command == "compile" else []), *files, "--out", str(tmp_path / "m.xml")]
+    code, stdout, stderr = invoke(capsys, *argv)
+    assert (code, stdout) == (5, "")
+    assert stderr == "error: registry config line 1: parameter 'xmlns' in action 'ping' would declare an XML namespace\n"
+    assert not (tmp_path / "m.xml").exists()
+
+
 @pytest.mark.parametrize("flag", ["--train", "--test"])
 def test_generate_refuses_negative_counts_as_a_usage_error(tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as info:

@@ -138,7 +138,7 @@ def test_a_template_error_names_the_rendered_form_and_its_first_error():
 
 
 def test_default_templates_cover_every_builtin():
-    assert set(default_templates()) == set(builtin_registry().names())
+    assert set(default_templates()) == set(builtin_registry().by_name)
     rng = random.Random(4)
     for name, template in default_templates().items():
         clause, node = template(rng)

@@ -26,9 +26,10 @@ from seqlang.frontend import (
 from seqlang.frontend import _tokens
 from seqlang.btxml import emit, parse_bt_xml
 from seqlang.dataset import LINE_BREAKS
-from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, parse_logical_form, render
-from seqlang.registry import builtin_registry, load_registry, validate
+from seqlang.logical_form import RESERVED_HEAD, ActionNode, ParamNode, SequenceNode, parse_logical_form, render
+from seqlang.registry import ConfigParseError, builtin_registry, load_registry, validate
 from support import best_of_5_each, bytecode_growth, rebuild
+from test_btxml import IDENTS
 from test_frontend_oracle import NOUNS, NUMBERS, RIGGED, _vocabulary
 
 
@@ -449,6 +450,35 @@ def test_translated_trees_always_become_missions(prefix, text):
     assert parse_bt_xml(emit(tree)) == tree
 
 
+# README "The lexicon": with a lexicon load_lexicon read, the translation
+# strict-validates against the registry it was loaded with, and emit never
+# refuses it.  A registry line and a lexicon over it are drawn and read as
+# files; parameter names include ones near the XML names.
+_PIPELINE_PARAMS = IDENTS | st.sampled_from(("xmlns", "xml", "seq"))
+# Cue keywords, numbers on both sides of the number rule, and filler.
+_PIPELINE_WORDS = ("k0", "k1", "k2", "-.5", "1e3", "nan", "inf", "1" + "0" * 309, *SKIP_WORDS, *NOUNS, *NUMBERS)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_drawn_registry_line_and_lexicon_translate_to_missions(data):
+    action = data.draw(IDENTS.filter(lambda name: name != RESERVED_HEAD))
+    params = data.draw(st.lists(_PIPELINE_PARAMS, min_size=1, max_size=3, unique=True))
+    try:
+        registry = load_registry(f"{action} {' '.join(params)}\n")
+    except ConfigParseError:
+        return
+    connective_words = {word for connective in DEFAULT_CONNECTIVES for word in connective.split()}
+    trigger = data.draw(IDENTS.filter(lambda word: word not in connective_words))
+    cues = [data.draw(st.sampled_from(("number", "rest", f"after k{k}"))) for k in range(len(params))]
+    lines = [f"[verbs]\n{trigger} = {action}\n[params.{action}]\n", *map("{} = {}\n".format, cues, params)]
+    lexicon = load_lexicon("".join(lines), registry)
+    words = sorted(set(_PIPELINE_WORDS) - connective_words - {trigger})
+    tree = translate(" ".join([trigger, *data.draw(st.lists(st.sampled_from(words), max_size=8))]), lexicon, registry)
+    assert validate(tree, registry, "strict") == []
+    assert parse_bt_xml(emit(tree, registry)) == tree
+
+
 # Stripped from token edges or deleted; "," is a connective, so not here.
 _PUNCT = st.text(st.sampled_from("\"'!?.;:()[]"), max_size=2)
 
@@ -711,7 +741,7 @@ def test_default_lexicon_has_three_triggers_per_action():
     counts = {}
     for _, action in lexicon.verbs:
         counts[action] = counts.get(action, 0) + 1
-    assert set(counts) == set(builtin_registry().names())
+    assert set(counts) == set(builtin_registry().by_name)
     assert all(count >= 3 for count in counts.values())
 
 

@@ -22,7 +22,7 @@ from support import best_of_5_each, bytecode_growth, random_messy_tree
 
 def test_builtins_cover_the_eight_actions():
     registry = builtin_registry()
-    assert registry.names() == ("move", "flatten", "say", "clean", "bring", "find", "goal", "gate")
+    assert tuple(registry.by_name) == ("move", "flatten", "say", "clean", "bring", "find", "goal", "gate")
     assert registry.get("move").params == ("x", "y", "z", "roll", "pitch", "raw")
     assert registry.get("flatten").params == ("num",)
     assert registry.get("say").params == ("words",)
@@ -68,6 +68,12 @@ def test_schemas_refuse_an_alias_the_nodes_refuse(alias):
     assert str(info.value) == str(refusal.value)
 
 
+def test_schemas_refuse_an_alias_named_xmlns_as_emit_refuses_the_parameter():
+    with pytest.raises(ValueError) as info:
+        ActionSchema("move", ("raw",), (("yaw", "raw"), ("xmlns", "raw")))
+    assert str(info.value) == "parameter 'xmlns' in action 'move' would declare an XML namespace"
+
+
 def test_load_registry_adds_custom_actions():
     registry = load_registry(
         """
@@ -101,7 +107,7 @@ def test_load_registry_warns_on_user_redefinition():
 
 def test_a_redefined_action_keeps_its_place():
     registry = load_registry("ping\nflatten depth\nping freq\n")
-    assert registry.names() == ("move", "flatten", "say", "clean", "bring", "find", "goal", "gate", "ping")
+    assert tuple(registry.by_name) == ("move", "flatten", "say", "clean", "bring", "find", "goal", "gate", "ping")
     assert [str(w) for w in registry.warnings] == [
         "warning: line 2 redefines action 'flatten'",
         "warning: line 3 redefines action 'ping'",
@@ -141,16 +147,22 @@ def test_load_registry_rejects_malformed_lines(config, line):
 _NAMES = st.one_of(
     st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True),
     st.just("seq"),
+    st.just("xmlns"),
     st.text(min_size=1).filter(lambda s: "#" not in s and s.split() == [s]),
 )
 
 
 def _node_refusal(name, params):
-    """What the nodes say of a schema's names, in its order: the action, then each parameter."""
+    """What the nodes say of a schema's names, in its order: the action, then each parameter,
+
+    and right after each parameter, the refusal of ``xmlns`` that ``emit`` gives.
+    """
     try:
         SequenceNode((ActionNode(name),))
         for param in params:
             ParamNode(param, 0, "v")
+            if param == "xmlns":
+                return f"parameter 'xmlns' in action '{name}' would declare an XML namespace"
     except ValueError as exc:
         return str(exc)
     return None
@@ -179,7 +191,7 @@ def test_schemas_refuse_exactly_the_names_the_nodes_refuse(name, params):
 @pytest.mark.parametrize("brk", [brk for brk in LINE_BREAKS if brk != "\n"])
 def test_load_registry_ends_lines_only_at_lf(brk):
     registry = load_registry(f"ok # x{brk}tail\r\nping{brk}\n")
-    assert registry.names()[-2:] == ("ok", "ping")
+    assert tuple(registry.by_name)[-2:] == ("ok", "ping")
     with pytest.raises(ConfigParseError) as info:
         load_registry(f"ok # x{brk}tail\nBad\n")
     assert info.value.line == 2
