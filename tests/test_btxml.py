@@ -712,14 +712,15 @@ def test_reading_without_a_parser_changes_no_outcome(xml):
 
 
 # A value holding each character emit writes as a reference, and a tree ID
-# holding "&".  Tab and LF make values the reader refuses, which the
-# ElementTree reader reports.
+# holding "&", which only the reference writer writes.  Tab and LF make
+# values the reader refuses, which the ElementTree reader reports.
 _REFERENCED = [*((f"a{char}b", "MainTree") for char in '&<>"\t\n\r'), ("a", "a&b")]
 
 
 @pytest.mark.parametrize("value, tree_id", _REFERENCED, ids=repr)
 def test_only_the_element_tree_reader_decodes_references(value, tree_id):
-    xml = reference_emit(_sequence((_action("say", (_param("words", 0, value),)),)), builtin_registry(), tree_id)
+    tree = _sequence((_action("say", (_param("words", 0, value),)),))
+    xml = emit(tree) if tree_id == "MainTree" else reference_emit(tree, builtin_registry(), tree_id)
     assert "&" in xml
     assert _recognize(xml) is None
     assert _read_outcome(_read_leaves, xml) == _read_outcome(_read_any, xml)
