@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from seqlang.logical_form import IDENT_RE, RESERVED_HEAD, SequenceNode, _action, _param, _sequence, is_param_value
 from seqlang.logical_form import _Fault
-from seqlang.registry import ActionRegistry, builtin_registry
+from seqlang.registry import ActionRegistry, _refuse_xmlns, builtin_registry
 
 if TYPE_CHECKING:
     import xml.etree.ElementTree as ET
@@ -105,11 +105,9 @@ def emit(tree: SequenceNode, registry: ActionRegistry | None = None) -> str:
         document = "".join([_HEAD, _OPEN, _INDENT, ("\n" + _INDENT).join(leaves), "\n", _CLOSE, _BOTTOM])
     else:
         document = _HEAD + _EMPTY + _BOTTOM
-    # Only a parameter can write this, as values escape '"'.  XML readers
-    # take an attribute named xmlns for a namespace declaration.
+    # Only a parameter can write this, as values escape '"'.
     if ' xmlns="' in document:
-        name = next(action.name for action in tree.actions if "xmlns" in [p.name for p in action.params])
-        raise EmitError(f"parameter 'xmlns' in action '{name}' would declare an XML namespace")
+        _refuse_xmlns(next(a.name for a in tree.actions if "xmlns" in [p.name for p in a.params]), "xmlns", EmitError)
     if document.isascii():
         end = _ASCII_CHARS.match(document).end()
     else:

@@ -84,23 +84,24 @@ class ParamRule:
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Verb triggers, per-action parameter cues, and connective phrases.
+    """Verb triggers, per-action parameter cues, and connective phrases
+    over ``registry``, which holds each verb's action and cue's parameter.
 
-    The constructor owns the entry rules README "The lexicon" states, and
-    :class:`ParamRule` those of a cue, so :func:`translate` builds its
-    nodes unchecked.  A refused entry raises ``ValueError`` naming its
-    section and index.  A cue binds its parameter as written: only
-    :func:`load_lexicon`, which has a registry, resolves an alias to its
-    target, so only a loaded lexicon's output always strict-validates.
+    The constructor owns the entry rules README "The lexicon" states, the
+    registry's included, and :class:`ParamRule` those of a cue, so
+    :func:`translate` builds its nodes unchecked.  A refused entry raises
+    ``ValueError`` naming its section and index.
 
-    Built once from these: ``cues`` maps an action to its cue list, and
-    two indexes of one shape (:func:`_index`) map each trigger phrase to
-    its action (``triggers``) and each connective but "and" to itself.
+    Built once from these: ``cues`` maps an action to its cue list, an
+    alias cue stored under its target, and two indexes of one shape
+    (:func:`_index`) map each trigger phrase to its action (``triggers``)
+    and each connective but "and" to itself.
     """
 
     verbs: tuple[tuple[tuple[str, ...], str], ...]
     params: tuple[tuple[str, tuple[ParamRule, ...]], ...] = ()
     connectives: tuple[str, ...] = DEFAULT_CONNECTIVES
+    registry: ActionRegistry = field(default_factory=builtin_registry, repr=False)
     triggers: _Index = field(init=False, repr=False, compare=False)
     cues: dict[str, tuple[ParamRule, ...]] = field(init=False, repr=False, compare=False)
     splitters: _Index = field(init=False, repr=False, compare=False)
@@ -108,12 +109,10 @@ class Lexicon:
     def __post_init__(self) -> None:
         actions: dict[tuple[str, ...], str] = {}
         for i, (phrase, action) in enumerate(self.verbs):
+            if action not in self.registry:
+                raise _BadEntry("verbs", i, f"unknown action '{action}'")
             if not phrase or normalize(" ".join(phrase)) != list(phrase):
                 raise _BadEntry("verbs", i, f"trigger {phrase!r} is not normalized lowercase text")
-            try:
-                SequenceNode((ActionNode(action),))
-            except ValueError as exc:
-                raise _BadEntry("verbs", i, str(exc)) from None
             if phrase in actions:
                 raise _BadEntry("verbs", i, f"duplicate trigger '{' '.join(phrase)}'")
             actions[phrase] = action
@@ -122,9 +121,14 @@ class Lexicon:
         for index, (action, rules) in enumerate(self.params):
             if action in cues:
                 raise _BadEntry("params", index, f"duplicate cue list for action '{action}'")
+            schema = self.registry.get(action)
+            targets = [schema and schema.canonical_param(rule.param) for rule in rules]
+            if None in targets:
+                j = targets.index(None)
+                raise _BadEntry(f"params.{action}", j, f"'{action}' takes no parameter '{rules[j].param}'")
             if rules and action not in named:
                 raise _BadEntry(f"params.{action}", 0, f"no trigger names action '{action}'")
-            cues[action] = rules
+            cues[action] = tuple(replace(rule, param=target) for rule, target in zip(rules, targets))
         for i, connective in enumerate(self.connectives):
             if not connective or " ".join(_tokens(connective)) != connective:
                 raise _BadEntry("connectives", i, f"connective '{connective}' is not normalized lowercase text")
@@ -266,15 +270,15 @@ def translate(
 ) -> SequenceNode:
     """Translate an utterance into a logical-form tree.
 
-    With a lexicon from :func:`load_lexicon`, the result always strict-validates
-    against the registry it was loaded for: every action comes from a verb
-    entry, every parameter from a cue rule, parameters sit in the order the
-    XML emitter writes them (:meth:`ActionRegistry.param_order`), and
-    variables are numbered globally in order.  Untranslatable input raises
-    :class:`NoVerbMatch`; nothing else escapes.
+    The result always strict-validates against the lexicon's registry:
+    every action comes from a verb entry, every parameter from a cue rule,
+    parameters sit in the order the XML emitter writes them for
+    ``registry`` (the lexicon's unless given; a given one only orders
+    them), and variables are numbered globally in order.  Untranslatable
+    input raises :class:`NoVerbMatch`; nothing else escapes.
     """
     lexicon = default_lexicon() if lexicon is None else lexicon
-    registry = builtin_registry() if registry is None else registry
+    registry = lexicon.registry if registry is None else registry
     clauses = _clauses(utterance, lexicon)
     if not clauses:
         raise NoVerbMatch(0, utterance.strip())
@@ -294,12 +298,12 @@ def translate(
 def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
     """Parse lexicon text (format and rules in README "The lexicon").
 
-    Reading checks only the file's own rules: section headers, ``=``
-    lines, trigger and cue word counts, and names ``registry`` holds.
-    The constructors check each entry, a repeated trigger included.  Any
-    fault raises :class:`LexiconError` with its line; the entries read
-    before a fault are checked too, so that a refused one among them is
-    the one reported.
+    Reading checks the file's own rules (section headers, ``=`` lines,
+    trigger and cue word counts) and that ``[params.X]`` names an action
+    of ``registry``, as an empty section reaches no constructor.  The
+    constructors check each entry, against ``registry`` too.  Any fault
+    raises :class:`LexiconError` with its line; the triggers and
+    connectives read before it are checked too, cue lists in a whole file.
     """
     verbs: list[tuple[tuple[str, ...], str]] = []
     params: dict[str, list[ParamRule]] = {}
@@ -336,8 +340,6 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
                 phrase = tuple(left.split())
                 if not 1 <= len(phrase) <= 3:
                     raise LexiconError(f"trigger '{left}' must be 1-3 tokens", lineno)
-                if right not in registry:
-                    raise LexiconError(f"unknown action '{right}'", lineno)
                 verbs.append((phrase, right))
                 continue
             cue = left.split()
@@ -347,19 +349,16 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
                 rule = ParamRule(cue[0], right, *cue[1:])
             except ValueError as exc:
                 raise LexiconError(str(exc), lineno) from None
-            param = registry.get(action).canonical_param(right)
-            if param is None:
-                raise LexiconError(f"'{action}' takes no parameter '{right}'", lineno)
-            # an alias cue binds its target, so one slot has one name
-            params.setdefault(action, []).append(replace(rule, param=param))
+            params.setdefault(action, []).append(rule)
         read_all = True
     finally:
         try:
             lexicon = Lexicon(
                 verbs=tuple(verbs),
-                # a cue list's trigger may lie past a fault; reading checked each cue
+                # a cue list's trigger may lie past a fault, so a partial read checks no cue list
                 params=tuple((name, tuple(rules)) for name, rules in params.items()) if read_all else (),
                 connectives=tuple(connectives) if saw_connectives else DEFAULT_CONNECTIVES,
+                registry=registry,
             )
         except _BadEntry as exc:
             raise LexiconError(exc.message, lines[exc.section][exc.index]) from None

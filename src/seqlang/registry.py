@@ -49,6 +49,12 @@ class Diagnostic:
         return f"{self.severity}: {self.message}{where}"
 
 
+def _refuse_xmlns(action: str, param: str, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` for a parameter named xmlns, which XML readers take for a namespace declaration."""
+    if param == "xmlns":
+        raise error(f"parameter 'xmlns' in action '{action}' would declare an XML namespace")
+
+
 def finite_number(value: str) -> float | None:
     """The finite float ``float()`` reads from ``value``, or None: the one
     rule for a number, which the ``number`` cue and the plant both use."""
@@ -75,20 +81,17 @@ class ActionSchema:
     slots: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # the nodes own the name rules and their texts: action, seq, each parameter, then each alias;
-        # emit refuses xmlns, which XML readers take for a namespace declaration, so a schema does too
+        # the nodes own the name rules and their texts: action, seq, each parameter, then each alias
         SequenceNode((ActionNode(self.name),))
         for param in self.params:
             ParamNode(param, 0, param)
-            if param == "xmlns":
-                raise ValueError(f"parameter 'xmlns' in action '{self.name}' would declare an XML namespace")
+            _refuse_xmlns(self.name, param)
         if len(set(self.params)) != len(self.params):
             raise ValueError(f"duplicate parameter names for '{self.name}'")
         slots = {param: slot for slot, param in enumerate(self.params)}
         for alias, target in self.aliases:
             ParamNode(alias, 0, alias)
-            if alias == "xmlns":
-                raise ValueError(f"parameter 'xmlns' in action '{self.name}' would declare an XML namespace")
+            _refuse_xmlns(self.name, alias)
             if target not in slots:
                 raise ValueError(f"alias {alias!r} targets unknown parameter {target!r}")
             slots.setdefault(alias, slots[target])

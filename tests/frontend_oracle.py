@@ -20,11 +20,12 @@ documented rule:
   run of digits that ``float()`` reads as infinite.
 
 Only ``normalize``, the exception type and the registry's parameter
-order are shared with the library.
+order and alias targets are shared with the library.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import isfinite
 
 from seqlang.frontend import NoVerbMatch, normalize
@@ -42,9 +43,11 @@ SKIP_WORDS = ("the", "a", "an", "me", "to", "at", "out", "up", "for")
 
 
 def rules_for(lexicon, action):
+    schema = lexicon.registry.get(action)
     for name, rules in lexicon.params:
         if name == action:
-            return rules
+            # a cue that names an alias binds its target
+            return [replace(rule, param=schema.canonical_param(rule.param)) for rule in rules]
     return ()
 
 

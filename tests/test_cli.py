@@ -583,6 +583,19 @@ def test_repl_validates_each_line_like_compile(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "c.xml").exists()
 
 
+def test_a_passed_registry_orders_the_shipped_lexicons_parameters(tmp_path, capsys):
+    # the shipped lexicon is built over the built-ins, but compile orders
+    # what it binds by --registry, here one that reverses move's first axes
+    registry = tmp_path / "reg.txt"
+    registry.write_text("move z y x roll pitch raw\n", encoding="utf-8")
+    out = tmp_path / "m.xml"
+    argv = ["compile", "move to x 1 y 2 z 3", "--registry", str(registry), "--out", str(out)]
+    code, stdout, stderr = invoke(capsys, *argv)
+    assert (code, stdout) == (0, "( seq ( move ( z ( $0 ( 3 ) ) ) ( y ( $1 ( 2 ) ) ) ( x ( $2 ( 1 ) ) ) ) )\n")
+    assert stderr == "warning: line 1 redefines action 'move'\n"
+    assert '<Move z="3" y="2" x="1"/>' in out.read_text(encoding="utf-8")
+
+
 # ------------------------------------------------------------------ parsing
 
 

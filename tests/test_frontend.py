@@ -7,7 +7,7 @@ from itertools import dropwhile
 from math import isfinite
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seqlang.frontend import (
@@ -27,7 +27,7 @@ from seqlang.frontend import _tokens
 from seqlang.btxml import emit, parse_bt_xml
 from seqlang.dataset import LINE_BREAKS
 from seqlang.logical_form import RESERVED_HEAD, ActionNode, ParamNode, SequenceNode, parse_logical_form, render
-from seqlang.registry import ConfigParseError, builtin_registry, load_registry, validate
+from seqlang.registry import ActionRegistry, ActionSchema, ConfigParseError, builtin_registry, load_registry, validate
 from support import best_of_5_each, bytecode_growth, rebuild
 from test_btxml import IDENTS
 from test_frontend_oracle import NOUNS, NUMBERS, RIGGED, _vocabulary
@@ -365,13 +365,13 @@ def test_translate_accepts_plain_text():
 
 
 def test_translate_orders_params_like_emit():
-    # yaw and raw share a schema slot; q and b are outside the schema, so
-    # only a lexicon built in code can bind them (load_lexicon refuses)
-    cues = tuple(ParamRule("after", name, name) for name in ("x", "yaw", "raw", "q", "b"))
-    lexicon = Lexicon(verbs=((("move",), "move"),), params=(("move", cues),))
-    tree = translate("move x 1 yaw 2 raw 3 q 4 b 5", lexicon)
-    assert [p.name for p in tree.actions[0].params] == ["x", "raw", "yaw", "b", "q"]
-    assert render(tree) == render(parse_bt_xml(emit(tree)))
+    # the CLI's path: the shipped lexicon, and a registry that redefines
+    # move with fewer parameters; x and raw are outside its schema, so
+    # they come last, by name
+    registry = load_registry("move z pitch y\n")
+    tree = translate("move to x 1 y 2 z 3 yaw 4 pitch 5", default_lexicon(), registry)
+    assert [p.name for p in tree.actions[0].params] == ["z", "pitch", "y", "raw", "x"]
+    assert render(tree) == render(parse_bt_xml(emit(tree, registry)))
 
 
 def test_translate_output_always_strict_validates():
@@ -394,11 +394,23 @@ def test_a_cue_for_a_bound_parameter_binds_nothing():
 
 
 def test_a_lexicon_built_in_code_binds_an_alias_as_written():
-    # only load_lexicon resolves an alias, so here both names bind
+    # a registry where raw and yaw are two parameters, not a name and its alias
+    registry = ActionRegistry((ActionSchema("move", ("raw", "yaw")),))
     cues = (ParamRule("after", "raw", "raw"), ParamRule("after", "yaw", "yaw"))
-    tree = translate("move raw 1 yaw 2", Lexicon(((("move",), "move"),), (("move", cues),)))
+    tree = translate("move raw 1 yaw 2", Lexicon(((("move",), "move"),), (("move", cues),), registry=registry))
     assert [(p.name, p.value) for p in tree.actions[0].params] == [("raw", "1"), ("yaw", "2")]
-    assert [d.code for d in validate(tree, builtin_registry(), "strict")] == ["duplicate-param"]
+    assert validate(tree, registry, "strict") == []
+
+
+def test_a_lexicon_built_in_code_binds_an_alias_to_its_target():
+    # under the built-ins yaw is raw's alias, as in a file: raw binds first,
+    # so the yaw cue finds its parameter bound and binds nothing
+    cues = (ParamRule("after", "raw", "raw"), ParamRule("after", "yaw", "yaw"))
+    lexicon = Lexicon(((("move",), "move"),), (("move", cues),))
+    assert lexicon.cues["move"] == (ParamRule("after", "raw", "raw"), ParamRule("after", "raw", "yaw"))
+    tree = translate("move raw 1 yaw 2", lexicon)
+    assert render(tree) == "( seq ( move ( raw ( $0 ( 1 ) ) ) ) )"
+    assert validate(tree, builtin_registry(), "strict") == []
 
 
 def test_no_verb_match_names_the_clause():
@@ -450,33 +462,103 @@ def test_translated_trees_always_become_missions(prefix, text):
     assert parse_bt_xml(emit(tree)) == tree
 
 
-# README "The lexicon": with a lexicon load_lexicon read, the translation
-# strict-validates against the registry it was loaded with, and emit never
-# refuses it.  A registry line and a lexicon over it are drawn and read as
-# files; parameter names include ones near the XML names.
+# README "The lexicon": for every lexicon, translate's output strict-validates
+# against the lexicon's registry, which translate orders by when given none,
+# and emit never refuses it.  Registry lines and a lexicon over them are drawn
+# and read as files; parameter names include ones near the XML names.
 _PIPELINE_PARAMS = IDENTS | st.sampled_from(("xmlns", "xml", "seq"))
 # Cue keywords, numbers on both sides of the number rule, and filler.
 _PIPELINE_WORDS = ("k0", "k1", "k2", "-.5", "1e3", "nan", "inf", "1" + "0" * 309, *SKIP_WORDS, *NOUNS, *NUMBERS)
+_CONNECTIVE_WORDS = {word for connective in DEFAULT_CONNECTIVES for word in connective.split()}
+_ACTIONS = st.lists(IDENTS.filter(lambda name: name != RESERVED_HEAD), min_size=1, max_size=3, unique=True)
+# Triggers of one to three words; connective words stay out of them.
+_PIPELINE_TRIGGERS = st.lists(IDENTS.filter(lambda word: word not in _CONNECTIVE_WORDS), min_size=1, max_size=3)
+
+
+def _pipeline_text(draw, triggers):
+    """A trigger, then words that may hold triggers and split into clauses."""
+    words = sorted({*_PIPELINE_WORDS, *(word for trigger in triggers for word in trigger.split()), "then", "and", ","})
+    return " ".join([draw(st.sampled_from(triggers)), *draw(st.lists(st.sampled_from(words), max_size=10))])
+
+
+def _assert_becomes_a_mission(text, lexicon, registry):
+    try:
+        tree = translate(text, lexicon)
+    except NoVerbMatch:
+        return
+    assert validate(tree, registry, "strict") == []
+    assert parse_bt_xml(emit(tree, registry)) == tree
 
 
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_a_drawn_registry_line_and_lexicon_translate_to_missions(data):
-    action = data.draw(IDENTS.filter(lambda name: name != RESERVED_HEAD))
-    params = data.draw(st.lists(_PIPELINE_PARAMS, min_size=1, max_size=3, unique=True))
+    actions = data.draw(_ACTIONS)
+    params = [data.draw(st.lists(_PIPELINE_PARAMS, max_size=3, unique=True)) for _ in actions]
     try:
-        registry = load_registry(f"{action} {' '.join(params)}\n")
+        registry = load_registry("".join(f"{action} {' '.join(names)}\n" for action, names in zip(actions, params)))
     except ConfigParseError:
         return
-    connective_words = {word for connective in DEFAULT_CONNECTIVES for word in connective.split()}
-    trigger = data.draw(IDENTS.filter(lambda word: word not in connective_words))
-    cues = [data.draw(st.sampled_from(("number", "rest", f"after k{k}"))) for k in range(len(params))]
-    lines = [f"[verbs]\n{trigger} = {action}\n[params.{action}]\n", *map("{} = {}\n".format, cues, params)]
-    lexicon = load_lexicon("".join(lines), registry)
-    words = sorted(set(_PIPELINE_WORDS) - connective_words - {trigger})
-    tree = translate(" ".join([trigger, *data.draw(st.lists(st.sampled_from(words), max_size=8))]), lexicon, registry)
-    assert validate(tree, registry, "strict") == []
-    assert parse_bt_xml(emit(tree, registry)) == tree
+    triggers = data.draw(st.lists(_PIPELINE_TRIGGERS.map(" ".join), min_size=len(actions), max_size=6, unique=True))
+    lines = ["[verbs]\n", *(f"{trigger} = {actions[i % len(actions)]}\n" for i, trigger in enumerate(triggers))]
+    for action, names in zip(actions, params):
+        cues = [data.draw(st.sampled_from(("number", "rest", f"after k{k}"))) for k in range(len(names))]
+        lines += [f"[params.{action}]\n", *map("{} = {}\n".format, cues, names)]
+    _assert_becomes_a_mission(_pipeline_text(data.draw, triggers), load_lexicon("".join(lines), registry), registry)
+
+
+# Names a schema may hold; a schema refuses xmlns.
+_SCHEMA_NAMES = _PIPELINE_PARAMS.filter(lambda name: name != "xmlns")
+
+
+@st.composite
+def _lexicons_over_aliases(draw):
+    """A registry built in code, with aliases, which no registry file holds;
+
+    a lexicon built in code over it, whose cues name parameters and
+    aliases; and an utterance.
+    """
+    schemas = []
+    for action in draw(_ACTIONS):
+        params = draw(st.lists(_SCHEMA_NAMES, min_size=1, max_size=3, unique=True))
+        aliases = draw(st.lists(st.tuples(_SCHEMA_NAMES, st.sampled_from(params)), max_size=3))
+        schemas.append(ActionSchema(action, tuple(params), tuple(aliases)))
+    triggers = draw(st.lists(_PIPELINE_TRIGGERS.map(" ".join), min_size=len(schemas), max_size=6, unique=True))
+    verbs = tuple((tuple(trigger.split()), schemas[i % len(schemas)].name) for i, trigger in enumerate(triggers))
+    cues = []
+    for schema in schemas:
+        names = draw(st.lists(st.sampled_from([*schema.params, *(alias for alias, _ in schema.aliases)]), max_size=4))
+        kinds = [draw(st.sampled_from(("number", "rest", f"after k{k}"))).split() for k in range(len(names))]
+        rules = tuple(ParamRule(kind, name, *keyword) for (kind, *keyword), name in zip(kinds, names))
+        cues.append((schema.name, rules))
+    return Lexicon(verbs, tuple(cues), registry=ActionRegistry(tuple(schemas))), _pipeline_text(draw, triggers)
+
+
+# A schema that puts b before a: when translate ordered a lexicon's
+# parameters by the built-ins, emit under this registry wrote b first, and
+# the mission read back renumbered.
+_PING = Lexicon(
+    ((("ping",), "ping"),),
+    (("ping", (ParamRule("after", "b", "kb"), ParamRule("after", "a", "ka"))),),
+    registry=load_registry("ping b a\n"),
+)
+
+
+@given(_lexicons_over_aliases())
+@example((_PING, "ping ka 1 kb 2"))
+@settings(max_examples=200, deadline=None)
+def test_a_code_built_lexicon_over_aliases_translates_to_missions_and_binds_each_alias_to_its_target(case):
+    lexicon, text = case
+    registry = lexicon.registry
+    _assert_becomes_a_mission(text, lexicon, registry)
+    # README "The lexicon": a cue that names an alias binds its target, so
+    # writing each cue with its target instead changes nothing
+    written = []
+    for action, rules in lexicon.params:
+        schema = registry.get(action)
+        written.append((action, tuple(ParamRule(r.kind, schema.canonical_param(r.param), r.keyword) for r in rules)))
+    targets = Lexicon(lexicon.verbs, tuple(written), lexicon.connectives, registry)
+    assert _tree_or_miss(text, targets) == _tree_or_miss(text, lexicon)
 
 
 # Stripped from token edges or deleted; "," is a connective, so not here.
@@ -558,6 +640,9 @@ def _assert_cues_follow_the_readme(lexicon, kind, data):
     """
     heads = {}
     for action, rules in lexicon.params:
+        # a cue that names an alias binds its target
+        schema = lexicon.registry.get(action)
+        rules = [ParamRule(rule.kind, schema.canonical_param(rule.param), rule.keyword) for rule in rules]
         head = rules[: next((k for k, rule in enumerate(rules) if rule.kind == "rest"), len(rules))]
         if any(rule.kind == kind for rule in head):
             heads[action] = head
@@ -601,8 +686,11 @@ def _cue_pool(lexicon):
 
 
 def _with_cues(lexicon, action, rules):
+    # a registry where each action takes every drawn name, none an alias, so each cue binds as written
+    names = sorted({rule.param for _, cues in lexicon.params for rule in cues} | {rule.param for rule in rules})
+    registry = ActionRegistry(tuple(ActionSchema(name, tuple(names)) for name in sorted({a for _, a in lexicon.verbs})))
     others = tuple((name, cues) for name, cues in lexicon.params if name != action)
-    return Lexicon(lexicon.verbs, ((action, tuple(rules)), *others), lexicon.connectives)
+    return Lexicon(lexicon.verbs, ((action, tuple(rules)), *others), lexicon.connectives, registry)
 
 
 def _drawn_clause(lexicon, rules, data):
@@ -897,8 +985,9 @@ def test_the_longest_trigger_in_a_clause_wins_and_the_leftmost_breaks_a_tie(lexi
 @pytest.mark.parametrize(
     "build, needle",
     [
-        (lambda: Lexicon(verbs=((("go",), "Go"),)), "action name 'Go'"),
-        (lambda: Lexicon(verbs=((("go",), "seq"),)), "named 'seq'"),
+        # no registry holds a name the nodes refuse, so a lexicon refuses it as unknown
+        (lambda: Lexicon(verbs=((("go",), "Go"),)), "verbs\\[0\\]: unknown action 'Go'"),
+        (lambda: Lexicon(verbs=((("go",), "seq"),)), "verbs\\[0\\]: unknown action 'seq'"),
         (lambda: ParamRule("rest", "Words"), "parameter name 'Words'"),
     ],
     ids=["action-Go", "action-seq", "param-Words"],
@@ -1023,18 +1112,24 @@ _TRIGGER_WORDS = ("go", "dive", "say")
 )
 @settings(max_examples=300, deadline=None)
 def test_lexicon_names_are_checked_at_construction(actions, rules, words):
-    # a name breaks the rule when no logical-form node could hold it; an
-    # action repeated in ``actions`` gets a second, dead, cue list
+    # a name breaks the rule when no logical-form node could hold it, or,
+    # for a parameter, when no registry can (xmlns); an action repeated in
+    # ``actions`` gets a second, dead, cue list.  The registry holds every
+    # drawn name a schema may hold, so it refuses nothing more.
     breaks = (
         any(not _LOWER_IDENT.fullmatch(name) or name == "seq" for name in actions)
-        or any(not _LOWER_IDENT.fullmatch(name) for _, name in rules)
+        or any(not _LOWER_IDENT.fullmatch(name) or name == "xmlns" for _, name in rules)
         or len(set(actions)) < len(actions)
     )
+    names = dict.fromkeys(name for _, name in rules)
+    params = tuple(name for name in names if _node_refusal(lambda: ActionSchema("a", (name,))) is None)
+    held = [action for action in dict.fromkeys(actions) if _node_refusal(lambda: ActionSchema(action)) is None]
     try:
         cues = tuple(ParamRule(kind, name, "x" if kind == "after" else None) for kind, name in rules)
         lexicon = Lexicon(
             verbs=tuple(((word,), action) for word, action in zip(_TRIGGER_WORDS, actions)),
             params=tuple((action, cues) for action in actions),
+            registry=ActionRegistry(tuple(ActionSchema(action, params) for action in held)),
         )
     except ValueError:
         assert breaks
@@ -1071,15 +1166,22 @@ def _node_refusal(build):
 )
 @settings(max_examples=500, deadline=None)
 def test_entries_refuse_exactly_the_names_the_nodes_refuse(actions, param, cue):
+    # a verb is refused exactly when its registry lacks the action; a
+    # registry may hold any name the nodes allow, and no other
     verbs = tuple(((word,), action) for word, action in zip(_TRIGGER_WORDS, actions))
     refusals = [_node_refusal(lambda: SequenceNode((ActionNode(action),))) for action in actions]
+    held = {action for action, refusal in zip(actions, refusals) if refusal is None}
+    registry = ActionRegistry(tuple(map(ActionSchema, sorted(held))))
     bad = [i for i, refusal in enumerate(refusals) if refusal is not None]
     try:
-        Lexicon(verbs=verbs)
+        Lexicon(verbs=verbs, registry=registry)
     except ValueError as exc:
-        assert bad and str(exc) == f"verbs[{bad[0]}]: {refusals[bad[0]]}"
+        assert bad and str(exc) == f"verbs[{bad[0]}]: unknown action '{actions[bad[0]]}'"
     else:
         assert not bad
+    # under the built-ins, a verb is refused exactly when they lack its action
+    for verb, action in zip(verbs, actions):
+        assert _refused(lambda: Lexicon(verbs=(verb,)), ValueError) == (action not in builtin_registry().by_name)
 
     refusal = _node_refusal(lambda: ParamNode(param, 0, "v"))
     kind, *keyword = cue.split()
@@ -1142,6 +1244,7 @@ def test_load_lexicon_param_rules():
         ("[verbs]\n= goal\n", 2, "empty side"),
         ("[verbs]\nswim to the big gate = gate\n", 2, "1-3 tokens"),
         ("[verbs]\ngo = warp\n", 2, "unknown action"),
+        ("[verbs]\nGo = warp\n", 2, "unknown action 'warp'"),
         ("[verbs]\ngoal = goal\ngoal = gate\n", 3, "duplicate trigger 'goal'"),
         ("[verbs]\ngoal now = goal\ngoal\tnow = gate\n", 3, "duplicate trigger 'goal now'"),
         ("[verbs]\nGoal = goal\n", 2, "not normalized"),
@@ -1171,8 +1274,9 @@ def test_load_lexicon_rejects_malformed_files(text, line, needle):
 
 # A file with several faults reports one.  Reading stops at the first line
 # that breaks a file rule; an entry read before it that the constructors
-# refuse is reported instead, triggers before connectives.  A cue list no
-# trigger names is refused only in a whole file, between the two.
+# refuse is reported instead, triggers before connectives.  Cue lists are
+# checked only in a whole file, between the two: an unknown parameter in
+# them, and a cue list no trigger names.
 @pytest.mark.parametrize(
     "text, line",
     [
@@ -1185,6 +1289,10 @@ def test_load_lexicon_rejects_malformed_files(text, line, needle):
         ("[params.move]\nafter x = x\n[chapter]\n[verbs]\nmove = move\n", 3),
         ("[params.move]\nafter x = x\n[verbs]\nGoal = goal\n", 4),
         ("[connectives]\nThen\n[params.move]\nafter x = x\n[verbs]\ngoal = goal\n", 4),
+        ("[connectives]\nThen\n[verbs]\ngo = warp\n", 4),
+        ("[params.say]\nrest = nope\n[bogus]\n", 3),
+        ("[params.move]\nafter x = x\nafter q = q\n", 3),
+        ("[verbs]\nsay = say\n[params.move]\nafter q = q\n[params.say]\nrest = nope\n", 4),
     ],
     ids=[
         "entry-then-section",
@@ -1196,6 +1304,10 @@ def test_load_lexicon_rejects_malformed_files(text, line, needle):
         "cue-list-then-section",
         "cue-list-then-trigger",
         "connective-then-cue-list",
+        "connective-then-unknown-action",
+        "unknown-parameter-then-section",
+        "unknown-parameter-before-cue-list",
+        "cue-lists-in-order",
     ],
 )
 def test_which_fault_a_file_with_several_reports(text, line):
@@ -1209,13 +1321,15 @@ def _readme_lexicon_fault(lines):
 
     is refused at, or None.  Reading stops at the first line that breaks a
     file rule or holds a refused cue.  Then the first refused trigger read
-    before it is reported; else, if reading reached the end, a cue list no
-    trigger names, at its first cue's line; else the first refused
-    connective read before it; else the line reading stopped at.
+    before it is reported, its action unknown to the registry included;
+    else, if reading reached the end, the first cue list, in the order of
+    their first cues, that holds a parameter its action lacks, at that
+    cue's line, or that no trigger names, at its first cue's line; else the
+    first refused connective read before it; else the line reading stopped at.
     """
     registry = builtin_registry()
     section, stop = None, None
-    triggers, connectives, cue_lists = [], [], {}  # cue_lists: action -> its first cue's line
+    triggers, connectives, cue_lists = [], [], {}  # cue_lists: action -> (line, parameter) of each cue
     for lineno, line in enumerate(lines, 1):
         if line.startswith("["):
             section = line[1:-1]
@@ -1237,13 +1351,13 @@ def _readme_lexicon_fault(lines):
             stop = lineno
             break
         if section == "verbs":
-            # then the action the registry holds; the text and a repeat are the constructor's
-            if not 1 <= len(words) <= 3 or right not in registry:
+            # the action, the text and a repeat are the constructor's
+            if not 1 <= len(words) <= 3:
                 stop = lineno
                 break
             triggers.append((lineno, words, right))
             continue
-        # then the cue itself, then the parameter the action takes
+        # then the cue itself; the parameter the action takes is the constructor's
         kind, *keyword = words
         cue_ok = (
             len(words) == (2 if kind == "after" else 1)
@@ -1251,20 +1365,21 @@ def _readme_lexicon_fault(lines):
             and kind in ("after", "number", "rest")
             and all(_readme_tokens(word) == [word] for word in keyword)
         )
-        if not cue_ok or registry.get(action).canonical_param(right) is None:
+        if not cue_ok:
             stop = lineno
             break
-        cue_lists.setdefault(action, lineno)
+        cue_lists.setdefault(action, []).append((lineno, right))
     seen = []
-    for lineno, words, _ in triggers:
-        if _readme_tokens(" ".join(words)) != words or words in seen:
+    for lineno, words, action in triggers:
+        if action not in registry or _readme_tokens(" ".join(words)) != words or words in seen:
             return lineno
         seen.append(words)
     if stop is None:
         named = {action for _, _, action in triggers}
-        orphans = [lineno for action, lineno in cue_lists.items() if action not in named]
-        if orphans:
-            return min(orphans)
+        for action, cues in cue_lists.items():
+            unknown = [lineno for lineno, param in cues if registry.get(action).canonical_param(param) is None]
+            if unknown or action not in named:
+                return (unknown or [cues[0][0]])[0]
     return next((lineno for lineno, ok in connectives if not ok), stop)
 
 
