@@ -101,7 +101,7 @@ class Lexicon:
     verbs: tuple[tuple[tuple[str, ...], str], ...]
     params: tuple[tuple[str, tuple[ParamRule, ...]], ...] = ()
     connectives: tuple[str, ...] = DEFAULT_CONNECTIVES
-    registry: ActionRegistry = field(default_factory=builtin_registry, repr=False)
+    registry: ActionRegistry = field(default_factory=builtin_registry)
     triggers: _Index = field(init=False, repr=False, compare=False)
     cues: dict[str, tuple[ParamRule, ...]] = field(init=False, repr=False, compare=False)
     splitters: _Index = field(init=False, repr=False, compare=False)
