@@ -34,7 +34,7 @@ from seqlang.dataset import (
 from seqlang.evaluation import evaluate, format_report, report_lines
 from seqlang.frontend import Lexicon, LexiconError, NoVerbMatch, default_lexicon, load_lexicon, translate
 from seqlang.interpreter import MockPlant, format_trace, run
-from seqlang.logical_form import LogicalFormError, parse_logical_form, render
+from seqlang.logical_form import LogicalFormError, SequenceNode, parse_logical_form, render
 from seqlang.registry import ERROR, ActionRegistry, ConfigParseError, builtin_registry, load_registry, validate
 
 
@@ -68,23 +68,23 @@ def _text_or_stdin(value: str | None) -> str:
     return sys.stdin.read() if value is None else value
 
 
-def _report_diagnostics(diagnostics) -> bool:
-    """Print findings to stderr; True when any is an error."""
+def _mission(tree: SequenceNode, registry: ActionRegistry, mode: str) -> str | None:
+    """Validate, printing every finding to stderr; the XML, or None if any is an error."""
     failed = False
-    for diag in diagnostics:
+    for diag in validate(tree, registry, mode):
         _say(str(diag))
         failed = failed or diag.severity == ERROR
-    return failed
+    return None if failed else emit(tree, registry)
 
 
 def _compile(text: str, lexicon: Lexicon, registry: ActionRegistry, out: str) -> bool:
     """Translate, strict-validate, write XML, print the form; False if invalid."""
     tree = translate(text, lexicon, registry)
-    if _report_diagnostics(validate(tree, registry, "strict")):
-        return False
-    _write(out, emit(tree, registry))
-    print(render(tree))
-    return True
+    xml = _mission(tree, registry, "strict")
+    if xml is not None:
+        _write(out, xml)
+        print(render(tree))
+    return xml is not None
 
 
 def cmd_compile(args: argparse.Namespace, registry: ActionRegistry, lexicon: Lexicon) -> int:
@@ -92,11 +92,9 @@ def cmd_compile(args: argparse.Namespace, registry: ActionRegistry, lexicon: Lex
 
 
 def cmd_parse(args: argparse.Namespace, registry: ActionRegistry) -> int:
-    tree = parse_logical_form(_text_or_stdin(args.form))
-    mode = "strict" if args.strict else "lenient"
-    if _report_diagnostics(validate(tree, registry, mode)):
+    xml = _mission(parse_logical_form(_text_or_stdin(args.form)), registry, "strict" if args.strict else "lenient")
+    if xml is None:
         return 3
-    xml = emit(tree, registry)
     if args.out is None:
         print(xml, end="")
     else:

@@ -54,9 +54,9 @@ class _BadEntry(_Fault, ValueError):
     """A lexicon entry refused at construction: ``section`` and ``index``
 
     name it as a file would (``verbs``, ``params.ACTION``, ``connectives``),
-    so that :func:`load_lexicon` can give the entry's line instead.  A
-    second cue list for one action is ``params[index]``; a file merges
-    its sections for an action into one list, so it never holds one.
+    so that :func:`load_lexicon` can give the entry's line instead: for
+    ``params[index]``, a cue list repeated or for an unknown action, its
+    first header's.  A file merges an action's sections, so never repeats.
     """
 
     template = "{section}[{index}]: {message}"
@@ -88,9 +88,9 @@ class Lexicon:
     over ``registry``, which holds each verb's action and cue's parameter.
 
     The constructor owns the entry rules README "The lexicon" states, the
-    registry's included, and :class:`ParamRule` those of a cue, so
-    :func:`translate` builds its nodes unchecked.  A refused entry raises
-    ``ValueError`` naming its section and index.
+    registry's included, in README's order, and :class:`ParamRule` those
+    of a cue, so :func:`translate` builds its nodes unchecked.  A refused
+    entry raises ``ValueError`` naming its section and index.
 
     Built once from these: ``cues`` maps an action to its cue list, an
     alias cue stored under its target, and two indexes of one shape
@@ -122,7 +122,9 @@ class Lexicon:
             if action in cues:
                 raise _BadEntry("params", index, f"duplicate cue list for action '{action}'")
             schema = self.registry.get(action)
-            targets = [schema and schema.canonical_param(rule.param) for rule in rules]
+            if schema is None:
+                raise _BadEntry("params", index, f"unknown action '{action}'")
+            targets = [schema.canonical_param(rule.param) for rule in rules]
             if None in targets:
                 j = targets.index(None)
                 raise _BadEntry(f"params.{action}", j, f"'{action}' takes no parameter '{rules[j].param}'")
@@ -299,70 +301,64 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
     """Parse lexicon text (format and rules in README "The lexicon").
 
     Reading checks the file's own rules (section headers, ``=`` lines,
-    trigger and cue word counts) and that ``[params.X]`` names an action
-    of ``registry``, as an empty section reaches no constructor.  The
-    constructors check each entry, against ``registry`` too.  Any fault
-    raises :class:`LexiconError` with its line; the triggers and
-    connectives read before it are checked too, cue lists in a whole file.
+    trigger and cue word counts) and each cue (:class:`ParamRule`), and
+    stops at the first line that breaks one.  A whole file then goes to
+    the constructor, which checks its entries against ``registry``.  Any
+    fault raises :class:`LexiconError` with its line.
     """
     verbs: list[tuple[tuple[str, ...], str]] = []
     params: dict[str, list[ParamRule]] = {}
-    connectives: list[str] = []
-    lines: dict[str, list[int]] = {}  # section -> the line of each of its entries
-    saw_connectives = False
+    connectives: list[str] | None = None  # None: the file has no [connectives]
+    lines: dict[str, list[int]] = {}  # section -> the line of each entry; "params" -> each cue list's header
     section: str | None = None
-    read_all = False
-    try:
-        for lineno, line in config_lines(text):
-            if line.startswith("["):
-                if not line.endswith("]"):
-                    raise LexiconError(f"unterminated section header {line!r}", lineno)
-                section = line[1:-1].strip()
-                action = section[len("params.") :]
-                saw_connectives = saw_connectives or section == "connectives"
-                if section not in ("verbs", "connectives") and not section.startswith("params."):
-                    raise LexiconError(f"unknown section [{section}]", lineno)
-                if section.startswith("params.") and action not in registry:
-                    raise LexiconError(f"[{section}] names unknown action '{action}'", lineno)
-                continue
-            if section is None:
-                raise LexiconError("entry before any section header", lineno)
-            lines.setdefault(section, []).append(lineno)
+    for lineno, line in config_lines(text):
+        if line.startswith("["):
+            if not line.endswith("]"):
+                raise LexiconError(f"unterminated section header {line!r}", lineno)
+            section = line[1:-1].strip()
+            action = section[len("params.") :]
             if section == "connectives":
-                connectives.append(line)
-                continue
-            if "=" not in line:
-                raise LexiconError("expected 'left = right'", lineno)
-            left, right = (part.strip() for part in line.split("=", 1))
-            if not left or not right:
-                raise LexiconError("empty side of '='", lineno)
-            if section == "verbs":
-                phrase = tuple(left.split())
-                if not 1 <= len(phrase) <= 3:
-                    raise LexiconError(f"trigger '{left}' must be 1-3 tokens", lineno)
-                verbs.append((phrase, right))
-                continue
-            cue = left.split()
-            if len(cue) != (2 if cue[0] == "after" else 1):
-                raise LexiconError(f"unknown cue '{left}' (want 'after <word>', 'number', or 'rest')", lineno)
-            try:
-                rule = ParamRule(cue[0], right, *cue[1:])
-            except ValueError as exc:
-                raise LexiconError(str(exc), lineno) from None
-            params.setdefault(action, []).append(rule)
-        read_all = True
-    finally:
+                connectives = connectives or []
+            elif section.startswith("params."):
+                if action not in params:
+                    params[action] = []
+                    lines.setdefault("params", []).append(lineno)
+            elif section != "verbs":
+                raise LexiconError(f"unknown section [{section}]", lineno)
+            continue
+        if section is None:
+            raise LexiconError("entry before any section header", lineno)
+        lines.setdefault(section, []).append(lineno)
+        if section == "connectives":
+            connectives.append(line)
+            continue
+        if "=" not in line:
+            raise LexiconError("expected 'left = right'", lineno)
+        left, right = (part.strip() for part in line.split("=", 1))
+        if not left or not right:
+            raise LexiconError("empty side of '='", lineno)
+        if section == "verbs":
+            phrase = tuple(left.split())
+            if not 1 <= len(phrase) <= 3:
+                raise LexiconError(f"trigger '{left}' must be 1-3 tokens", lineno)
+            verbs.append((phrase, right))
+            continue
+        cue = left.split()
+        if len(cue) != (2 if cue[0] == "after" else 1):
+            raise LexiconError(f"unknown cue '{left}' (want 'after <word>', 'number', or 'rest')", lineno)
         try:
-            lexicon = Lexicon(
-                verbs=tuple(verbs),
-                # a cue list's trigger may lie past a fault, so a partial read checks no cue list
-                params=tuple((name, tuple(rules)) for name, rules in params.items()) if read_all else (),
-                connectives=tuple(connectives) if saw_connectives else DEFAULT_CONNECTIVES,
-                registry=registry,
-            )
-        except _BadEntry as exc:
-            raise LexiconError(exc.message, lines[exc.section][exc.index]) from None
-    return lexicon
+            params[action].append(ParamRule(cue[0], right, *cue[1:]))
+        except ValueError as exc:
+            raise LexiconError(str(exc), lineno) from None
+    try:
+        return Lexicon(
+            verbs=tuple(verbs),
+            params=tuple((name, tuple(rules)) for name, rules in params.items()),
+            connectives=DEFAULT_CONNECTIVES if connectives is None else tuple(connectives),
+            registry=registry,
+        )
+    except _BadEntry as exc:
+        raise LexiconError(exc.message, lines[exc.section][exc.index]) from None
 
 
 @lru_cache(maxsize=1)

@@ -464,21 +464,31 @@ def test_translated_trees_always_become_missions(prefix, text):
 
 # README "The lexicon": for every lexicon, translate's output strict-validates
 # against the lexicon's registry, which translate orders by when given none,
-# and emit never refuses it.  Registry lines and a lexicon over them are drawn
-# and read as files; parameter names include ones near the XML names.
+# and emit never refuses it.  Registry lines and a lexicon over them, with a
+# [connectives] section or none, are drawn and read as files; parameter names
+# include ones near the XML names.
 _PIPELINE_PARAMS = IDENTS | st.sampled_from(("xmlns", "xml", "seq"))
 # Cue keywords, numbers on both sides of the number rule, and filler.
 _PIPELINE_WORDS = ("k0", "k1", "k2", "-.5", "1e3", "nan", "inf", "1" + "0" * 309, *SKIP_WORDS, *NOUNS, *NUMBERS)
 _CONNECTIVE_WORDS = {word for connective in DEFAULT_CONNECTIVES for word in connective.split()}
 _ACTIONS = st.lists(IDENTS.filter(lambda name: name != RESERVED_HEAD), min_size=1, max_size=3, unique=True)
-# Triggers of one to three words; connective words stay out of them.
-_PIPELINE_TRIGGERS = st.lists(IDENTS.filter(lambda word: word not in _CONNECTIVE_WORDS), min_size=1, max_size=3)
+# Connectives of one or two words, which may be or hold "and" and ",".
+_PIPELINE_CONNECTIVES = st.lists(IDENTS | st.sampled_from(("and", ",")), min_size=1, max_size=2).map(" ".join)
 
 
-def _pipeline_text(draw, triggers):
+def _pipeline_triggers(connectives=()):
+    """Triggers of one to three words, with the words of the default
+
+    connectives and of ``connectives`` kept out of them.
+    """
+    kept_out = _CONNECTIVE_WORDS.union(*(connective.split() for connective in connectives))
+    return st.lists(IDENTS.filter(lambda word: word not in kept_out), min_size=1, max_size=3).map(" ".join)
+
+
+def _pipeline_text(draw, triggers, connectives=()):
     """A trigger, then words that may hold triggers and split into clauses."""
-    words = sorted({*_PIPELINE_WORDS, *(word for trigger in triggers for word in trigger.split()), "then", "and", ","})
-    return " ".join([draw(st.sampled_from(triggers)), *draw(st.lists(st.sampled_from(words), max_size=10))])
+    words = {*_PIPELINE_WORDS, "then", "and", ","}.union(*(phrase.split() for phrase in (*triggers, *connectives)))
+    return " ".join([draw(st.sampled_from(triggers)), *draw(st.lists(st.sampled_from(sorted(words)), max_size=10))])
 
 
 def _assert_becomes_a_mission(text, lexicon, registry):
@@ -499,12 +509,18 @@ def test_a_drawn_registry_line_and_lexicon_translate_to_missions(data):
         registry = load_registry("".join(f"{action} {' '.join(names)}\n" for action, names in zip(actions, params)))
     except ConfigParseError:
         return
-    triggers = data.draw(st.lists(_PIPELINE_TRIGGERS.map(" ".join), min_size=len(actions), max_size=6, unique=True))
+    # None writes no [connectives] section, so the defaults hold
+    section = data.draw(st.none() | st.lists(_PIPELINE_CONNECTIVES, max_size=3))
+    connectives = section or []
+    triggers = data.draw(st.lists(_pipeline_triggers(connectives), min_size=len(actions), max_size=6, unique=True))
     lines = ["[verbs]\n", *(f"{trigger} = {actions[i % len(actions)]}\n" for i, trigger in enumerate(triggers))]
     for action, names in zip(actions, params):
         cues = [data.draw(st.sampled_from(("number", "rest", f"after k{k}"))) for k in range(len(names))]
         lines += [f"[params.{action}]\n", *map("{} = {}\n".format, cues, names)]
-    _assert_becomes_a_mission(_pipeline_text(data.draw, triggers), load_lexicon("".join(lines), registry), registry)
+    if section is not None:
+        lines += ["[connectives]\n", *(f"{connective}\n" for connective in section)]
+    lexicon = load_lexicon("".join(lines), registry)
+    _assert_becomes_a_mission(_pipeline_text(data.draw, triggers, connectives), lexicon, registry)
 
 
 # Names a schema may hold; a schema refuses xmlns.
@@ -523,7 +539,7 @@ def _lexicons_over_aliases(draw):
         params = draw(st.lists(_SCHEMA_NAMES, min_size=1, max_size=3, unique=True))
         aliases = draw(st.lists(st.tuples(_SCHEMA_NAMES, st.sampled_from(params)), max_size=3))
         schemas.append(ActionSchema(action, tuple(params), tuple(aliases)))
-    triggers = draw(st.lists(_PIPELINE_TRIGGERS.map(" ".join), min_size=len(schemas), max_size=6, unique=True))
+    triggers = draw(st.lists(_pipeline_triggers(), min_size=len(schemas), max_size=6, unique=True))
     verbs = tuple((tuple(trigger.split()), schemas[i % len(schemas)].name) for i, trigger in enumerate(triggers))
     cues = []
     for schema in schemas:
@@ -1037,18 +1053,28 @@ def test_lexicon_refuses_a_connective_the_tokenizer_changes(connective):
 @pytest.mark.parametrize(
     "kwargs, where",
     [
-        ({"verbs": ((("say",), "say"), (("Go",), "goal"))}, "verbs[1]"),
-        ({"verbs": ((("say",), "Say"),)}, "verbs[0]"),
-        ({"verbs": SAY, "connectives": ("then", "Then")}, "connectives[1]"),
-        ({"verbs": SAY, "params": (("say", ()), ("goal", ()), ("say", (ParamRule("rest", "words"),)))}, "params[2]"),
-        ({"verbs": SAY, "params": (("goal", ()), ("move", (ParamRule("after", "x", "x"),)))}, "params.move[0]"),
+        ({"verbs": ((("say",), "say"), (("Go",), "goal"))}, "verbs[1]: "),
+        ({"verbs": ((("say",), "Say"),)}, "verbs[0]: "),
+        ({"verbs": SAY, "connectives": ("then", "Then")}, "connectives[1]: "),
+        ({"verbs": SAY, "params": (("say", ()), ("goal", ()), ("say", (ParamRule("rest", "words"),)))}, "params[2]: "),
+        ({"verbs": SAY, "params": (("goal", ()), ("move", (ParamRule("after", "x", "x"),)))}, "params.move[0]: "),
+        ({"verbs": SAY, "params": (("warp", (ParamRule("rest", "words"),)),)}, "params[0]: unknown action 'warp'"),
+        ({"verbs": SAY, "params": (("warp", ()),)}, "params[0]: unknown action 'warp'"),
     ],
-    ids=["trigger", "action", "connective", "repeated-cue-list", "cue-list-no-trigger-names"],
+    ids=[
+        "trigger",
+        "action",
+        "connective",
+        "repeated-cue-list",
+        "cue-list-no-trigger-names",
+        "cue-list-unknown-action",
+        "empty-cue-list-unknown-action",
+    ],
 )
 def test_a_lexicon_entry_error_names_its_section_and_index(kwargs, where):
     with pytest.raises(ValueError) as info:
         Lexicon(**kwargs)
-    assert str(info.value).startswith(f"{where}: ")
+    assert str(info.value).startswith(where)
 
 
 # Text one lexicon line may hold: no comment, "=", section header or line end.
@@ -1273,19 +1299,19 @@ def test_load_lexicon_rejects_malformed_files(text, line, needle):
 
 
 # A file with several faults reports one.  Reading stops at the first line
-# that breaks a file rule; an entry read before it that the constructors
-# refuse is reported instead, triggers before connectives.  Cue lists are
-# checked only in a whole file, between the two: an unknown parameter in
-# them, and a cue list no trigger names.
+# that breaks a file rule or holds a refused cue, and reports it.  A whole
+# file goes to the constructor, which reports its first refusal: triggers,
+# then cue lists in the order of their first headers, each for its action,
+# its parameters and a trigger naming it, then connectives.
 @pytest.mark.parametrize(
     "text, line",
     [
-        ("[verbs]\nGoal = goal\n[chapter]\n", 2),
+        ("[verbs]\nGoal = goal\n[chapter]\n", 3),
         ("[verbs]\ngoal = goal\n[chapter]\nGoal = goal\n", 3),
-        ("[verbs]\nGoal = goal\n[params.move]\nafter X = x\n", 2),
+        ("[verbs]\nGoal = goal\n[params.move]\nafter X = x\n", 4),
         ("[connectives]\nThen\n[verbs]\nGoal = goal\n", 4),
         ("[connectives]\nThen\n[verbs]\ngoal = goal\ngoal = gate\n", 5),
-        ("[verbs]\ngoal = goal\ngoal = gate\n[chapter]\n", 3),
+        ("[verbs]\ngoal = goal\ngoal = gate\n[chapter]\n", 4),
         ("[params.move]\nafter x = x\n[chapter]\n[verbs]\nmove = move\n", 3),
         ("[params.move]\nafter x = x\n[verbs]\nGoal = goal\n", 4),
         ("[connectives]\nThen\n[params.move]\nafter x = x\n[verbs]\ngoal = goal\n", 4),
@@ -1293,6 +1319,9 @@ def test_load_lexicon_rejects_malformed_files(text, line, needle):
         ("[params.say]\nrest = nope\n[bogus]\n", 3),
         ("[params.move]\nafter x = x\nafter q = q\n", 3),
         ("[verbs]\nsay = say\n[params.move]\nafter q = q\n[params.say]\nrest = nope\n", 4),
+        ("[params.warp]\n[verbs]\nGoal = goal\n", 3),
+        ("[verbs]\nsay = say\n[params.say]\n[params.warp]\nrest = words\n[params.say]\nrest = nope\n", 7),
+        ("[verbs]\nsay = say\n[params.warp]\n[params.say]\nrest = nope\n", 3),
     ],
     ids=[
         "entry-then-section",
@@ -1308,6 +1337,9 @@ def test_load_lexicon_rejects_malformed_files(text, line, needle):
         "unknown-parameter-then-section",
         "unknown-parameter-before-cue-list",
         "cue-lists-in-order",
+        "unknown-header-then-trigger",
+        "cue-lists-in-header-order",
+        "unknown-header-then-parameter",
     ],
 )
 def test_which_fault_a_file_with_several_reports(text, line):
@@ -1320,27 +1352,27 @@ def _readme_lexicon_fault(lines):
     """The line README "The lexicon" says a file of ``lines`` (none blank)
 
     is refused at, or None.  Reading stops at the first line that breaks a
-    file rule or holds a refused cue.  Then the first refused trigger read
-    before it is reported, its action unknown to the registry included;
-    else, if reading reached the end, the first cue list, in the order of
-    their first cues, that holds a parameter its action lacks, at that
-    cue's line, or that no trigger names, at its first cue's line; else the
-    first refused connective read before it; else the line reading stopped at.
+    file rule or holds a refused cue, and that line is reported.  Else the
+    first refused trigger is, its action unknown to the registry included;
+    else the first cue list, in the order of their first headers, whose
+    action the registry lacks, at that header, that holds a parameter its
+    action lacks, at that cue, or that holds cues and no trigger names, at
+    its first cue; else the first refused connective.
     """
     registry = builtin_registry()
-    section, stop = None, None
-    triggers, connectives, cue_lists = [], [], {}  # cue_lists: action -> (line, parameter) of each cue
+    section = None
+    triggers, connectives, cue_lists = [], [], {}  # cue_lists: action -> (header line, [(line, parameter)])
     for lineno, line in enumerate(lines, 1):
         if line.startswith("["):
             section = line[1:-1]
-            action = section[len("params.") :] if section.startswith("params.") else None
-            if not line.endswith("]") or section not in ("verbs", "connectives") and action not in registry:
-                stop = lineno
-                break
+            action = section[len("params.") :]
+            if not line.endswith("]") or section not in ("verbs", "connectives") and not section.startswith("params."):
+                return lineno
+            if section.startswith("params."):
+                cue_lists.setdefault(action, (lineno, []))
             continue
         if section is None:  # an entry before any header
-            stop = lineno
-            break
+            return lineno
         if section == "connectives":
             connectives.append((lineno, " ".join(_readme_tokens(line)) == line))
             continue
@@ -1348,16 +1380,14 @@ def _readme_lexicon_fault(lines):
         left, eq, right = (part.strip() for part in line.partition("="))
         words = left.split()
         if not (eq and left and right):
-            stop = lineno
-            break
+            return lineno
         if section == "verbs":
             # the action, the text and a repeat are the constructor's
             if not 1 <= len(words) <= 3:
-                stop = lineno
-                break
+                return lineno
             triggers.append((lineno, words, right))
             continue
-        # then the cue itself; the parameter the action takes is the constructor's
+        # then the cue itself; the action and the parameter it takes are the constructor's
         kind, *keyword = words
         cue_ok = (
             len(words) == (2 if kind == "after" else 1)
@@ -1366,21 +1396,21 @@ def _readme_lexicon_fault(lines):
             and all(_readme_tokens(word) == [word] for word in keyword)
         )
         if not cue_ok:
-            stop = lineno
-            break
-        cue_lists.setdefault(action, []).append((lineno, right))
+            return lineno
+        cue_lists[action][1].append((lineno, right))
     seen = []
     for lineno, words, action in triggers:
         if action not in registry or _readme_tokens(" ".join(words)) != words or words in seen:
             return lineno
         seen.append(words)
-    if stop is None:
-        named = {action for _, _, action in triggers}
-        for action, cues in cue_lists.items():
-            unknown = [lineno for lineno, param in cues if registry.get(action).canonical_param(param) is None]
-            if unknown or action not in named:
-                return (unknown or [cues[0][0]])[0]
-    return next((lineno for lineno, ok in connectives if not ok), stop)
+    named = {action for _, _, action in triggers}
+    for action, (header, cues) in cue_lists.items():
+        if action not in registry:
+            return header
+        unknown = [lineno for lineno, param in cues if registry.get(action).canonical_param(param) is None]
+        if unknown or cues and action not in named:
+            return (unknown or [cues[0][0]])[0]
+    return next((lineno for lineno, ok in connectives if not ok), None)
 
 
 # Lines by the section they are written for, good and faulty; a line
