@@ -16,7 +16,7 @@ from functools import lru_cache
 from importlib import resources
 from itertools import accumulate, compress, count, repeat
 
-from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, _action, _Fault, _param, _sequence
+from seqlang.logical_form import ActionNode, SequenceNode, _action, _Fault, _param, _sequence
 from seqlang.registry import ActionRegistry, builtin_registry, config_lines, finite_number
 
 _Index = dict[str, dict[int, dict[tuple[str, ...], str]]]
@@ -51,7 +51,7 @@ class LexiconError(_Fault):
 
 
 class _BadEntry(_Fault, ValueError):
-    """A lexicon entry refused at construction: ``section`` and ``index``
+    """A lexicon entry :class:`Lexicon` refuses: ``section`` and ``index``
 
     name it as a file would (``verbs``, ``params.ACTION``, ``connectives``),
     so that :func:`load_lexicon` can give the entry's line instead: for
@@ -67,19 +67,13 @@ class _BadEntry(_Fault, ValueError):
 class ParamRule:
     """One cue: where to look in the clause tail and which parameter the
 
-    found value binds to.  kind is "after", "number", or "rest".
+    found value binds to.  kind is "after", "number", or "rest".  A plain
+    record: :class:`Lexicon` checks it against its action.
     """
 
     kind: str
     param: str
     keyword: str | None = None
-
-    def __post_init__(self) -> None:
-        ParamNode(self.param, 0, self.param)  # the node owns the name rule and its text
-        if self.kind not in ("after", "number", "rest"):
-            raise ValueError(f"unknown cue kind {self.kind!r} (want 'after', 'number' or 'rest')")
-        if self.kind == "after" and (not self.keyword or normalize(self.keyword) != [self.keyword]):
-            raise ValueError(f"'after' cue keyword {self.keyword!r} is not normalized lowercase text")
 
 
 @dataclass(frozen=True)
@@ -87,10 +81,10 @@ class Lexicon:
     """Verb triggers, per-action parameter cues, and connective phrases
     over ``registry``, which holds each verb's action and cue's parameter.
 
-    The constructor owns the entry rules README "The lexicon" states, the
-    registry's included, in README's order, and :class:`ParamRule` those
-    of a cue, so :func:`translate` builds its nodes unchecked.  A refused
-    entry raises ``ValueError`` naming its section and index.
+    The constructor owns every entry rule README "The lexicon" states, a
+    cue's and the registry's included, in README's order, so
+    :func:`translate` builds its nodes unchecked.  A refused entry raises
+    ``ValueError`` naming its section and index.
 
     Built once from these: ``cues`` maps an action to its cue list, an
     alias cue stored under its target, and two indexes of one shape
@@ -113,6 +107,8 @@ class Lexicon:
                 raise _BadEntry("verbs", i, f"unknown action '{action}'")
             if not phrase or normalize(" ".join(phrase)) != list(phrase):
                 raise _BadEntry("verbs", i, f"trigger {phrase!r} is not normalized lowercase text")
+            if len(phrase) > 3:
+                raise _BadEntry("verbs", i, f"trigger '{' '.join(phrase)}' must be 1-3 tokens")
             if phrase in actions:
                 raise _BadEntry("verbs", i, f"duplicate trigger '{' '.join(phrase)}'")
             actions[phrase] = action
@@ -124,13 +120,17 @@ class Lexicon:
             schema = self.registry.get(action)
             if schema is None:
                 raise _BadEntry("params", index, f"unknown action '{action}'")
-            targets = [schema.canonical_param(rule.param) for rule in rules]
-            if None in targets:
-                j = targets.index(None)
-                raise _BadEntry(f"params.{action}", j, f"'{action}' takes no parameter '{rules[j].param}'")
+            section = f"params.{action}"
+            for j, rule in enumerate(rules):
+                if rule.kind not in ("after", "number", "rest"):
+                    raise _BadEntry(section, j, f"unknown cue kind {rule.kind!r} (want 'after', 'number' or 'rest')")
+                if rule.kind == "after" and (not rule.keyword or normalize(rule.keyword) != [rule.keyword]):
+                    raise _BadEntry(section, j, f"'after' cue keyword {rule.keyword!r} is not normalized lowercase text")
+                if schema.canonical_param(rule.param) is None:
+                    raise _BadEntry(section, j, f"'{action}' takes no parameter '{rule.param}'")
             if rules and action not in named:
-                raise _BadEntry(f"params.{action}", 0, f"no trigger names action '{action}'")
-            cues[action] = tuple(replace(rule, param=target) for rule, target in zip(rules, targets))
+                raise _BadEntry(section, 0, f"no trigger names action '{action}'")
+            cues[action] = tuple(replace(rule, param=schema.canonical_param(rule.param)) for rule in rules)
         for i, connective in enumerate(self.connectives):
             if not connective or " ".join(_tokens(connective)) != connective:
                 raise _BadEntry("connectives", i, f"connective '{connective}' is not normalized lowercase text")
@@ -300,11 +300,11 @@ def translate(
 def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
     """Parse lexicon text (format and rules in README "The lexicon").
 
-    Reading checks the file's own rules (section headers, ``=`` lines,
-    trigger and cue word counts) and each cue (:class:`ParamRule`), and
-    stops at the first line that breaks one.  A whole file then goes to
-    the constructor, which checks its entries against ``registry``.  Any
-    fault raises :class:`LexiconError` with its line.
+    Reading checks only the file's syntax (section headers, ``=`` lines,
+    a cue's word count) and stops at the first line that breaks it.  A
+    whole file then goes to :class:`Lexicon`, which checks every entry,
+    against ``registry`` too.  Any fault raises :class:`LexiconError`
+    with its line.
     """
     verbs: list[tuple[tuple[str, ...], str]] = []
     params: dict[str, list[ParamRule]] = {}
@@ -338,18 +338,12 @@ def load_lexicon(text: str, registry: ActionRegistry) -> Lexicon:
         if not left or not right:
             raise LexiconError("empty side of '='", lineno)
         if section == "verbs":
-            phrase = tuple(left.split())
-            if not 1 <= len(phrase) <= 3:
-                raise LexiconError(f"trigger '{left}' must be 1-3 tokens", lineno)
-            verbs.append((phrase, right))
+            verbs.append((tuple(left.split()), right))
             continue
         cue = left.split()
         if len(cue) != (2 if cue[0] == "after" else 1):
             raise LexiconError(f"unknown cue '{left}' (want 'after <word>', 'number', or 'rest')", lineno)
-        try:
-            params[action].append(ParamRule(cue[0], right, *cue[1:]))
-        except ValueError as exc:
-            raise LexiconError(str(exc), lineno) from None
+        params[action].append(ParamRule(cue[0], right, *cue[1:]))
     try:
         return Lexicon(
             verbs=tuple(verbs),

@@ -3,6 +3,7 @@
 import argparse
 import io
 import re
+import shlex
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 from seqlang.btxml import emit, parse_bt_xml
 from seqlang.cli import _build_parser, main
 from seqlang.dataset import generate, write_tsv
-from seqlang.frontend import translate
+from seqlang.frontend import load_lexicon, translate
 from seqlang.logical_form import ActionNode, ParamNode, SequenceNode, render
+from seqlang.registry import load_registry
 
 
 def invoke(capsys, *argv):
@@ -668,11 +670,55 @@ def test_render_and_compile_agree(tmp_path, capsys):
     assert stdout.strip() == render(tree)
 
 
+# ------------------------------------------------------------------- README
+
+README = Path(__file__).parents[1].joinpath("README.md").read_text(encoding="utf-8")
+
+
+def _readme_blocks():
+    """README's fenced blocks, by the heading above them, in order."""
+    blocks, heading, fence = {}, None, None
+    for line in README.splitlines(keepends=True):
+        if line.startswith("```"):
+            if fence is not None:
+                blocks.setdefault(heading, []).append("".join(fence))
+            fence = [] if fence is None else None
+        elif fence is not None:
+            fence.append(line)
+        elif line.startswith("#"):
+            heading = line.strip("#\n ")
+    return blocks
+
+
+def _transcripts(block):
+    """(argv, output) per ``$ seqlang ...`` command of a shell block."""
+    for chunk in block.split("\n\n"):
+        command, output = chunk.split("\n", 1)
+        yield shlex.split(command.removeprefix("$ seqlang ")), output.rstrip("\n") + "\n"
+
+
+def test_the_readme_lexicon_and_registry_blocks_load():
+    registry = load_registry(_readme_blocks()["Built-in actions"][0])
+    assert {"warp", "dock"} <= set(registry.by_name)
+    lexicon = load_lexicon(_readme_blocks()["The lexicon"][0], registry)
+    tree = translate("move to x 1 yaw 2 then say all clear", lexicon)
+    assert render(tree) == "( seq ( move ( x ( $0 ( 1 ) ) ) ( raw ( $1 ( 2 ) ) ) ) ( say ( words ( $2 ( all clear ) ) ) ) )"
+
+
+def test_the_readme_quick_start_replays_byte_for_byte(tmp_path, capsys, monkeypatch):
+    # a run's trace goes to stdout and its status to stderr, which README shows after it
+    monkeypatch.chdir(tmp_path)
+    compile_block, mission, run_block = _readme_blocks()["Quick start"][:3]
+    for argv, output in [*_transcripts(compile_block), *_transcripts(run_block)]:
+        _, stdout, stderr = invoke(capsys, *argv)
+        assert stdout + stderr == output
+        if argv[0] == "compile":
+            assert Path("mission.xml").read_text(encoding="utf-8") == mission
+
+
 # ------------------------------------------------------------------ fuzzing
 
-README_EXIT_CODES = {
-    int(code) for code in re.findall(r"^\| (\d+) \|", Path(__file__).parents[1].joinpath("README.md").read_text(), re.M)
-}
+README_EXIT_CODES = {int(code) for code in re.findall(r"^\| (\d+) \|", README, re.M)}
 
 FILES = ("a", "b.xml", "c.tsv")
 # Contents that get past the readers, so that drawn argv reaches each command.

@@ -1004,7 +1004,10 @@ def test_the_longest_trigger_in_a_clause_wins_and_the_leftmost_breaks_a_tie(lexi
         # no registry holds a name the nodes refuse, so a lexicon refuses it as unknown
         (lambda: Lexicon(verbs=((("go",), "Go"),)), "verbs\\[0\\]: unknown action 'Go'"),
         (lambda: Lexicon(verbs=((("go",), "seq"),)), "verbs\\[0\\]: unknown action 'seq'"),
-        (lambda: ParamRule("rest", "Words"), "parameter name 'Words'"),
+        (
+            lambda: Lexicon(verbs=SAY, params=(("say", (ParamRule("rest", "Words"),)),)),
+            "params\\.say\\[0\\]: 'say' takes no parameter 'Words'",
+        ),
     ],
     ids=["action-Go", "action-seq", "param-Words"],
 )
@@ -1015,33 +1018,39 @@ def test_lexicon_refuses_names_no_node_may_hold(build, needle):
 
 # Entries no input can reach: load_lexicon refuses them in a file, with a
 # line number, and a lexicon built in code refuses them at construction.
+# A ParamRule is a plain record: the lexicon holding it refuses a bad cue.
+
+SAY = ((("say",), "say"),)
+
+
+def _cue_refusal(rule, action="say"):
+    with pytest.raises(ValueError) as info:
+        Lexicon(verbs=((("go",), action),), params=((action, (rule,)),))
+    return str(info.value)
 
 
 @pytest.mark.parametrize("kind", ["Rest", "after x", "numbers", ""])
 def test_param_rule_refuses_an_unknown_cue_kind(kind):
-    with pytest.raises(ValueError, match="unknown cue kind"):
-        ParamRule(kind, "words")
+    message = f"unknown cue kind {kind!r} (want 'after', 'number' or 'rest')"
+    assert _cue_refusal(ParamRule(kind, "words")) == "params.say[0]: " + message
 
 
 @pytest.mark.parametrize("keyword", [None, ""])
 def test_param_rule_refuses_an_after_cue_with_no_keyword(keyword):
-    with pytest.raises(ValueError, match="'after' cue keyword"):
-        ParamRule("after", "x", keyword)
+    message = f"'after' cue keyword {keyword!r} is not normalized lowercase text"
+    assert _cue_refusal(ParamRule("after", "x", keyword), "move") == "params.move[0]: " + message
 
 
 @pytest.mark.parametrize("keyword", ["X", "x.", "(x)", "a b", "a,b", ","])
 def test_param_rule_refuses_an_after_keyword_normalize_changes(keyword):
-    with pytest.raises(ValueError, match="not normalized"):
-        ParamRule("after", "x", keyword)
+    message = f"'after' cue keyword {keyword!r} is not normalized lowercase text"
+    assert _cue_refusal(ParamRule("after", "x", keyword), "move") == "params.move[0]: " + message
 
 
 @pytest.mark.parametrize("phrase", [(), ("Say",), ("say!",), ("bring", "me,"), ("look for",), ("",), (",",)], ids=repr)
 def test_lexicon_refuses_a_trigger_word_normalize_changes(phrase):
     with pytest.raises(ValueError, match="not normalized"):
         Lexicon(verbs=((phrase, "say"),))
-
-
-SAY = ((("say",), "say"),)
 
 
 @pytest.mark.parametrize("connective", ["", "Then", "and  then!", "then,", '"then"', " and", "and ", "and  then", "and\tthen"])
@@ -1099,12 +1108,46 @@ def test_a_file_and_code_refuse_the_same_connectives(text):
     assert in_file == in_code
 
 
-@given(_LINE_TEXT.filter(lambda text: 1 <= len(text.split()) <= 3))
+@given(_LINE_TEXT)
+@example("go to the goal")
 @settings(max_examples=500, deadline=None)
 def test_a_file_and_code_refuse_the_same_triggers(text):
     in_file = _refused(lambda: load_lexicon(f"[verbs]\n{text} = say\n", builtin_registry()), LexiconError)
     in_code = _refused(lambda: Lexicon(verbs=((tuple(text.split()), "say"),)), ValueError)
     assert in_file == in_code
+
+
+# A word a cue line's left side can hold: no blank, comment sign, "=" or
+# "[", which would open a header.
+_ONE_WORD = _LINE_TEXT.filter(lambda word: word.split() == [word])
+
+
+@given(
+    left=st.sampled_from(["number", "rest"])
+    | _ONE_WORD.filter(lambda word: word != "after")
+    | _ONE_WORD.map("after {}".format),
+    name=st.sampled_from(["x", "yaw", "words"]) | _LINE_TEXT.filter(lambda name: name and name.strip() == name),
+)
+@example(left="after X", name="x")
+@example(left="numbers", name="x")
+@example(left="rest", name="Words")
+@settings(max_examples=500, deadline=None)
+def test_a_file_and_code_refuse_the_same_cues(left, name):
+    kind, *keyword = left.split()
+    rule = ParamRule(kind, name, *keyword)
+    try:
+        lexicon = load_lexicon(f"[verbs]\nmove = move\n[params.move]\n{left} = {name}\n", builtin_registry())
+    except LexiconError as exc:
+        in_file = exc
+    else:
+        in_file = lexicon.cues["move"]
+    try:
+        lexicon = Lexicon(verbs=((("move",), "move"),), params=(("move", (rule,)),))
+    except ValueError as exc:
+        assert isinstance(in_file, LexiconError) and (in_file.line, in_file.message) == (4, exc.message)
+        assert str(exc).startswith("params.move[0]: ")
+    else:
+        assert in_file == lexicon.cues["move"]
 
 
 _VERB_LINES = st.tuples(st.sampled_from(["dive", "dive in", "dive  in", "go"]), st.sampled_from(["move", "flatten"]))
@@ -1209,18 +1252,20 @@ def test_entries_refuse_exactly_the_names_the_nodes_refuse(actions, param, cue):
     for verb, action in zip(verbs, actions):
         assert _refused(lambda: Lexicon(verbs=(verb,)), ValueError) == (action not in builtin_registry().by_name)
 
-    refusal = _node_refusal(lambda: ParamNode(param, 0, "v"))
+    # a cue is refused exactly when its action's schema lacks its name: no
+    # schema holds a name the nodes refuse, and one may hold seq
     kind, *keyword = cue.split()
-    assert _node_refusal(lambda: ParamRule(kind, param, *keyword)) == refusal
-    # a name the nodes allow, seq included, is then the registry's to know
+    rule = ParamRule(kind, param, *keyword)
     registry = load_registry("warp seq words\n")
+    in_code = _node_refusal(lambda: Lexicon(verbs=((("warp",), "warp"),), params=(("warp", (rule,)),), registry=registry))
     text = f"[verbs]\nwarp = warp\n[params.warp]\n{cue} = {param}\n"
-    if refusal is None and param in ("seq", "words"):
-        assert load_lexicon(text, registry).cues["warp"] == (ParamRule(kind, param, *keyword),)
+    if param in ("seq", "words"):
+        assert in_code is None and load_lexicon(text, registry).cues["warp"] == (rule,)
         return
+    assert in_code == f"params.warp[0]: 'warp' takes no parameter '{param}'"
     with pytest.raises(LexiconError) as info:
         load_lexicon(text, registry)
-    assert str(info.value) == "lexicon line 4: " + (refusal or f"'warp' takes no parameter '{param}'")
+    assert str(info.value) == f"lexicon line 4: 'warp' takes no parameter '{param}'"
 
 
 def test_load_lexicon_minimal_file():
@@ -1277,7 +1322,8 @@ def test_load_lexicon_param_rules():
         ("[verbs]\nsay = say\n[params.move]\nafter x = x\nnumber = y\n", 4, "no trigger names action 'move'"),
         ("[params.warp]\n", 1, "unknown action"),
         ("[params.say]\nsomewhere near = words\n", 2, "unknown cue"),
-        ("[params.say]\nrest = Words\n", 2, "not a lowercase identifier"),
+        ("[params.say]\nRest = words\n", 2, "unknown cue kind 'Rest'"),
+        ("[params.say]\nrest = Words\n", 2, "'say' takes no parameter 'Words'"),
         ("[params.move]\nafter q = q\n", 2, "takes no parameter 'q'"),
         ("[params.move]\nafter X = x\n", 2, "not normalized"),
         ("[params.move]\nafter x, = x\n", 2, "not normalized"),
@@ -1299,16 +1345,16 @@ def test_load_lexicon_rejects_malformed_files(text, line, needle):
 
 
 # A file with several faults reports one.  Reading stops at the first line
-# that breaks a file rule or holds a refused cue, and reports it.  A whole
-# file goes to the constructor, which reports its first refusal: triggers,
-# then cue lists in the order of their first headers, each for its action,
-# its parameters and a trigger naming it, then connectives.
+# that breaks a file rule, and reports it.  A whole file goes to the
+# constructor, which reports its first refusal: triggers, then cue lists in
+# the order of their first headers, each for its action, its cues (kind,
+# keyword, parameter) and a trigger naming it, then connectives.
 @pytest.mark.parametrize(
     "text, line",
     [
         ("[verbs]\nGoal = goal\n[chapter]\n", 3),
         ("[verbs]\ngoal = goal\n[chapter]\nGoal = goal\n", 3),
-        ("[verbs]\nGoal = goal\n[params.move]\nafter X = x\n", 4),
+        ("[verbs]\nGoal = goal\n[params.move]\nafter X = x\n", 2),
         ("[connectives]\nThen\n[verbs]\nGoal = goal\n", 4),
         ("[connectives]\nThen\n[verbs]\ngoal = goal\ngoal = gate\n", 5),
         ("[verbs]\ngoal = goal\ngoal = gate\n[chapter]\n", 4),
@@ -1322,6 +1368,7 @@ def test_load_lexicon_rejects_malformed_files(text, line, needle):
         ("[params.warp]\n[verbs]\nGoal = goal\n", 3),
         ("[verbs]\nsay = say\n[params.say]\n[params.warp]\nrest = words\n[params.say]\nrest = nope\n", 7),
         ("[verbs]\nsay = say\n[params.warp]\n[params.say]\nrest = nope\n", 3),
+        ("[params.say]\nRest = words\n[bogus]\n", 3),
     ],
     ids=[
         "entry-then-section",
@@ -1340,6 +1387,7 @@ def test_load_lexicon_rejects_malformed_files(text, line, needle):
         "unknown-header-then-trigger",
         "cue-lists-in-header-order",
         "unknown-header-then-parameter",
+        "refused-cue-then-section",
     ],
 )
 def test_which_fault_a_file_with_several_reports(text, line):
@@ -1352,16 +1400,17 @@ def _readme_lexicon_fault(lines):
     """The line README "The lexicon" says a file of ``lines`` (none blank)
 
     is refused at, or None.  Reading stops at the first line that breaks a
-    file rule or holds a refused cue, and that line is reported.  Else the
-    first refused trigger is, its action unknown to the registry included;
-    else the first cue list, in the order of their first headers, whose
-    action the registry lacks, at that header, that holds a parameter its
-    action lacks, at that cue, or that holds cues and no trigger names, at
-    its first cue; else the first refused connective.
+    file rule, and that line is reported.  Else the first refused trigger
+    is, for its action, text, word count or a repeat; else the first cue
+    list, in the order of their first headers, whose action the registry
+    lacks, at that header, that holds a cue of an unknown kind, an ``after``
+    keyword that is not normalized or a parameter its action lacks, at that
+    cue, or that holds cues and no trigger names, at its first cue; else
+    the first refused connective.
     """
     registry = builtin_registry()
     section = None
-    triggers, connectives, cue_lists = [], [], {}  # cue_lists: action -> (header line, [(line, parameter)])
+    triggers, connectives, cue_lists = [], [], {}  # cue_lists: action -> (header line, [(line, words, parameter)])
     for lineno, line in enumerate(lines, 1):
         if line.startswith("["):
             section = line[1:-1]
@@ -1376,40 +1425,31 @@ def _readme_lexicon_fault(lines):
         if section == "connectives":
             connectives.append((lineno, " ".join(_readme_tokens(line)) == line))
             continue
-        # a trigger or cue line: the "=" and its two sides, then the word count
+        # a trigger or cue line: the "=" and its two sides, and a cue's word
+        # count; all else is the constructor's
         left, eq, right = (part.strip() for part in line.partition("="))
         words = left.split()
-        if not (eq and left and right):
+        if not (eq and left and right) or section != "verbs" and len(words) != (2 if words[0] == "after" else 1):
             return lineno
-        if section == "verbs":
-            # the action, the text and a repeat are the constructor's
-            if not 1 <= len(words) <= 3:
-                return lineno
-            triggers.append((lineno, words, right))
-            continue
-        # then the cue itself; the action and the parameter it takes are the constructor's
-        kind, *keyword = words
-        cue_ok = (
-            len(words) == (2 if kind == "after" else 1)
-            and _LOWER_IDENT.fullmatch(right)
-            and kind in ("after", "number", "rest")
-            and all(_readme_tokens(word) == [word] for word in keyword)
-        )
-        if not cue_ok:
-            return lineno
-        cue_lists[action][1].append((lineno, right))
+        (triggers if section == "verbs" else cue_lists[action][1]).append((lineno, words, right))
     seen = []
     for lineno, words, action in triggers:
-        if action not in registry or _readme_tokens(" ".join(words)) != words or words in seen:
+        if action not in registry or _readme_tokens(" ".join(words)) != words or len(words) > 3 or words in seen:
             return lineno
         seen.append(words)
     named = {action for _, _, action in triggers}
     for action, (header, cues) in cue_lists.items():
         if action not in registry:
             return header
-        unknown = [lineno for lineno, param in cues if registry.get(action).canonical_param(param) is None]
-        if unknown or cues and action not in named:
-            return (unknown or [cues[0][0]])[0]
+        for lineno, (kind, *keyword), param in cues:
+            if (
+                kind not in ("after", "number", "rest")
+                or any(_readme_tokens(word) != [word] for word in keyword)
+                or registry.get(action).canonical_param(param) is None
+            ):
+                return lineno
+        if cues and action not in named:
+            return cues[0][0]
     return next((lineno for lineno, ok in connectives if not ok), None)
 
 
@@ -1420,7 +1460,7 @@ _LEXICON_ENTRIES = {
         ("goal = goal", "gate = gate", "move = move", "say = say"),
         ("goal = gate", "Goal = goal", "go = warp", "swim to the big gate = gate", "goal goal"),
     ),
-    "[params.move]": (("after x = x", "after yaw = yaw", "number = y"), ("after X = x", "after q = q")),
+    "[params.move]": (("after x = x", "after yaw = yaw", "number = y"), ("after X = x", "after q = q", "numbers = y")),
     "[params.say]": (("rest = words", "number = words"), ("rest = Words", "rest = obj")),
     "[connectives]": (("then", "and then"), ("Then",)),
     "[chapter]": ((), ()),
