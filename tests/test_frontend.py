@@ -1257,7 +1257,9 @@ def test_entries_refuse_exactly_the_names_the_nodes_refuse(actions, param, cue):
     kind, *keyword = cue.split()
     rule = ParamRule(kind, param, *keyword)
     registry = load_registry("warp seq words\n")
-    in_code = _node_refusal(lambda: Lexicon(verbs=((("warp",), "warp"),), params=(("warp", (rule,)),), registry=registry))
+    in_code = _node_refusal(
+        lambda: Lexicon(verbs=((("warp",), "warp"),), params=(("warp", (rule,)),), registry=registry)
+    )
     text = f"[verbs]\nwarp = warp\n[params.warp]\n{cue} = {param}\n"
     if param in ("seq", "words"):
         assert in_code is None and load_lexicon(text, registry).cues["warp"] == (rule,)
